@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -167,45 +168,84 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "coda-serve: listening on %s (tick %v, data %s)\n", ln.Addr(), f.tick, f.dataDir)
 
-	// The ticker goroutine is the machine's only writer: it drains the
-	// admission queue as one WAL batch per tick and advances virtual time
-	// in lockstep with the wall clock. It owns shutdown: on SIGINT or a
-	// poisoned engine it stops the server and closes the listener, which
-	// unblocks http.Serve below.
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)
 	defer signal.Stop(stop)
+	if code := serve(m, server, ln, f.tick, stop, stderr); code != 0 {
+		return code
+	}
+	fmt.Fprintf(stdout, "coda-serve: shut down at virtual time %v after %d requests\n", m.Now(), m.Applied())
+	return 0
+}
+
+// HTTP connection timeouts. ReadHeaderTimeout stops a client that never
+// finishes its headers from holding a connection and its goroutine forever;
+// IdleTimeout closes keep-alive connections left idle. There is no
+// WriteTimeout: handlers legitimately block until the next tick applies
+// their batch.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the one HTTP server coda-serve listens with.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// serve runs the HTTP server on ln until a value on stop, a poisoned tick
+// or a failure of the HTTP server itself, and returns the exit code: 0 for
+// a shutdown on stop, 1 otherwise.
+//
+// The ticker goroutine is the machine's only writer: it drains the
+// admission queue as one WAL batch per tick and advances virtual time in
+// lockstep with the wall clock. It owns shutdown: on stop, a poisoned
+// engine, or Serve returning on an error of its own, it stops the control
+// plane and closes the HTTP server, which returns Serve.
+func serve(m *ctl.Machine, server *ctl.Server, ln net.Listener, tick time.Duration, stop <-chan os.Signal, stderr io.Writer) int {
+	httpSrv := newHTTPServer(server)
 	var tickErr error
+	serveFailed := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ticker := time.NewTicker(f.tick)
+		ticker := time.NewTicker(tick)
 		defer ticker.Stop()
 		at := m.Now()
 		for {
 			select {
 			case <-ticker.C:
-				at += f.tick
-				if err := server.Tick(at); err != nil {
-					tickErr = err
-					server.Stop()
-					ln.Close()
-					return
+				at += tick
+				if tickErr = server.Tick(at); tickErr == nil {
+					continue
 				}
 			case <-stop:
-				server.Stop()
-				ln.Close()
-				return
+			case <-serveFailed:
 			}
+			server.Stop()
+			httpSrv.Close()
+			return
 		}
 	}()
 
-	_ = http.Serve(ln, server) // returns once the ticker goroutine closes the listener
+	serveErr := httpSrv.Serve(ln)
+	if errors.Is(serveErr, http.ErrServerClosed) {
+		serveErr = nil // the ticker shut the server down
+	} else {
+		close(serveFailed)
+	}
 	<-done
-	if tickErr != nil {
+	switch {
+	case tickErr != nil:
 		fmt.Fprintf(stderr, "coda-serve: tick: %v\n", tickErr)
 		return 1
+	case serveErr != nil:
+		fmt.Fprintf(stderr, "coda-serve: serve: %v\n", serveErr)
+		return 1
 	}
-	fmt.Fprintf(stdout, "coda-serve: shut down at virtual time %v after %d requests\n", m.Now(), m.Applied())
 	return 0
 }

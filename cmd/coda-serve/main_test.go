@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +15,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/coda-repro/coda/internal/ctl"
 )
 
 // syncBuffer lets the test poll output while run() is still writing it.
@@ -178,5 +182,67 @@ func TestServeKillRecover(t *testing.T) {
 	interrupt(t)
 	if code := <-done; code != 0 {
 		t.Fatalf("second life exited %d:\n%s", code, out2.String())
+	}
+}
+
+// TestHTTPServerTimeouts: the server coda-serve listens with bounds how
+// long a client may take to send its headers and how long a keep-alive
+// connection may idle, and sets no write timeout, because handlers block
+// until the next tick.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none", srv.WriteTimeout)
+	}
+}
+
+// failingListener fails every Accept, as a listener whose socket broke.
+type failingListener struct{ net.Listener }
+
+func (failingListener) Accept() (net.Conn, error) { return nil, errors.New("listener broke") }
+
+// TestServeFailureExitsOne: when the HTTP server fails on its own, serve
+// stops the ticker and exits 1 at once instead of waiting for a signal.
+func TestServeFailureExitsOne(t *testing.T) {
+	f, err := parseFlags([]string{"-data", t.TempDir(), "-nodes", "2"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, log, err := buildConfig(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	m, _, err := ctl.Resume(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	var errb syncBuffer
+	done := make(chan int, 1)
+	go func() {
+		done <- serve(m, ctl.NewServer(m, ctl.ServerConfig{}), failingListener{ln}, time.Hour, make(chan os.Signal), &errb)
+	}()
+	select {
+	case code := <-done:
+		if code != 1 {
+			t.Fatalf("exit = %d, want 1", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve kept running after the HTTP server failed")
+	}
+	if !strings.Contains(errb.String(), "listener broke") {
+		t.Errorf("stderr does not report the serve error: %q", errb.String())
 	}
 }

@@ -8,7 +8,7 @@
 //	coda-soak -recipe crash-heavy-diurnal-month -seeds 3
 //	coda-soak -scale tiny -seeds 2 -json > report.json
 //
-// Exit codes follow the coda-lint convention: 0 every cell passed, 1 at
+// Exit codes follow the coda-vet convention: 0 every cell passed, 1 at
 // least one verdict failed, 2 the tool itself could not run (unknown
 // recipe or scale, malformed condition, bad flags).
 package main

@@ -34,7 +34,7 @@ func TestListNamesEveryRecipe(t *testing.T) {
 }
 
 // TestOperationalErrorsExitTwo: unknown recipes, scales and conditions are
-// tool failures (exit 2), matching the coda-lint convention — they must
+// tool failures (exit 2), matching the coda-vet convention — they must
 // never masquerade as verdict failures (exit 1).
 func TestOperationalErrorsExitTwo(t *testing.T) {
 	cases := [][]string{

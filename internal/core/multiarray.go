@@ -316,7 +316,7 @@ func (m *MultiArray) ResizeRunning(id job.ID, newCores int) error {
 // and handing it Go's randomized map order would make same-seed replay
 // depend on every downstream consumer re-sorting correctly. Sorting here
 // makes the candidate order seed-stable by construction (the determinism
-// invariant coda-lint enforces).
+// invariant coda-vet enforces).
 func (m *MultiArray) pendingTenants(queues map[job.TenantID]*list.List) []job.TenantID {
 	out := m.tenants[:0]
 	//coda:ordered-ok collected tenant IDs are sorted before return

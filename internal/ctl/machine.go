@@ -25,8 +25,6 @@ type Config struct {
 	// construct identically every call — scheduler state is restored from
 	// checkpoints, never carried over.
 	NewScheduler func() (sched.Scheduler, error)
-	// Jobs optionally preloads a trace (arrivals at their recorded times).
-	Jobs []*job.Job
 	// Log is the write-ahead request log.
 	Log wal.Log
 	// Store persists machine checkpoints.
@@ -77,16 +75,11 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	opts := cfg.Options
 	opts.Service = true
-	s, err := sim.New(opts, scheduler, cfg.Jobs)
+	s, err := sim.New(opts, scheduler, nil)
 	if err != nil {
 		return nil, err
 	}
 	m := &Machine{cfg: cfg, sim: s}
-	for _, j := range cfg.Jobs {
-		if int64(j.ID) > m.nextJobID {
-			m.nextJobID = int64(j.ID)
-		}
-	}
 	if err := s.RunUntil(0); err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 
 // JSON findings output for CI: stable field order, findings pre-sorted by
 // (file, line, rule), file paths relative to a base directory so two runs of
-// the same tree from different checkouts diff clean. Both CLIs expose it as
+// the same tree from different checkouts diff clean. coda-vet exposes it as
 // -json; the CI vet job uploads the result as an artifact.
 
 // FindingJSON is the serialized form of one finding.

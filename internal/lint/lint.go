@@ -1,12 +1,13 @@
-// Package lint is coda-lint: a stdlib-only static analyzer enforcing the
-// determinism and concurrency invariants CODA's reproduction rests on.
+// Package lint is the engine of coda-vet: a stdlib-only static analyzer
+// enforcing the determinism and concurrency invariants CODA's reproduction
+// rests on.
 // Identical seeds must replay identical schedules — otherwise the paper's
 // JCT and utilization numbers are unreproducible noise — so the decision
 // path must never consume Go's randomized map iteration order, wall-clock
 // time, the global math/rand stream, stray goroutines, or exact float
 // equality where accumulation order can leak in.
 //
-// Five named rules (see DESIGN.md "Determinism invariants"):
+// Five named per-file rules (see DESIGN.md "Determinism invariants"):
 //
 //	ordered-map-iteration  range over a map in a decision-path package
 //	no-wall-clock          time.Now/Since/Until or global math/rand use
@@ -14,8 +15,10 @@
 //	float-eq               ==/!= between floating-point expressions
 //	unchecked-error        discarded error results from module-internal APIs
 //
-// A finding is suppressed by a `//coda:ordered-ok <reason>` annotation on
-// the flagged line or the line above; the reason is mandatory.
+// A per-file finding is suppressed by a `//coda:ordered-ok <reason>`
+// annotation on the flagged line or the line above; the reason is
+// mandatory. The three whole-program passes in vet.go have no such escape
+// hatch. Check runs both families over one loaded Module.
 package lint
 
 import (
@@ -39,7 +42,7 @@ const (
 	RuleBadAnnotation = "bad-annotation"
 )
 
-// Whole-program (coda-vet) rule names; see vet.go.
+// Whole-program rule names; see vet.go.
 const (
 	RulePurity       = "transitive-purity"
 	RuleLayering     = "import-layering"
@@ -273,7 +276,7 @@ func Run(m *Module, cfg Config) []Finding {
 }
 
 // SortFindings orders findings by file, line, then rule — the stable report
-// order shared by Run, RunVet, the CLIs and the JSON output.
+// order shared by Run, RunVet, Check, the CLI and the JSON output.
 func SortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
@@ -287,12 +290,13 @@ func SortFindings(out []Finding) {
 	})
 }
 
-// LintTrees loads root's package trees and runs the default-config rules —
-// the entry point shared by the CLI and the self-enforcing test.
-func LintTrees(root string, trees []string, cfg Config) ([]Finding, error) {
-	m, err := LoadModule(root, trees)
-	if err != nil {
-		return nil, err
-	}
-	return Run(m, cfg), nil
+// Check runs every rule over one loaded module: the five per-file rules and
+// annotation hygiene under cfg, then the three whole-program passes under
+// vcfg, returned as one sorted list. The families stay independent:
+// annotations apply only to per-file findings, so an annotation on a
+// whole-program finding's line neither suppresses it nor counts as used.
+func Check(m *Module, cfg Config, vcfg VetConfig) []Finding {
+	out := append(Run(m, cfg), RunVet(m, vcfg)...)
+	SortFindings(out)
+	return out
 }

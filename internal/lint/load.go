@@ -162,16 +162,17 @@ func LoadDirs(root, modPath string, dirs []string) (*Module, error) {
 	return m, nil
 }
 
-// FilterToDirs restricts findings to the requested package patterns ("./...",
-// "./internal/sim", "internal/sched/..."), resolved relative to dir. With no
-// arguments or a bare "./..." everything stays. A pattern naming a directory
-// that does not exist is an error — a typo'd path must not look like a clean
-// run. Shared by the coda-lint and coda-vet CLIs.
-func FilterToDirs(findings []Finding, args []string, dir string) ([]Finding, error) {
+// ResolvePatterns resolves package patterns ("./...", "./internal/sim",
+// "internal/sched/...") relative to dir into absolute directory prefixes
+// for FilterToDirs. With no arguments or a bare "./..." it returns nil,
+// which keeps everything. A pattern naming a directory that does not exist
+// is an error — a typo'd path must not look like a clean run — and it is
+// caught before any package is loaded.
+func ResolvePatterns(args []string, dir string) ([]string, error) {
 	var prefixes []string
 	for _, a := range args {
 		if a == "./..." || a == "..." {
-			return findings, nil
+			return nil, nil
 		}
 		pat, _ := strings.CutSuffix(a, "/...") // a dir prefix covers both the exact and recursive case
 		abs := pat
@@ -183,8 +184,14 @@ func FilterToDirs(findings []Finding, args []string, dir string) ([]Finding, err
 		}
 		prefixes = append(prefixes, abs+string(filepath.Separator))
 	}
-	if len(prefixes) == 0 {
-		return findings, nil
+	return prefixes, nil
+}
+
+// FilterToDirs keeps the findings whose file lies under one of the
+// ResolvePatterns prefixes; nil prefixes keep everything.
+func FilterToDirs(findings []Finding, prefixes []string) []Finding {
+	if prefixes == nil {
+		return findings
 	}
 	out := []Finding{}
 	for _, f := range findings {
@@ -195,7 +202,7 @@ func FilterToDirs(findings []Finding, args []string, dir string) ([]Finding, err
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // rawPkg is a parsed-but-unchecked package.

@@ -1,5 +1,5 @@
 // Package fixture seeds one violation and one suppressed variant of every
-// coda-lint rule. Each `// want "<rule>"` comment marks a line the linter
+// per-file rule. Each `// want "<rule>"` comment marks a line the linter
 // must flag; every other line must stay clean.
 package fixture
 

@@ -1,5 +1,5 @@
-// coda-vet: whole-program determinism proofs layered on top of the per-file
-// coda-lint rules. Three passes (see DESIGN.md "Static analysis & layering"):
+// Whole-program determinism proofs layered on top of the per-file rules in
+// lint.go. Three passes (see DESIGN.md "Static analysis & layering"):
 //
 //	transitive-purity    no function reachable from the engine touches the
 //	                     wall clock, the global rand stream, os/net/syscall,
@@ -194,14 +194,4 @@ func RunVet(m *Module, cfg VetConfig) []Finding {
 	checkCkptComplete(m, cfg, keep)
 	SortFindings(out)
 	return out
-}
-
-// VetTrees loads root's package trees and runs the whole-program passes —
-// the entry point shared by the coda-vet CLI and the self-enforcing test.
-func VetTrees(root string, trees []string, cfg VetConfig) ([]Finding, error) {
-	m, err := LoadModule(root, trees)
-	if err != nil {
-		return nil, err
-	}
-	return RunVet(m, cfg), nil
 }

@@ -7,18 +7,12 @@ import (
 
 // TestRepositoryIsVetClean is the whole-program self-enforcing pass: the
 // three vet passes run over the repository's own internal/ and cmd/ trees
-// with the production config, and any finding fails the build. This is the
-// proof the engine advertises — no reachable wall clock, rand, host I/O, or
-// goroutine; the layer DAG holds; every checkpoint field round-trips.
+// (the load TestRepositoryIsLintClean shares) with the production config,
+// and any finding fails the build. This is the proof the engine advertises
+// — no reachable wall clock, rand, host I/O, or goroutine; the layer DAG
+// holds; every checkpoint field round-trips.
 func TestRepositoryIsVetClean(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := VetTrees(root, []string{"internal", "cmd"}, DefaultVetConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := RunVet(repoModule(t), DefaultVetConfig())
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}

@@ -1,10 +1,10 @@
 // Package runner executes a Matrix of independent simulation runs across a
 // bounded worker pool. It is the only deterministic-adjacent package in
-// this repository allowed to use goroutines (coda-lint's
-// no-stray-goroutines allowlist admits exactly internal/runner and the
-// wall-clock-exempt internal/history): the simulator stays a sealed,
-// single-threaded world, and parallelism exists purely between runs, never
-// inside one.
+// this repository allowed to use goroutines (coda-vet's
+// no-stray-goroutines allowlist admits it beside the mutex-guarded
+// internal/history and internal/ctl, which hold locks but start no
+// goroutines): the simulator stays a sealed, single-threaded world, and
+// parallelism exists purely between runs, never inside one.
 //
 // The determinism argument: every RunSpec is deep-copied when it is added
 // to a Matrix, so each run owns its options, fault plan and job structs

@@ -51,7 +51,6 @@ func fillQueue(q *list.List, jobs []job.Job) {
 
 type fifoState struct {
 	Jobs         []job.Job
-	Window       int
 	ReserveDepth int
 }
 
@@ -64,7 +63,7 @@ func (f *FIFO) CheckpointState() ([]byte, error) {
 	for _, e := range f.entriesInOrder() {
 		jobs = append(jobs, *e.j)
 	}
-	return json.Marshal(fifoState{Jobs: jobs, Window: f.Window, ReserveDepth: f.ReserveDepth})
+	return json.Marshal(fifoState{Jobs: jobs, ReserveDepth: f.ReserveDepth})
 }
 
 // RestoreCheckpoint implements Checkpointer.
@@ -80,7 +79,6 @@ func (f *FIFO) RestoreCheckpoint(data []byte) error {
 		j := st.Jobs[i]
 		f.enqueue(&j)
 	}
-	f.Window = st.Window
 	f.ReserveDepth = st.ReserveDepth
 	return nil
 }

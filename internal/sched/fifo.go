@@ -32,9 +32,6 @@ type FIFO struct {
 	shapes    map[job.Request]*shapeQueue
 	shapeList []*shapeQueue // live (non-empty) shapes, order irrelevant
 	size      int
-	// Window bounds how deep each pass scans (SLURM's default backfill
-	// depth is similarly bounded); 0 means the whole queue.
-	Window int
 	// ReserveDepth is how many unplaceable GPU jobs get node reservations
 	// per pass, modeling SLURM backfill's future-slot holds: the held
 	// nodes' free resources sit idle — the fragmentation §VI-C measures.
@@ -108,8 +105,9 @@ func (f *FIFO) OnJobKilled(*job.Job) { f.drain() }
 // Tick implements Scheduler.
 func (f *FIFO) Tick() { f.drain() }
 
-// OnJobCancelled implements Canceller: the queued job is removed and the
-// freed scan slot may let later arrivals start.
+// OnJobCancelled implements Canceller: the queued job is removed and a
+// pass runs, because nodes the job would have reserved may now start later
+// arrivals.
 func (f *FIFO) OnJobCancelled(j *job.Job) {
 	if sq, ok := f.shapes[j.Request]; ok {
 		for i := 0; i < sq.length(); i++ {
@@ -173,8 +171,8 @@ func (f *FIFO) detach(sq *shapeQueue) {
 	delete(f.shapes, sq.key)
 }
 
-// entriesInOrder snapshots the whole queue in arrival order (checkpointing
-// and the Window-bounded scan; not on the hot path).
+// entriesInOrder snapshots the whole queue in arrival order (checkpointing;
+// not on the hot path).
 func (f *FIFO) entriesInOrder() []fifoEntry {
 	all := make([]fifoEntry, 0, f.size)
 	for _, sq := range f.shapeList {
@@ -184,19 +182,6 @@ func (f *FIFO) entriesInOrder() []fifoEntry {
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].seq < all[b].seq })
 	return all
-}
-
-// removeBySeq deletes the entry with the given arrival seq from its
-// shape's sub-queue (entries are seq-sorted within a shape).
-func (f *FIFO) removeBySeq(key job.Request, seq uint64) {
-	sq, ok := f.shapes[key]
-	if !ok {
-		return
-	}
-	i := sort.Search(sq.length(), func(k int) bool { return sq.at(k).seq >= seq })
-	if i < sq.length() && sq.at(i).seq == seq {
-		f.removeEntry(sq, i)
-	}
 }
 
 // drain walks the queue in arrival order, starting every job that fits.
@@ -213,10 +198,6 @@ func (f *FIFO) removeBySeq(key job.Request, seq uint64) {
 // which the flat walk stepped past once) re-queues the shape with its
 // next entry's seq, so probe order matches the flat walk exactly.
 func (f *FIFO) drain() {
-	if f.Window > 0 {
-		f.drainWindowed()
-		return
-	}
 	f.reserved.Reset()
 	f.failed.reset()
 	reservations := 0
@@ -263,37 +244,6 @@ func (f *FIFO) drain() {
 		}
 	}
 	f.heap = h[:0]
-}
-
-// drainWindowed is the Window-bounded pass: the bound counts scanned
-// entries including dominance-skipped ones, so it runs the flat walk over
-// an arrival-order snapshot. Only test configurations set Window.
-func (f *FIFO) drainWindowed() {
-	f.reserved.Reset()
-	f.failed.reset()
-	reservations := 0
-	for scanned, e := range f.entriesInOrder() {
-		if scanned >= f.Window {
-			return
-		}
-		j := e.j
-		if f.failed.covered(j.Request) {
-			continue
-		}
-		if alloc, found := PlaceRequestExcluding(f.env.Cluster(), j.Request, false, &f.reserved); found {
-			if err := f.env.StartJob(j.ID, alloc); err == nil {
-				f.removeBySeq(j.Request, e.seq)
-			}
-		} else {
-			f.failed.add(j.Request)
-			if j.IsGPU() && reservations < f.ReserveDepth {
-				for _, nid := range ReserveNodes(f.env.Cluster(), j.Request, &f.reserved) {
-					f.reserved.Add(nid)
-				}
-				reservations++
-			}
-		}
-	}
 }
 
 // heapPush appends r and restores the min-heap-on-seq property.

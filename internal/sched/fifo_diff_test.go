@@ -18,7 +18,6 @@ import (
 type flatFIFO struct {
 	env          Env
 	queue        []*job.Job
-	Window       int
 	ReserveDepth int
 	reserved     ExcludeSet
 	failed       failedSet
@@ -44,12 +43,7 @@ func (r *flatFIFO) drain() {
 	r.reserved.Reset()
 	r.failed.reset()
 	reservations := 0
-	scanned := 0
 	for i := 0; i < len(r.queue); {
-		if r.Window > 0 && scanned >= r.Window {
-			return
-		}
-		scanned++
 		j := r.queue[i]
 		if r.failed.covered(j.Request) {
 			i++
@@ -116,12 +110,10 @@ func TestFIFOShapeHeapMatchesFlatWalk(t *testing.T) {
 		fast.Bind(envA)
 		flat := &flatFIFO{}
 		flat.Bind(envB)
-		// Exercise reservations on most seeds, the Window-bounded scan on
-		// every fourth (it counts covered skips, so it takes the flat path
-		// in both implementations — still worth diffing).
+		// Exercise reservations on most seeds; every fourth keeps
+		// NewFIFO's default of none.
 		switch seed % 4 {
 		case 0:
-			fast.Window, flat.Window = 3, 3
 		case 1:
 			fast.ReserveDepth, flat.ReserveDepth = 1, 1
 		default:
@@ -156,7 +148,7 @@ func TestFIFOShapeHeapMatchesFlatWalk(t *testing.T) {
 			for _, j := range flat.queue {
 				flatJobs = append(flatJobs, *j)
 			}
-			want, err := json.Marshal(fifoState{Jobs: flatJobs, Window: flat.Window, ReserveDepth: flat.ReserveDepth})
+			want, err := json.Marshal(fifoState{Jobs: flatJobs, ReserveDepth: flat.ReserveDepth})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -102,23 +102,6 @@ func TestFIFOReservationHoldsNodes(t *testing.T) {
 	}
 }
 
-func TestFIFOWindowLimit(t *testing.T) {
-	env := newFakeEnv(smallCluster())
-	f := NewFIFO()
-	f.Window = 1
-	f.Bind(env)
-	f.Submit(gpuJob(1, 1, 16, 2)) // never fits: 16 cores > node
-	f.Submit(cpuJob(2, 1, 1))     // fits, but beyond the scan window
-	if len(env.started) != 0 {
-		t.Errorf("window ignored: started = %v", env.started)
-	}
-	f.Window = 0
-	f.Tick()
-	if len(env.started) != 1 || env.started[0] != 2 {
-		t.Errorf("unbounded scan should start job 2: %v", env.started)
-	}
-}
-
 func TestDRFReservationHoldsNodes(t *testing.T) {
 	env := newFakeEnv(smallCluster())
 	d, err := NewDRF(16, 4)

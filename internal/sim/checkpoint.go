@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -45,9 +47,7 @@ var ErrControllerKilled = errors.New("sim: controller killed by fault injection"
 type CheckpointSink func(*Checkpoint) error
 
 // EventState is one serialized pending event, stored canonically sorted by
-// (At, Seq): the order is independent of which eventQueue implementation
-// the run used, so a checkpoint taken under the binary heap resumes under
-// the calendar queue and vice versa.
+// (At, Seq): the order is independent of the event heap's internal layout.
 type EventState struct {
 	At      time.Duration
 	Seq     int64
@@ -211,11 +211,11 @@ func (s *Simulator) Checkpoint() (*Checkpoint, error) {
 		ck.Trace = &cur
 	}
 
-	// Canonicalize the pending events to sorted (at, seq) order — the queue
-	// implementation's internal layout must not leak into the encoding. A
-	// streamed run's single in-queue arrival is skipped: Resume regenerates
-	// it (job and sequence number both) from the Trace cursor.
-	evs := s.events.appendAll(make([]*event, 0, s.events.len()))
+	// Canonicalize the pending events to sorted (at, seq) order — the heap's
+	// internal layout must not leak into the encoding. A streamed run's
+	// single in-queue arrival is skipped: Resume regenerates it (job and
+	// sequence number both) from the Trace cursor.
+	evs := slices.Clone(s.events)
 	sort.Slice(evs, func(i, j int) bool {
 		if evs[i].at != evs[j].at {
 			return evs[i].at < evs[j].at
@@ -331,7 +331,6 @@ func Resume(ck *Checkpoint, scheduler sched.Scheduler, sink CheckpointSink) (*Si
 		monitor:     mon,
 		scheduler:   scheduler,
 		rng:         rand.New(rand.NewSource(opts.Seed)),
-		events:      newEventQueue(opts),
 		pending:     make(map[job.ID]*job.Job, len(ck.Pending)),
 		running:     make(map[job.ID]*runningJob, len(ck.Running)),
 		pcieLoad:    append([]float64(nil), ck.PcieLoad...),
@@ -481,7 +480,7 @@ func Resume(ck *Checkpoint, scheduler sched.Scheduler, sink CheckpointSink) (*Si
 				e.run = r
 			}
 		}
-		s.events.push(e)
+		heap.Push(&s.events, e)
 	}
 
 	if ck.Trace != nil {

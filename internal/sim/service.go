@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -33,15 +34,8 @@ func (s *Simulator) RunUntil(t time.Duration) error {
 		return fmt.Errorf("sim: RunUntil(%v) is in the past (now %v)", t, s.now)
 	}
 	s.bootstrap()
-	for {
-		next := s.events.peek()
-		if next == nil || next.at > t {
-			break
-		}
-		e := s.events.pop()
-		if e == nil {
-			return errors.New("sim: corrupt event queue")
-		}
+	for len(s.events) > 0 && s.events[0].at <= t {
+		e := heap.Pop(&s.events).(*event)
 		s.dispatch(e)
 		if err := s.postEvent(e.kind); err != nil {
 			return err

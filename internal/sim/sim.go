@@ -9,6 +9,7 @@
 package sim
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -76,12 +77,6 @@ type Options struct {
 	// false the kill is only counted — that is the baseline an interrupted-
 	// and-resumed run must reproduce bit-for-bit.
 	ExitOnControllerKill bool
-	// EventQueue selects the pending-event queue implementation: "" or
-	// EventQueueHeap for the binary min-heap, EventQueueCalendar for the
-	// bucketed calendar queue. The choice cannot affect event order (both
-	// pop in exact (at, seq) order), only the cost of maintaining it;
-	// warehouse-scale presets pick the calendar queue.
-	EventQueue string
 	// MaxJobStats bounds the per-job history kept in Result.Jobs: only the
 	// first N admitted jobs get a JobStats record (aggregate counters and
 	// distributions still observe every job). 0 keeps every job, which is
@@ -140,12 +135,6 @@ func (o Options) Validate() error {
 	}
 	if o.CheckpointEveryEvents < 0 {
 		return fmt.Errorf("sim options: negative checkpoint event cadence %d", o.CheckpointEveryEvents)
-	}
-	switch o.EventQueue {
-	case "", EventQueueHeap, EventQueueCalendar:
-	default:
-		return fmt.Errorf("sim options: unknown event queue %q (want %q or %q)",
-			o.EventQueue, EventQueueHeap, EventQueueCalendar)
 	}
 	if o.MaxJobStats < 0 {
 		return fmt.Errorf("sim options: negative per-job stats bound %d", o.MaxJobStats)
@@ -213,7 +202,10 @@ type event struct {
 	run *runningJob
 }
 
-// eventHeap is a min-heap on (at, seq).
+// eventHeap is the pending-event queue: a binary min-heap on (at, seq), so
+// events come out in strictly ascending (at, seq) order regardless of
+// insertion order. Checkpoints never record its layout: the snapshot is
+// canonicalized to sorted (at, seq) order.
 type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -277,7 +269,7 @@ type Simulator struct {
 	rng       *rand.Rand
 
 	now    time.Duration
-	events eventQueue
+	events eventHeap
 	seq    int64
 
 	// Streaming intake (nil source means the materialized-slice path).
@@ -407,7 +399,6 @@ func newSimulator(opts Options, scheduler sched.Scheduler) (*Simulator, error) {
 		monitor:     mon,
 		scheduler:   scheduler,
 		rng:         rand.New(rand.NewSource(opts.Seed)),
-		events:      newEventQueue(opts),
 		pending:     make(map[job.ID]*job.Job),
 		running:     make(map[job.ID]*runningJob),
 		startedOnce: make(map[job.ID]bool),
@@ -533,7 +524,7 @@ func NewStreaming(opts Options, scheduler sched.Scheduler, src *trace.Source) (*
 func (s *Simulator) push(e *event) {
 	e.seq = s.seq
 	s.seq++
-	s.events.push(e)
+	heap.Push(&s.events, e)
 }
 
 // takeEvent returns a recycled queue entry when one is free so the
@@ -565,7 +556,7 @@ func (s *Simulator) pushEvent(ev event) {
 func (s *Simulator) pushArrival(j *job.Job) {
 	e := s.takeEvent()
 	*e = event{at: j.Arrival, seq: int64(j.ID) - 1 - int64(s.totalJobs), kind: evArrival, job: j}
-	s.events.push(e)
+	heap.Push(&s.events, e)
 }
 
 // queueNextArrival captures the source cursor, draws the next job and
@@ -637,14 +628,11 @@ const maxEvents = 200_000_000
 func (s *Simulator) Run() (*Result, error) {
 	s.bootstrap()
 
-	for steps := 0; s.events.len() > 0; steps++ {
+	for steps := 0; len(s.events) > 0; steps++ {
 		if steps > maxEvents {
 			return nil, fmt.Errorf("sim: exceeded %d events at t=%v (scheduler wedged?)", maxEvents, s.now)
 		}
-		e := s.events.pop()
-		if e == nil {
-			return nil, errors.New("sim: corrupt event queue")
-		}
+		e := heap.Pop(&s.events).(*event)
 		if s.opts.MaxVirtualTime > 0 && e.at > s.opts.MaxVirtualTime {
 			break
 		}

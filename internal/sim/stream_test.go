@@ -98,28 +98,6 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestEventQueueImplsIdentical pins the queue-interface contract: binary
-// heap and calendar queue must pop the identical event order, so runs under
-// either produce byte-identical dumps — on both intake paths.
-func TestEventQueueImplsIdentical(t *testing.T) {
-	cfg := streamTraceConfig(29)
-	base := streamTestOptions(29)
-
-	heapOpts := base
-	heapOpts.EventQueue = EventQueueHeap
-	calOpts := base
-	calOpts.EventQueue = EventQueueCalendar
-
-	mk := func() sched.Scheduler { return codaScheduler(t, base) }
-	wantSlice := DumpResult(runMaterialized(t, heapOpts, mk, cfg))
-	if got := DumpResult(runMaterialized(t, calOpts, mk, cfg)); got != wantSlice {
-		t.Fatalf("calendar queue diverged from heap (materialized) at %s", FirstDiff(wantSlice, got))
-	}
-	if got := DumpResult(runStreaming(t, calOpts, mk, cfg)); got != wantSlice {
-		t.Fatalf("calendar queue diverged from heap (streaming) at %s", FirstDiff(wantSlice, got))
-	}
-}
-
 // TestStreamingKillAndResume checkpoints a streaming run mid-stream (with
 // most arrivals still inside the Source) and verifies resuming from a spread
 // of checkpoints reaches a byte-identical final dump. This is the Source

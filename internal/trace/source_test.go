@@ -175,54 +175,60 @@ func TestNewSourceRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// drainSource feeds every job of a fresh Source for cfg to observe, the
+// one-pass drain coda-trace -count-only runs.
+func drainSource(t *testing.T, cfg Config, observe func(*job.Job)) {
+	t.Helper()
+	src, err := NewSource(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		j, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j == nil {
+			return
+		}
+		observe(j)
+	}
+}
+
+// TestSummarizeSourceMatchesSlice: a StatsAccum fed from a Source summarizes
+// the same trace exactly as Summarize does over the materialized slice.
 func TestSummarizeSourceMatchesSlice(t *testing.T) {
 	cfg := smallConfig()
 	jobs, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewSource(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SummarizeSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := Summarize(jobs); !reflect.DeepEqual(got, want) {
-		t.Fatalf("SummarizeSource = %+v\nSummarize      = %+v", got, want)
+	var acc StatsAccum
+	drainSource(t, cfg, acc.Observe)
+	if got, want := acc.Stats(), Summarize(jobs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("StatsAccum over source = %+v\nSummarize            = %+v", got, want)
 	}
 }
 
+// TestHourlyArrivalsSourceMatchesSlice: HourlyBins fed from a Source bin
+// arrivals exactly as HourlyArrivals does over the slice, with and without
+// a filter, both from one drain.
 func TestHourlyArrivalsSourceMatchesSlice(t *testing.T) {
 	cfg := smallConfig()
 	jobs, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewSource(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := HourlyArrivalsSource(src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := HourlyArrivals(jobs, cfg.Duration, nil); !reflect.DeepEqual(got, want) {
+	gpuOnly := func(j *job.Job) bool { return j.IsGPU() }
+	all, gpu := NewHourlyBins(cfg.Duration), NewHourlyBins(cfg.Duration)
+	drainSource(t, cfg, func(j *job.Job) {
+		all.Observe(j, nil)
+		gpu.Observe(j, gpuOnly)
+	})
+	if got, want := all.Bins(), HourlyArrivals(jobs, cfg.Duration, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("hourly bins differ:\nsource: %v\nslice:  %v", got, want)
 	}
-
-	// And with a filter: GPU jobs only.
-	gpuOnly := func(j *job.Job) bool { return j.IsGPU() }
-	src2, err := NewSource(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := HourlyArrivalsSource(src2, gpuOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want2 := HourlyArrivals(jobs, cfg.Duration, gpuOnly); !reflect.DeepEqual(got2, want2) {
-		t.Fatalf("filtered hourly bins differ:\nsource: %v\nslice:  %v", got2, want2)
+	if got, want := gpu.Bins(), HourlyArrivals(jobs, cfg.Duration, gpuOnly); !reflect.DeepEqual(got, want) {
+		t.Fatalf("filtered hourly bins differ:\nsource: %v\nslice:  %v", got, want)
 	}
 }

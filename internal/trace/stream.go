@@ -1,7 +1,7 @@
 // Streaming trace analysis: incremental accumulators behind Summarize and
-// HourlyArrivals, plus Source-draining variants of both, so summarizing a
-// 25M-job config never materializes a job slice. coda-trace's -count-only
-// mode feeds one drain through both accumulators in a single pass.
+// HourlyArrivals, so summarizing a 25M-job config never materializes a job
+// slice. coda-trace's -count-only mode feeds one drain of a Source through
+// both accumulators in a single pass.
 package trace
 
 import (
@@ -97,35 +97,3 @@ func (b *HourlyBins) Observe(j *job.Job, filter func(*job.Job) bool) {
 
 // Bins returns the histogram (the accumulator's backing slice).
 func (b *HourlyBins) Bins() []int { return b.bins }
-
-// SummarizeSource drains src through a StatsAccum: Summarize without the
-// slice. The source is consumed.
-func SummarizeSource(src *Source) (Stats, error) {
-	var a StatsAccum
-	for {
-		j, err := src.Next()
-		if err != nil {
-			return Stats{}, err
-		}
-		if j == nil {
-			return a.Stats(), nil
-		}
-		a.Observe(j)
-	}
-}
-
-// HourlyArrivalsSource drains src into an hourly arrival histogram over the
-// source's configured duration. The source is consumed.
-func HourlyArrivalsSource(src *Source, filter func(*job.Job) bool) ([]int, error) {
-	b := NewHourlyBins(src.Config().Duration)
-	for {
-		j, err := src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if j == nil {
-			return b.Bins(), nil
-		}
-		b.Observe(j, filter)
-	}
-}
