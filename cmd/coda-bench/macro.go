@@ -121,6 +121,9 @@ func writeBenchJSON(path string, entries []benchEntry) error {
 // queries/sec fell more than tolerance below the committed baseline — the
 // CI regression gate. Gating query throughput separately catches a
 // placement-path regression even when event processing elsewhere masks it.
+// It also fails when a variant's event or placement-query count differs
+// from the baseline's at all: the counts are the same on every machine, so
+// any change to them is a change in what the engine decided.
 func compareBenchBaseline(path string, entries []benchEntry, tolerance float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -134,10 +137,17 @@ func compareBenchBaseline(path string, entries []benchEntry, tolerance float64) 
 	for _, b := range baseline {
 		byName[b.Name] = b
 	}
-	var regressed []string
+	var moved, regressed []string
 	for _, e := range entries {
 		b, ok := byName[e.Name]
-		if !ok || b.EventsPerSec <= 0 {
+		if !ok {
+			continue
+		}
+		if e.Events != b.Events || e.PlacementQueries != b.PlacementQueries {
+			moved = append(moved, fmt.Sprintf("%s: %d events / %d placement queries, baseline %d / %d",
+				e.Name, e.Events, e.PlacementQueries, b.Events, b.PlacementQueries))
+		}
+		if b.EventsPerSec <= 0 {
 			continue
 		}
 		ratio := e.EventsPerSec / b.EventsPerSec
@@ -157,6 +167,9 @@ func compareBenchBaseline(path string, entries []benchEntry, tolerance float64) 
 			regressed = append(regressed, fmt.Sprintf("%s: %.0f -> %.0f queries/sec (%.0f%% drop)",
 				e.Name, b.QueriesPerSec, e.QueriesPerSec, (1-qratio)*100))
 		}
+	}
+	if len(moved) > 0 {
+		return fmt.Errorf("work counts moved: %v", moved)
 	}
 	if len(regressed) > 0 {
 		return fmt.Errorf("throughput regression beyond %.0f%%: %v", tolerance*100, regressed)

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -83,6 +84,36 @@ func TestCSVExport(t *testing.T) {
 		info, err := os.Stat(filepath.Join(dir, name))
 		if err != nil || info.Size() == 0 {
 			t.Errorf("%s: %v (size %d)", name, err, info.Size())
+		}
+	}
+}
+
+// TestCompareBenchBaselineCounts: equal work counts pass the gate, and a
+// moved event or placement-query count fails it and names the variant,
+// whatever the throughput.
+func TestCompareBenchBaselineCounts(t *testing.T) {
+	baseline := []benchEntry{
+		{Name: "macro-fifo", Events: 35710, PlacementQueries: 44366, EventsPerSec: 100, QueriesPerSec: 100},
+		{Name: "macro-coda", Events: 20346, PlacementQueries: 7167, EventsPerSec: 100, QueriesPerSec: 100},
+	}
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := writeBenchJSON(path, baseline); err != nil {
+		t.Fatal(err)
+	}
+	run := append([]benchEntry(nil), baseline...)
+	if err := compareBenchBaseline(path, run, 0.2); err != nil {
+		t.Fatalf("equal counts and rates: %v", err)
+	}
+	for _, mutate := range []func(e *benchEntry){
+		func(e *benchEntry) { e.Events++ },
+		func(e *benchEntry) { e.PlacementQueries-- },
+	} {
+		run := append([]benchEntry(nil), baseline...)
+		run[1].EventsPerSec, run[1].QueriesPerSec = 1000, 1000 // faster never excuses a moved count
+		mutate(&run[1])
+		err := compareBenchBaseline(path, run, 0.2)
+		if err == nil || !strings.Contains(err.Error(), "macro-coda") || strings.Contains(err.Error(), "macro-fifo") {
+			t.Errorf("moved macro-coda count: error %v, want one naming macro-coda only", err)
 		}
 	}
 }

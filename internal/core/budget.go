@@ -29,6 +29,11 @@ type nodeBudget struct {
 	reserve  int // cores reserved for the GPU array
 	gpuDraws map[job.ID]draw
 	cpuDraws map[job.ID]draw
+	// Running totals over both draw maps, kept by every draw write so the
+	// placement scans read them in O(1); checkInvariants recomputes them.
+	usedReserve int // reserve cores held by GPU jobs and borrowers
+	usedShared  int // shared cores held by any job
+	borrowed    int // reserve cores held by CPU jobs
 }
 
 func newNodeBudget(cores, reserve int) (*nodeBudget, error) {
@@ -47,40 +52,41 @@ func newNodeBudget(cores, reserve int) (*nodeBudget, error) {
 }
 
 // reserveUsed returns the reserve cores in use (by GPU jobs and borrowers).
-func (b *nodeBudget) reserveUsed() int {
-	used := 0
-	for _, d := range b.gpuDraws {
-		used += d.fromReserve
-	}
-	for _, d := range b.cpuDraws {
-		used += d.fromReserve
-	}
-	return used
-}
+func (b *nodeBudget) reserveUsed() int { return b.usedReserve }
 
 // sharedUsed returns the CPU-budget cores in use.
-func (b *nodeBudget) sharedUsed() int {
-	used := 0
-	for _, d := range b.gpuDraws {
-		used += d.fromShared
-	}
-	for _, d := range b.cpuDraws {
-		used += d.fromShared
-	}
-	return used
-}
+func (b *nodeBudget) sharedUsed() int { return b.usedShared }
 
 // reserveFree and sharedFree are the pools' headroom.
 func (b *nodeBudget) reserveFree() int { return b.reserve - b.reserveUsed() }
 func (b *nodeBudget) sharedFree() int  { return b.cores - b.reserve - b.sharedUsed() }
 
 // borrowedCores returns the reserve cores held by CPU jobs (preemptible).
-func (b *nodeBudget) borrowedCores() int {
-	total := 0
-	for _, d := range b.cpuDraws {
-		total += d.fromReserve
+func (b *nodeBudget) borrowedCores() int { return b.borrowed }
+
+// tally adds sign × d to the running totals; cpu marks a CPU job's draw,
+// whose reserve cores are borrowed.
+func (b *nodeBudget) tally(d draw, sign int, cpu bool) {
+	b.usedReserve += sign * d.fromReserve
+	b.usedShared += sign * d.fromShared
+	if cpu {
+		b.borrowed += sign * d.fromReserve
 	}
-	return total
+}
+
+// sums recomputes the running totals from the draw maps: the reference
+// checkInvariants holds the totals to, and how restore rebuilds them.
+func (b *nodeBudget) sums() (usedReserve, usedShared, borrowed int) {
+	for _, d := range b.gpuDraws {
+		usedReserve += d.fromReserve
+		usedShared += d.fromShared
+	}
+	for _, d := range b.cpuDraws {
+		usedReserve += d.fromReserve
+		usedShared += d.fromShared
+		borrowed += d.fromReserve
+	}
+	return usedReserve, usedShared, borrowed
 }
 
 // borrowers lists CPU jobs holding reserve cores, largest borrowers first
@@ -114,7 +120,9 @@ func (b *nodeBudget) chargeGPU(id job.ID, cores int) bool {
 	if cores-r > b.sharedFree() {
 		return false
 	}
-	b.gpuDraws[id] = draw{fromReserve: r, fromShared: cores - r}
+	d := draw{fromReserve: r, fromShared: cores - r}
+	b.gpuDraws[id] = d
+	b.tally(d, 1, false)
 	return true
 }
 
@@ -129,14 +137,22 @@ func (b *nodeBudget) chargeCPU(id job.ID, cores int, allowBorrow bool) bool {
 	if rest > 0 && (!allowBorrow || rest > b.reserveFree()) {
 		return false
 	}
-	b.cpuDraws[id] = draw{fromShared: s, fromReserve: rest}
+	d := draw{fromShared: s, fromReserve: rest}
+	b.cpuDraws[id] = d
+	b.tally(d, 1, true)
 	return true
 }
 
 // release frees whatever the job drew.
 func (b *nodeBudget) release(id job.ID) {
-	delete(b.gpuDraws, id)
-	delete(b.cpuDraws, id)
+	if d, ok := b.gpuDraws[id]; ok {
+		b.tally(d, -1, false)
+		delete(b.gpuDraws, id)
+	}
+	if d, ok := b.cpuDraws[id]; ok {
+		b.tally(d, -1, true)
+		delete(b.cpuDraws, id)
+	}
 }
 
 // resize rebooks a job's cores. GPU jobs grow into the reserve first;
@@ -157,6 +173,7 @@ func (b *nodeBudget) resizeDraw(m map[job.ID]draw, id job.ID, d draw, newCores i
 	if newCores <= 0 {
 		return false
 	}
+	old := d
 	delta := newCores - d.total()
 	switch {
 	case delta == 0:
@@ -196,11 +213,17 @@ func (b *nodeBudget) resizeDraw(m map[job.ID]draw, id job.ID, d draw, newCores i
 		}
 	}
 	m[id] = d
+	b.tally(old, -1, !preferReserve)
+	b.tally(d, 1, !preferReserve)
 	return true
 }
 
 // checkInvariants validates the pool accounting.
 func (b *nodeBudget) checkInvariants() error {
+	if r, s, bo := b.sums(); r != b.usedReserve || s != b.usedShared || bo != b.borrowed {
+		return fmt.Errorf("core: running totals (reserve %d, shared %d, borrowed %d) disagree with the draws (%d, %d, %d)",
+			b.usedReserve, b.usedShared, b.borrowed, r, s, bo)
+	}
 	if b.reserveUsed() > b.reserve {
 		return fmt.Errorf("core: reserve overcommitted (%d > %d)", b.reserveUsed(), b.reserve)
 	}

@@ -184,8 +184,20 @@ func TestResizeNoChange(t *testing.T) {
 	}
 }
 
-// TestBudgetConservationProperty: for any sequence of charges, used never
-// exceeds capacity and the invariants hold.
+// checkTotals fails when a budget's running totals differ from the sums
+// over its draw maps.
+func checkTotals(t *testing.T, nid int, b *nodeBudget) {
+	t.Helper()
+	r, s, bo := b.sums()
+	if r != b.usedReserve || s != b.usedShared || bo != b.borrowed {
+		t.Errorf("node %d: running totals (reserve %d, shared %d, borrowed %d), draws sum to (%d, %d, %d)",
+			nid, b.usedReserve, b.usedShared, b.borrowed, r, s, bo)
+	}
+}
+
+// TestBudgetConservationProperty: for any sequence of charges, resizes and
+// releases, used never exceeds capacity, the invariants hold, and the
+// running totals equal the sums over the draws.
 func TestBudgetConservationProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		b, err := newNodeBudget(16, 8)
@@ -195,7 +207,7 @@ func TestBudgetConservationProperty(t *testing.T) {
 		id := job.ID(1)
 		for _, op := range ops {
 			cores := int(op%6) + 1
-			switch op % 3 {
+			switch op % 4 {
 			case 0:
 				if b.chargeGPU(id, cores) {
 					id++
@@ -209,6 +221,10 @@ func TestBudgetConservationProperty(t *testing.T) {
 					b.release(id - 1)
 					id--
 				}
+			case 3:
+				if id > 1 { // resize one of the charged jobs 1..id-1
+					b.resize(1+job.ID(int(op/4)%int(id-1)), cores+int(op%3))
+				}
 			}
 			if b.checkInvariants() != nil {
 				return false
@@ -216,10 +232,41 @@ func TestBudgetConservationProperty(t *testing.T) {
 			if b.reserveUsed()+b.sharedUsed() > 16 {
 				return false
 			}
+			if r, s, bo := b.sums(); r != b.reserveUsed() || s != b.sharedUsed() || bo != b.borrowedCores() {
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRunningTotalMutationFailsInvariants: a running total that drifts
+// from the draws by one core, in any of the three totals, fails
+// MultiArray.CheckInvariants.
+func TestRunningTotalMutationFailsInvariants(t *testing.T) {
+	totals := map[string]func(b *nodeBudget) *int{
+		"reserve":  func(b *nodeBudget) *int { return &b.usedReserve },
+		"shared":   func(b *nodeBudget) *int { return &b.usedShared },
+		"borrowed": func(b *nodeBudget) *int { return &b.borrowed },
+	}
+	for name, total := range totals {
+		m, err := NewMultiArray(DefaultArrayConfig(), 2, 28, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := m.budgets[1]
+		if !b.chargeGPU(1, 6) || !b.chargeCPU(2, 20, true) {
+			t.Fatal("setup charges failed")
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%s: invariants fail before the mutation: %v", name, err)
+		}
+		*total(b)++
+		if err := m.CheckInvariants(); err == nil {
+			t.Errorf("bumping the %s total by one passed CheckInvariants", name)
+		}
 	}
 }

@@ -311,6 +311,7 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 			}
 			b.cpuDraws[d.Job] = draw{fromReserve: d.FromReserve, fromShared: d.FromShared}
 		}
+		b.usedReserve, b.usedShared, b.borrowed = b.sums()
 	}
 	for _, nid := range append(append([]int(nil), st.Arrays.FourG...), st.Arrays.OneG...) {
 		if nid < 0 || nid >= m.gpuNodes {

@@ -69,6 +69,14 @@ func TestCheckpointRoundTripMidRun(t *testing.T) {
 	if err := fresh.Arrays().CheckInvariants(); err != nil {
 		t.Fatalf("multi-array invariants after restore: %v", err)
 	}
+	drawn := 0
+	for nid, b := range fresh.Arrays().budgets {
+		checkTotals(t, nid, b)
+		drawn += b.usedReserve + b.usedShared
+	}
+	if drawn == 0 {
+		t.Error("restored budgets hold no draws; the midpoint does not exercise the totals")
+	}
 }
 
 // TestRestoreCheckpointRejects pins the restore-time validation: corrupt

@@ -56,10 +56,6 @@ type Scheduler struct {
 	arrived map[job.ID]time.Duration
 	done    int
 	gpus    int // gpus per node, for rebalance
-
-	// Per-drain scratch reused across ticks.
-	beforeDrain map[job.ID]bool
-	newlyUp     []job.ID
 }
 
 var _ sched.Scheduler = (*Scheduler)(nil)
@@ -255,31 +251,20 @@ func (s *Scheduler) Tick() {
 	s.drain()
 }
 
-// drain runs the arrays' scheduling pass and starts tuning sessions for
+// drain runs the arrays' scheduling passes and starts tuning sessions for
 // training jobs that were just placed.
+//
+// The arrays' start log names every job the pass started. It can hold one
+// job that was already running before the pass: a borrower that
+// reclaimNode preempts in drainGPU and drainCPU restarts in the same pass.
+// That job is a CPU job already in s.started, so the loop below does
+// nothing for it.
 func (s *Scheduler) drain() {
-	if s.beforeDrain == nil {
-		s.beforeDrain = make(map[job.ID]bool, len(s.arrays.running))
-	}
-	before := s.beforeDrain
-	clear(before)
-	for id := range s.arrays.running {
-		before[id] = true
-	}
 	s.arrays.Drain()
-	// Tuning sessions start in job-ID order: OnStarted feeds the allocator's
-	// per-job state machine, and a map-order walk here would thread Go's
-	// iteration randomness into which session the next shared-noise reading
-	// belongs to.
-	started := s.newlyUp[:0]
-	//coda:ordered-ok collected IDs are sorted before use
-	for id := range s.arrays.running {
-		if !before[id] {
-			started = append(started, id)
-		}
-	}
+	// Tuning sessions start in job-ID order, so nothing the allocator does
+	// on OnStarted can depend on placement order within the pass.
+	started := s.arrays.startLog
 	slices.Sort(started)
-	s.newlyUp = started
 	for _, id := range started {
 		info := s.arrays.running[id]
 		if _, ok := s.started[id]; !ok {

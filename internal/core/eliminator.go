@@ -103,6 +103,12 @@ func (e *Eliminator) Degraded() int { return e.degraded }
 // Forget drops intervention state for a completed job.
 func (e *Eliminator) Forget(id job.ID) { delete(e.throttled, id) }
 
+// isThrottled reports whether the eliminator holds an intervention on id.
+func (e *Eliminator) isThrottled(id job.ID) bool {
+	_, ok := e.throttled[id]
+	return ok
+}
+
 // Tick runs one monitoring pass when the check interval elapsed.
 func (e *Eliminator) Tick() {
 	now := e.env.Now()
@@ -158,19 +164,15 @@ func (e *Eliminator) checkNode(nid int) {
 
 	switch {
 	case util >= e.cfg.Threshold && e.trainingJobDegraded(nid):
-		e.restrain(nid)
+		e.restrain(meter)
 	case util < e.cfg.Release:
-		e.relax(nid)
+		e.relax(meter)
 	}
 }
 
 // restrain throttles the hungriest CPU job on the node: MBA cap sized to
 // bring the node back to the threshold, or core-halving without MBA.
-func (e *Eliminator) restrain(nid int) {
-	meter, err := e.env.Meter(nid)
-	if err != nil {
-		return
-	}
+func (e *Eliminator) restrain(meter *membw.Meter) {
 	excess := meter.Total() - e.cfg.Threshold*meter.Capacity()
 	if excess <= 0 {
 		return
@@ -212,10 +214,10 @@ func (e *Eliminator) restrain(nid int) {
 }
 
 // relax lifts interventions on a node whose bandwidth dropped below the
-// release level, restoring throttled jobs one per pass.
-func (e *Eliminator) relax(nid int) {
-	meter, err := e.env.Meter(nid)
-	if err != nil {
+// release level, restoring throttled jobs one per pass. Most quiet nodes
+// host no throttled job, so it checks that before ranking the node's jobs.
+func (e *Eliminator) relax(meter *membw.Meter) {
+	if !meter.HostsAny(e.isThrottled) {
 		return
 	}
 	e.usages = meter.AppendJobs(e.usages[:0])

@@ -73,6 +73,10 @@ type MultiArray struct {
 	DisablePreemption bool
 	// preemptions counts cross-array reclaims (for reports).
 	preemptions int
+	// startLog lists, in start order, the jobs the last Drain started:
+	// startGPUAt and startCPU append on the line that writes running, the
+	// only inserts into running besides restore.
+	startLog []job.ID
 
 	// Per-pass scratch reused across drains (a scheduler is single-threaded).
 	blocked    map[job.TenantID]bool
@@ -341,8 +345,10 @@ func (m *MultiArray) GPUJobsPending() bool {
 }
 
 // Drain runs both arrays' scheduling passes: GPU jobs first (they hold the
-// scarce resource and may preempt borrowed cores), then CPU jobs.
+// scarce resource and may preempt borrowed cores), then CPU jobs. The jobs
+// it starts are in m.startLog until the next Drain.
 func (m *MultiArray) Drain() {
+	m.startLog = m.startLog[:0]
 	m.drainGPU()
 	m.drainCPU()
 }
@@ -478,75 +484,12 @@ func (m *MultiArray) startGPUAt(j *job.Job, cores int) bool {
 		ownLen = len(m.fourG)
 	}
 
-	pickNodes := func(withPreempt bool) []int {
-		m.env.Cluster().NotePlacementQuery()
-		// Collect all feasible nodes in preference order, then pack
-		// best-fit (fewest free GPUs first) so large GPU holes survive for
-		// 4-GPU jobs — the multi-array design's anti-fragmentation goal.
-		cands := m.cands[:0]
-		for pref, nid := range order {
-			n, err := m.env.Cluster().Node(nid)
-			if err != nil || n.FreeGPUs() < gpus {
-				continue
-			}
-			b := m.budgets[nid]
-			headroom := b.reserveFree() + b.sharedFree()
-			if withPreempt {
-				headroom += b.borrowedCores()
-			}
-			if headroom < cores {
-				continue
-			}
-			cands = append(cands, gpuCandidate{nid: nid, freeGPUs: n.FreeGPUs(), pref: pref})
-		}
-		m.cands = cands
-		if len(cands) < j.Request.Nodes {
-			return nil
-		}
-		// breaksHole marks placements that would split an intact >= 4-GPU
-		// hole, the resource large jobs need; keep such holes whole unless
-		// nothing else fits.
-		breaksHole := func(c gpuCandidate) bool {
-			return gpus < LargeJobGPUs &&
-				c.freeGPUs >= LargeJobGPUs && c.freeGPUs-gpus < LargeJobGPUs
-		}
-		slices.SortFunc(cands, func(a, b gpuCandidate) int {
-			// Stay within the preferred sub-array region first, avoid
-			// breaking 4-GPU holes second, then pack best-fit. The nid
-			// tie-break makes this a total order, so the sort is
-			// deterministic regardless of algorithm.
-			aOwn, bOwn := a.pref < ownLen, b.pref < ownLen
-			if aOwn != bOwn {
-				if aOwn {
-					return -1
-				}
-				return 1
-			}
-			aBreak, bBreak := breaksHole(a), breaksHole(b)
-			if aBreak != bBreak {
-				if bBreak {
-					return -1
-				}
-				return 1
-			}
-			if a.freeGPUs != b.freeGPUs {
-				return a.freeGPUs - b.freeGPUs
-			}
-			return a.nid - b.nid
-		})
-		nodes := make([]int, 0, j.Request.Nodes)
-		for _, c := range cands[:j.Request.Nodes] {
-			nodes = append(nodes, c.nid)
-		}
-		return nodes
-	}
-
-	nodes := pickNodes(false)
+	nodes := m.pickNodes(order, ownLen, j.Request.Nodes, gpus, cores, false)
 	if nodes == nil {
 		if m.DisablePreemption {
 			return false
 		}
-		nodes = pickNodes(true)
+		nodes = m.pickNodes(order, ownLen, j.Request.Nodes, gpus, cores, true)
 		if nodes == nil {
 			return false
 		}
@@ -575,11 +518,100 @@ func (m *MultiArray) startGPUAt(j *job.Job, cores int) bool {
 		return false
 	}
 	m.running[j.ID] = &runInfo{j: j, alloc: alloc}
+	m.startLog = append(m.startLog, j.ID)
 	_ = m.gpuAcc.Charge(j.ID, j.Tenant, fair.Resources{
 		CPU: float64(alloc.TotalCPUCores()),
 		GPU: float64(alloc.TotalGPUs()),
 	})
 	return true
+}
+
+// pickNodes selects the k nodes a GPU job of gpus GPUs and cores cores per
+// node would start on, scanning order (own sub-array first, ownLen long)
+// and counting one placement query. withPreempt counts borrowed reserve
+// cores as headroom. It returns nil when fewer than k nodes are feasible.
+//
+// Feasible nodes are packed best-fit (fewest free GPUs first) so large GPU
+// holes survive for 4-GPU jobs — the multi-array design's
+// anti-fragmentation goal. Only the first k in compareGPUCandidates order
+// are kept, in a k-slot insertion buffer, so a scan costs O(nodes × k)
+// rather than a sort of every feasible node; for k = 1 the buffer is a
+// min-scan.
+func (m *MultiArray) pickNodes(order []int, ownLen, k, gpus, cores int, withPreempt bool) []int {
+	c := m.env.Cluster()
+	c.NotePlacementQuery()
+	best := m.cands[:0]
+	feasible := 0
+	for pref, nid := range order {
+		n, err := c.Node(nid)
+		if err != nil || n.FreeGPUs() < gpus {
+			continue
+		}
+		b := m.budgets[nid]
+		headroom := b.reserveFree() + b.sharedFree()
+		if withPreempt {
+			headroom += b.borrowedCores()
+		}
+		if headroom < cores {
+			continue
+		}
+		feasible++
+		cand := gpuCandidate{nid: nid, freeGPUs: n.FreeGPUs(), pref: pref}
+		if len(best) == k {
+			if k == 0 || compareGPUCandidates(cand, best[k-1], ownLen, gpus) >= 0 {
+				continue
+			}
+			best = best[:k-1]
+		}
+		i := len(best)
+		best = append(best, cand)
+		for ; i > 0 && compareGPUCandidates(cand, best[i-1], ownLen, gpus) < 0; i-- {
+			best[i] = best[i-1]
+		}
+		best[i] = cand
+	}
+	m.cands = best
+	if feasible < k {
+		return nil
+	}
+	nodes := make([]int, 0, k)
+	for _, cand := range best {
+		nodes = append(nodes, cand.nid)
+	}
+	return nodes
+}
+
+// compareGPUCandidates is the total order pickNodes ranks feasible nodes
+// by: stay within the preferred sub-array region (pref < ownLen) first,
+// avoid breaking an intact >= 4-GPU hole second, then pack best-fit. The
+// nid tie-break makes it total, so the first k are unique.
+func compareGPUCandidates(a, b gpuCandidate, ownLen, gpus int) int {
+	aOwn, bOwn := a.pref < ownLen, b.pref < ownLen
+	if aOwn != bOwn {
+		if aOwn {
+			return -1
+		}
+		return 1
+	}
+	aBreak, bBreak := breaksHole(a, gpus), breaksHole(b, gpus)
+	if aBreak != bBreak {
+		if bBreak {
+			return -1
+		}
+		return 1
+	}
+	if a.freeGPUs != b.freeGPUs {
+		return a.freeGPUs - b.freeGPUs
+	}
+	return a.nid - b.nid
+}
+
+// breaksHole marks placements of gpus GPUs that would split an intact
+// >= 4-GPU hole, the resource large jobs need; pickNodes keeps such holes
+// whole unless nothing else fits.
+func breaksHole(c gpuCandidate, gpus int) bool {
+	return gpus < LargeJobGPUs &&
+		c.freeGPUs >= LargeJobGPUs && c.freeGPUs-gpus < LargeJobGPUs
 }
 
 // reclaimNode preempts borrowers on a node until the pools can cover
@@ -633,6 +665,7 @@ func (m *MultiArray) startCPU(j *job.Job, allowBorrow bool) bool {
 			continue
 		}
 		m.running[j.ID] = &runInfo{j: j, alloc: alloc}
+		m.startLog = append(m.startLog, j.ID)
 		_ = m.cpuAcc.Charge(j.ID, j.Tenant, fair.Resources{CPU: float64(cores)})
 		return true
 	}

@@ -137,6 +137,19 @@ func (m *Meter) JobBandwidth(id job.ID) (float64, error) {
 	return u.effective(), nil
 }
 
+// HostsAny reports whether the meter tracks a job for which in returns
+// true, asking in about each tracked job in ascending ID order until one
+// matches. It allocates nothing, so a hot caller can test a set of its own
+// against a node before paying for AppendJobs.
+func (m *Meter) HostsAny(in func(job.ID) bool) bool {
+	for _, id := range m.ids {
+		if in(id) {
+			return true
+		}
+	}
+	return false
+}
+
 // Total returns the node's aggregate bandwidth usage in GB/s. Jobs are
 // summed in ID order: float accumulation is order-sensitive, and the
 // simulator's determinism guarantee needs bit-identical totals.

@@ -37,6 +37,42 @@ func TestNewMeterValidation(t *testing.T) {
 	}
 }
 
+// TestHostsAny checks the set-membership test against an empty set, a
+// hit, a miss, and a job after its deregistration, and that it allocates
+// nothing.
+func TestHostsAny(t *testing.T) {
+	m := newTestMeter(t, true)
+	for _, id := range []job.ID{3, 7, 11} {
+		if err := m.Register(id, 10, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set := map[job.ID]bool{}
+	in := func(id job.ID) bool { return set[id] }
+	if m.HostsAny(in) {
+		t.Error("HostsAny(empty set) = true")
+	}
+	set[7] = true
+	if !m.HostsAny(in) {
+		t.Error("HostsAny({7}) = false with job 7 registered")
+	}
+	delete(set, 7)
+	set[4] = true
+	if m.HostsAny(in) {
+		t.Error("HostsAny({4}) = true with job 4 never registered")
+	}
+	set[11] = true
+	if err := m.Deregister(11); err != nil {
+		t.Fatal(err)
+	}
+	if m.HostsAny(in) {
+		t.Error("HostsAny({4, 11}) = true after job 11 deregistered")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.HostsAny(in) }); allocs != 0 {
+		t.Errorf("HostsAny allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestRegisterDeregister(t *testing.T) {
 	m := newTestMeter(t, true)
 	if err := m.Register(1, 30, true); err != nil {
