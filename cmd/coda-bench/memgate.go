@@ -98,6 +98,34 @@ func runInstrumented(spec sim.RunSpec) (res *sim.Result, wall time.Duration, pea
 	return res, wall, peakAbove, live, nil
 }
 
+// measureEntry runs spec, a run of the scale sc's trace, and reduces it to
+// one measurement row.
+func measureEntry(spec sim.RunSpec, scaleName string, sc experiments.Scale) (memGateEntry, time.Duration, error) {
+	res, wall, peak, live, err := runInstrumented(spec)
+	if err != nil {
+		return memGateEntry{}, 0, err
+	}
+	jobs := sc.CPUJobs + sc.GPUJobs
+	e := memGateEntry{
+		Name:             spec.Name,
+		Scale:            scaleName,
+		Jobs:             jobs,
+		Nodes:            sc.Nodes,
+		Days:             sc.Days,
+		Events:           res.Events,
+		PlacementQueries: res.PlacementQueries,
+		WallNs:           wall.Nanoseconds(),
+		PeakHeapBytes:    peak,
+		LiveHeapBytes:    live,
+		BytesPerJob:      float64(peak) / float64(jobs),
+	}
+	if secs := wall.Seconds(); secs > 0 {
+		e.EventsPerSec = float64(e.Events) / secs
+		e.QueriesPerSec = float64(e.PlacementQueries) / secs
+	}
+	return e, wall, nil
+}
+
 // memGateMultipliers are the job-count factors the gate compares. Duration
 // scales with the job count so the arrival rate — and hence the in-flight
 // population, the one legitimate O(load) consumer — stays fixed; only the
@@ -121,26 +149,9 @@ func printMemGate(sc experiments.Scale, scaleName, jsonPath string, maxBytesPerJ
 		if err != nil {
 			return err
 		}
-		res, wall, peak, live, err := runInstrumented(spec)
+		e, wall, err := measureEntry(spec, scaleName, pt)
 		if err != nil {
 			return err
-		}
-		e := memGateEntry{
-			Name:             spec.Name,
-			Scale:            scaleName,
-			Jobs:             pt.CPUJobs + pt.GPUJobs,
-			Nodes:            pt.Nodes,
-			Days:             pt.Days,
-			Events:           res.Events,
-			PlacementQueries: res.PlacementQueries,
-			WallNs:           wall.Nanoseconds(),
-			PeakHeapBytes:    peak,
-			LiveHeapBytes:    live,
-			BytesPerJob:      float64(peak) / float64(pt.CPUJobs+pt.GPUJobs),
-		}
-		if secs := wall.Seconds(); secs > 0 {
-			e.EventsPerSec = float64(e.Events) / secs
-			e.QueriesPerSec = float64(e.PlacementQueries) / secs
 		}
 		entries = append(entries, e)
 		fmt.Printf("  %-18s %8d jobs  peak heap %7.1f MiB  live %6.1f MiB  %6.1f B/job  (%v)\n",
@@ -168,8 +179,8 @@ func printMemGate(sc experiments.Scale, scaleName, jsonPath string, maxBytesPerJ
 	return nil
 }
 
-// scaleCurvePresets are the committed BENCH_scale_curve.json rows: one FIFO
-// streaming run per preset, tiny through warehouse.
+// scaleCurvePresets are the committed BENCH_scale_curve.json presets,
+// tiny through warehouse.
 var scaleCurvePresets = []struct {
 	name  string
 	scale func() experiments.Scale
@@ -180,45 +191,38 @@ var scaleCurvePresets = []struct {
 	{"warehouse", experiments.WarehouseScale},
 }
 
-// printScaleCurveBench measures events/sec and peak heap at every preset.
-// It backs EXPERIMENTS.md's scale-curve table; the warehouse row is the
-// million-job / 5,000-node run the streaming refactor exists for.
+// printScaleCurveBench measures events/sec and peak heap at every preset,
+// two rows each: FIFO streaming with bounded results (MemGateSpec), and
+// CODA as the macro benchmark runs it (BenchSpec, whose results are
+// bounded above 200k jobs). It backs EXPERIMENTS.md's scale-curve table;
+// the warehouse rows are the million-job / 5,000-node runs the streaming
+// refactor exists for.
 func printScaleCurveBench(seed int64, jsonPath string) error {
-	header(fmt.Sprintf("Scale curve — streaming FIFO at every preset, seed %d", seed))
-	entries := make([]memGateEntry, 0, len(scaleCurvePresets))
+	header(fmt.Sprintf("Scale curve — streaming FIFO and CODA at every preset, seed %d", seed))
+	entries := make([]memGateEntry, 0, 2*len(scaleCurvePresets))
 	for _, p := range scaleCurvePresets {
 		sc := p.scale()
 		sc.Seed = seed
-		spec, err := experiments.MemGateSpec(sc)
+		fifo, err := experiments.MemGateSpec(sc)
 		if err != nil {
 			return err
 		}
-		spec.Name = "curve-" + p.name
-		res, wall, peak, live, err := runInstrumented(spec)
+		fifo.Name = "curve-" + p.name
+		coda, err := experiments.BenchSpec(sc, "coda", false)
 		if err != nil {
 			return err
 		}
-		e := memGateEntry{
-			Name:             spec.Name,
-			Scale:            p.name,
-			Jobs:             sc.CPUJobs + sc.GPUJobs,
-			Nodes:            sc.Nodes,
-			Days:             sc.Days,
-			Events:           res.Events,
-			PlacementQueries: res.PlacementQueries,
-			WallNs:           wall.Nanoseconds(),
-			PeakHeapBytes:    peak,
-			LiveHeapBytes:    live,
-			BytesPerJob:      float64(peak) / float64(sc.CPUJobs+sc.GPUJobs),
+		coda.Name = "curve-" + p.name + "-coda"
+		for _, spec := range []sim.RunSpec{fifo, coda} {
+			e, wall, err := measureEntry(spec, p.name, sc)
+			if err != nil {
+				return err
+			}
+			entries = append(entries, e)
+			fmt.Printf("  %-21s %8d jobs  %5d nodes  %9d events  %8.0f events/sec  %8.0f queries/sec  peak heap %7.1f MiB  (%v)\n",
+				e.Name, e.Jobs, e.Nodes, e.Events, e.EventsPerSec, e.QueriesPerSec,
+				float64(e.PeakHeapBytes)/(1<<20), wall.Truncate(time.Millisecond))
 		}
-		if secs := wall.Seconds(); secs > 0 {
-			e.EventsPerSec = float64(e.Events) / secs
-			e.QueriesPerSec = float64(e.PlacementQueries) / secs
-		}
-		entries = append(entries, e)
-		fmt.Printf("  %-16s %8d jobs  %5d nodes  %9d events  %8.0f events/sec  %8.0f queries/sec  peak heap %7.1f MiB  (%v)\n",
-			e.Name, e.Jobs, e.Nodes, e.Events, e.EventsPerSec, e.QueriesPerSec,
-			float64(e.PeakHeapBytes)/(1<<20), wall.Truncate(time.Millisecond))
 	}
 	if jsonPath != "" {
 		if err := writeMemGateJSON(jsonPath, entries); err != nil {

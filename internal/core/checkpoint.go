@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -144,33 +143,30 @@ func sortedTimes(m map[job.ID]time.Duration) []timeByJob {
 	return out
 }
 
-func sortedQueues(queues map[job.TenantID]*list.List) []tenantQueueState {
+func sortedQueues(queues tenantQueues) []tenantQueueState {
 	out := make([]tenantQueueState, 0, len(queues))
-	//coda:ordered-ok entries are sorted below before serialization
-	for t, q := range queues {
-		tq := tenantQueueState{Tenant: t, Jobs: make([]job.Job, 0, q.Len())}
-		for elem := q.Front(); elem != nil; elem = elem.Next() {
+	for _, tq := range queues {
+		st := tenantQueueState{Tenant: tq.tenant, Jobs: make([]job.Job, 0, tq.jobs.Len())}
+		for elem := tq.jobs.Front(); elem != nil; elem = elem.Next() {
 			if j, ok := elem.Value.(*job.Job); ok {
-				tq.Jobs = append(tq.Jobs, *j)
+				st.Jobs = append(st.Jobs, *j)
 			}
 		}
-		out = append(out, tq)
+		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }
 
-func restoreQueues(dst map[job.TenantID]*list.List, src []tenantQueueState) error {
+func restoreQueues(dst *tenantQueues, src []tenantQueueState) error {
 	for _, tq := range src {
-		if _, dup := dst[tq.Tenant]; dup {
+		if dst.get(tq.Tenant) != nil {
 			return fmt.Errorf("core: duplicate tenant %d in checkpoint queues", tq.Tenant)
 		}
-		q := list.New()
+		q := dst.queueFor(tq.Tenant)
 		for i := range tq.Jobs {
 			j := tq.Jobs[i]
 			q.PushBack(&j)
 		}
-		dst[tq.Tenant] = q
 	}
 	return nil
 }
@@ -313,11 +309,6 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 		}
 		b.usedReserve, b.usedShared, b.borrowed = b.sums()
 	}
-	for _, nid := range append(append([]int(nil), st.Arrays.FourG...), st.Arrays.OneG...) {
-		if nid < 0 || nid >= m.gpuNodes {
-			return fmt.Errorf("coda: sub-array node %d out of range [0,%d)", nid, m.gpuNodes)
-		}
-	}
 	m.fourG = append([]int(nil), st.Arrays.FourG...)
 	m.oneG = append([]int(nil), st.Arrays.OneG...)
 	if err := m.cpuAcc.RestoreCheckpointState(st.Arrays.CPUAcc); err != nil {
@@ -326,10 +317,10 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 	if err := m.gpuAcc.RestoreCheckpointState(st.Arrays.GPUAcc); err != nil {
 		return fmt.Errorf("coda: restore gpu accountant: %w", err)
 	}
-	if err := restoreQueues(m.cpuQueues, st.Arrays.CPUQueues); err != nil {
+	if err := restoreQueues(&m.cpuQueues, st.Arrays.CPUQueues); err != nil {
 		return err
 	}
-	if err := restoreQueues(m.gpuQueues, st.Arrays.GPUQueues); err != nil {
+	if err := restoreQueues(&m.gpuQueues, st.Arrays.GPUQueues); err != nil {
 		return err
 	}
 	for _, d := range st.Arrays.Desired {

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,5 +115,55 @@ func TestRestoreCheckpointRejects(t *testing.T) {
 	}
 	if err := narrow.RestoreCheckpoint(blob); err == nil {
 		t.Error("restore across cluster-shape mismatch succeeded, want error")
+	}
+}
+
+// TestRestoreRejectsMalformedSplit crafts checkpoints whose sub-array
+// lists are not the ID ranges [0, n) and [n, nodes): restore must refuse
+// each with an error naming the misplaced or missing node, because
+// pickNodes tells a node's sub-array from its ID alone. The live split is
+// checked the same way by CheckInvariants.
+func TestRestoreRejectsMalformedSplit(t *testing.T) {
+	cfg := DefaultConfig()
+	opts := testOptions()
+	blob, err := midRunScheduler(t, cfg, opts).CheckpointState()
+	if err != nil {
+		t.Fatalf("CheckpointState: %v", err)
+	}
+	var st schedulerState
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(st.Arrays.FourG, []int{0}) || !slices.Equal(st.Arrays.OneG, []int{1, 2, 3}) {
+		t.Fatalf("split is %v / %v, the cases below assume [0] / [1 2 3]", st.Arrays.FourG, st.Arrays.OneG)
+	}
+	for _, tc := range []struct {
+		name        string
+		fourG, oneG []int
+		node        string
+	}{
+		{"overlap", []int{0, 1}, []int{1, 2, 3}, "node 1 "},
+		{"gap", []int{0}, []int{2, 3}, "node 2 where node 1 belongs"},
+		{"missing tail", []int{0}, []int{1, 2}, "node 3 "},
+		{"non-prefix", []int{3}, []int{0, 1, 2}, "node 3 "},
+	} {
+		st.Arrays.FourG, st.Arrays.OneG = tc.fourG, tc.oneG
+		crafted, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = newCoda(t, cfg, opts).RestoreCheckpoint(crafted)
+		if err == nil || !strings.Contains(err.Error(), tc.node) {
+			t.Errorf("%s split %v / %v: restore error %v, want one naming %q", tc.name, tc.fourG, tc.oneG, err, tc.node)
+		}
+	}
+
+	fresh := newCoda(t, cfg, opts)
+	if err := fresh.RestoreCheckpoint(blob); err != nil {
+		t.Fatalf("RestoreCheckpoint: %v", err)
+	}
+	fresh.Arrays().fourG = []int{1}
+	if err := fresh.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "node 1 ") {
+		t.Errorf("CheckInvariants with 4-GPU sub-array [1]: %v, want an error naming node 1", err)
 	}
 }

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,47 +13,42 @@ import (
 	"github.com/coda-repro/coda/internal/trace"
 )
 
-// TestPendingTenantsSorted pins the fix for the map-iteration bug: the
-// candidate list handed to DRF must come back sorted by tenant ID and must
-// exclude empty queues, no matter what order the map happens to iterate.
+// TestPendingTenantsSorted pins the candidate list handed to DRF: tenants
+// with a non-empty queue, sorted by tenant ID whatever order they first
+// enqueued in, and the same list after the queues make a checkpoint round
+// trip.
 func TestPendingTenantsSorted(t *testing.T) {
 	tenants := []job.TenantID{17, 3, 42, 8, 1, 99, 25, 4, 60, 12}
-	queues := make(map[job.TenantID]*list.List)
+	var queues tenantQueues
 	var want []job.TenantID
 	for i, id := range tenants {
-		q := list.New()
+		q := queues.queueFor(id)
 		if i%3 != 2 { // leave every third queue empty
 			q.PushBack(&job.Job{ID: job.ID(i), Tenant: id})
 			want = append(want, id)
 		}
-		queues[id] = q
 	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	slices.Sort(want)
 
 	var m MultiArray
 	// Copy: pendingTenants returns a reused scratch slice.
-	got := append([]job.TenantID(nil), m.pendingTenants(queues)...)
-	if len(got) != len(want) {
+	got := slices.Clone(m.pendingTenants(queues))
+	if !slices.Equal(got, want) {
 		t.Fatalf("pendingTenants returned %v, want %v", got, want)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("pendingTenants returned %v, want %v", got, want)
-		}
-	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+	if !slices.IsSorted(got) {
 		t.Errorf("pendingTenants not sorted: %v", got)
 	}
 
-	// Go randomizes map order per iteration, so an unsorted implementation
-	// flakes across repeats; a sorted one never does.
-	for rep := 0; rep < 50; rep++ {
-		again := m.pendingTenants(queues)
-		for i := range got {
-			if again[i] != got[i] {
-				t.Fatalf("rep %d: pendingTenants returned %v, previously %v", rep, again, got)
-			}
-		}
+	var restored tenantQueues
+	if err := restoreQueues(&restored, sortedQueues(queues)); err != nil {
+		t.Fatal(err)
+	}
+	if len(restored) != len(tenants) {
+		t.Errorf("round trip kept %d tenant queues, want %d (empty queues included)", len(restored), len(tenants))
+	}
+	if again := m.pendingTenants(restored); !slices.Equal(again, want) {
+		t.Errorf("after a checkpoint round trip pendingTenants returned %v, want %v", again, want)
 	}
 }
 
@@ -86,8 +81,8 @@ func placementSequence(res *sim.Result) string {
 
 // TestPlacementSequenceDeterministic runs the same trace through CODA twice
 // and requires the placement sequences to be identical — the end-to-end
-// guarantee the pendingTenants sort (and every //coda:ordered-ok site)
-// exists to protect.
+// guarantee the tenant-ordered queues (and every //coda:ordered-ok site)
+// exist to protect.
 func TestPlacementSequenceDeterministic(t *testing.T) {
 	gen := func() []*job.Job {
 		cfg := trace.DefaultConfig()
@@ -111,15 +106,13 @@ func TestPlacementSequenceDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkPendingTenants1kTenants measures the sort the determinism fix
-// added, on a 1000-tenant queue map (far beyond the paper's cluster scale).
+// BenchmarkPendingTenants1kTenants measures the candidate walk over 1000
+// tenant queues (far beyond the paper's cluster scale).
 func BenchmarkPendingTenants1kTenants(b *testing.B) {
-	queues := make(map[job.TenantID]*list.List, 1000)
+	var queues tenantQueues
 	for i := 0; i < 1000; i++ {
-		q := list.New()
-		q.PushBack(&job.Job{ID: job.ID(i)})
 		// Spread the IDs so insertion order and sorted order disagree.
-		queues[job.TenantID(i*7919%100003)] = q
+		queues.queueFor(job.TenantID(i * 7919 % 100003)).PushBack(&job.Job{ID: job.ID(i)})
 	}
 	var m MultiArray
 	b.ReportAllocs()
@@ -128,5 +121,30 @@ func BenchmarkPendingTenants1kTenants(b *testing.B) {
 		if got := m.pendingTenants(queues); len(got) != 1000 {
 			b.Fatalf("got %d tenants", len(got))
 		}
+	}
+}
+
+// TestCheckInvariantsCatchesTenantQueueOrder corrupts the sorted tenant
+// queues the way a broken insert would: an out-of-order entry and a
+// duplicated tenant must each fail the multi-array audit.
+func TestCheckInvariantsCatchesTenantQueueOrder(t *testing.T) {
+	m := newCoda(t, DefaultConfig(), testOptions()).Arrays()
+	for i, tenant := range []job.TenantID{7, 2, 5} {
+		m.EnqueueCPU(&job.Job{ID: job.ID(i + 1), Tenant: tenant, Kind: job.KindCPU})
+		m.EnqueueGPU(&job.Job{ID: job.ID(i + 10), Tenant: tenant, Kind: job.KindGPUTraining}, 2)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("well-formed queues fail the audit: %v", err)
+	}
+
+	m.cpuQueues[0], m.cpuQueues[1] = m.cpuQueues[1], m.cpuQueues[0]
+	if err := m.CheckInvariants(); err == nil {
+		t.Error("out-of-order CPU tenant queues pass the audit")
+	}
+	m.cpuQueues[0], m.cpuQueues[1] = m.cpuQueues[1], m.cpuQueues[0]
+
+	m.gpuQueues = append(m.gpuQueues, m.gpuQueues[len(m.gpuQueues)-1])
+	if err := m.CheckInvariants(); err == nil {
+		t.Error("a duplicated GPU tenant queue passes the audit")
 	}
 }

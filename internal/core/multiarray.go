@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"container/list"
 	"fmt"
 	"slices"
@@ -59,13 +60,16 @@ type MultiArray struct {
 	budgets []*nodeBudget
 	// gpuNodes is the count of GPU nodes: budgets[0:gpuNodes] have GPUs,
 	// the rest are CPU-only nodes (§VI-G heterogeneous clusters).
-	gpuNodes  int
-	fourG     []int // node IDs of the 4-GPU sub-array
-	oneG      []int // node IDs of the 1-GPU sub-array
+	gpuNodes int
+	// fourG and oneG are the node IDs of the 4-GPU and 1-GPU sub-arrays,
+	// always the ID ranges [0, len(fourG)) and [len(fourG), gpuNodes):
+	// pickNodes tells a node's sub-array by its ID alone.
+	fourG     []int
+	oneG      []int
 	cpuAcc    *fair.Accountant
 	gpuAcc    *fair.Accountant
-	cpuQueues map[job.TenantID]*list.List
-	gpuQueues map[job.TenantID]*list.List
+	cpuQueues tenantQueues
+	gpuQueues tenantQueues
 	// desired is the allocator-chosen core count for pending GPU jobs.
 	desired map[job.ID]int
 	running map[job.ID]*runInfo
@@ -82,13 +86,52 @@ type MultiArray struct {
 	blocked    map[job.TenantID]bool
 	tenants    []job.TenantID
 	candidates []job.TenantID
-	nodeOrder  []int
 	cands      []gpuCandidate
 }
 
-// gpuCandidate is a feasible node for a GPU placement pass.
+// gpuCandidate is a feasible node for a GPU placement pass; own marks a
+// node of the job's own sub-array.
 type gpuCandidate struct {
-	nid, freeGPUs, pref int
+	nid, freeGPUs int
+	own           bool
+}
+
+// tenantQueue is one tenant's FIFO of pending jobs.
+type tenantQueue struct {
+	tenant job.TenantID
+	jobs   *list.List
+}
+
+// tenantQueues holds an array's per-tenant FIFOs sorted by tenant ID. A
+// tenant's entry is inserted on its first enqueue and kept, empty or not,
+// so every walk is in tenant order without collecting or sorting, and a
+// lookup is a binary search.
+type tenantQueues []tenantQueue
+
+// search returns where tenant t's entry is or would be inserted, and
+// whether it is there.
+func (qs tenantQueues) search(t job.TenantID) (int, bool) {
+	return slices.BinarySearchFunc(qs, t, func(q tenantQueue, t job.TenantID) int {
+		return cmp.Compare(q.tenant, t)
+	})
+}
+
+// get returns tenant t's queue, nil if t never enqueued.
+func (qs tenantQueues) get(t job.TenantID) *list.List {
+	if i, ok := qs.search(t); ok {
+		return qs[i].jobs
+	}
+	return nil
+}
+
+// queueFor returns tenant t's queue, inserting an empty one in tenant
+// order on first use.
+func (qs *tenantQueues) queueFor(t job.TenantID) *list.List {
+	i, ok := qs.search(t)
+	if !ok {
+		*qs = slices.Insert(*qs, i, tenantQueue{tenant: t, jobs: list.New()})
+	}
+	return (*qs)[i].jobs
 }
 
 // NewMultiArray builds the scheduler for a cluster of nodes × coresPerNode
@@ -116,13 +159,11 @@ func NewMultiArrayForCluster(cfg ArrayConfig, cc cluster.Config) (*MultiArray, e
 	}
 	total := cc.TotalNodes()
 	m := &MultiArray{
-		cfg:       cfg,
-		budgets:   make([]*nodeBudget, total),
-		gpuNodes:  cc.Nodes,
-		cpuQueues: make(map[job.TenantID]*list.List),
-		gpuQueues: make(map[job.TenantID]*list.List),
-		desired:   make(map[job.ID]int),
-		running:   make(map[job.ID]*runInfo),
+		cfg:      cfg,
+		budgets:  make([]*nodeBudget, total),
+		gpuNodes: cc.Nodes,
+		desired:  make(map[job.ID]int),
+		running:  make(map[job.ID]*runInfo),
 	}
 	for i := range m.budgets {
 		reserve := cfg.ReserveCores
@@ -181,18 +222,17 @@ func (m *MultiArray) EnqueueGPU(j *job.Job, desiredCores int) {
 		desiredCores = 1
 	}
 	m.desired[j.ID] = desiredCores
-	m.pushBack(m.gpuQueues, j)
+	m.gpuQueues.queueFor(j.Tenant).PushBack(j)
 }
 
 // EnqueueCPU adds a CPU job to the CPU array.
 func (m *MultiArray) EnqueueCPU(j *job.Job) {
-	m.pushBack(m.cpuQueues, j)
+	m.cpuQueues.queueFor(j.Tenant).PushBack(j)
 }
 
 // RequeueCPUFront puts a preempted CPU job back at its array head (§V-C).
 func (m *MultiArray) RequeueCPUFront(j *job.Job) {
-	q := m.queueFor(m.cpuQueues, j.Tenant)
-	q.PushFront(j)
+	m.cpuQueues.queueFor(j.Tenant).PushFront(j)
 }
 
 // RequeueGPUFront puts a fault-killed training job back at its array head
@@ -203,20 +243,7 @@ func (m *MultiArray) RequeueGPUFront(j *job.Job, desiredCores int) {
 		desiredCores = 1
 	}
 	m.desired[j.ID] = desiredCores
-	m.queueFor(m.gpuQueues, j.Tenant).PushFront(j)
-}
-
-func (m *MultiArray) pushBack(queues map[job.TenantID]*list.List, j *job.Job) {
-	m.queueFor(queues, j.Tenant).PushBack(j)
-}
-
-func (m *MultiArray) queueFor(queues map[job.TenantID]*list.List, t job.TenantID) *list.List {
-	q, ok := queues[t]
-	if !ok {
-		q = list.New()
-		queues[t] = q
-	}
-	return q
+	m.gpuQueues.queueFor(j.Tenant).PushFront(j)
 }
 
 // OnKilled releases a fault-killed job's bookkeeping. The cleanup is the
@@ -233,8 +260,8 @@ func (m *MultiArray) RemoveQueued(j *job.Job) bool {
 	if j.IsGPU() {
 		queues = m.gpuQueues
 	}
-	q, ok := queues[j.Tenant]
-	if !ok {
+	q := queues.get(j.Tenant)
+	if q == nil {
 		return false
 	}
 	for elem := q.Front(); elem != nil; elem = elem.Next() {
@@ -315,21 +342,16 @@ func (m *MultiArray) ResizeRunning(id job.ID, newCores int) error {
 }
 
 // pendingTenants lists tenants with non-empty queues, sorted by tenant ID,
-// into the reusable m.tenants scratch (valid until the next call).
-// The order is load-bearing: the candidate list feeds DRF's PoorestTenant,
-// and handing it Go's randomized map order would make same-seed replay
-// depend on every downstream consumer re-sorting correctly. Sorting here
-// makes the candidate order seed-stable by construction (the determinism
-// invariant coda-vet enforces).
-func (m *MultiArray) pendingTenants(queues map[job.TenantID]*list.List) []job.TenantID {
+// into the reusable m.tenants scratch (valid until the next call). The
+// candidate list feeds DRF's PoorestTenant, and tenantQueues keeps its
+// entries in tenant order, so the order is seed-stable by construction.
+func (m *MultiArray) pendingTenants(queues tenantQueues) []job.TenantID {
 	out := m.tenants[:0]
-	//coda:ordered-ok collected tenant IDs are sorted before return
-	for t, q := range queues {
-		if q.Len() > 0 {
-			out = append(out, t)
+	for _, q := range queues {
+		if q.jobs.Len() > 0 {
+			out = append(out, q.tenant)
 		}
 	}
-	slices.Sort(out)
 	m.tenants = out
 	return out
 }
@@ -337,7 +359,7 @@ func (m *MultiArray) pendingTenants(queues map[job.TenantID]*list.List) []job.Te
 // GPUJobsPending reports whether any training job waits.
 func (m *MultiArray) GPUJobsPending() bool {
 	for _, q := range m.gpuQueues {
-		if q.Len() > 0 {
+		if q.jobs.Len() > 0 {
 			return true
 		}
 	}
@@ -372,7 +394,7 @@ func (m *MultiArray) drainGPU() {
 		if !ok {
 			return
 		}
-		q := m.gpuQueues[tenant]
+		q := m.gpuQueues.get(tenant)
 		elem := q.Front()
 		j, okJob := elem.Value.(*job.Job)
 		if !okJob {
@@ -412,7 +434,7 @@ func (m *MultiArray) drainCPU() {
 		if !ok {
 			return
 		}
-		q := m.cpuQueues[tenant]
+		q := m.cpuQueues.get(tenant)
 		elem := q.Front()
 		j, okJob := elem.Value.(*job.Job)
 		if !okJob {
@@ -425,23 +447,6 @@ func (m *MultiArray) drainCPU() {
 		}
 		blocked[tenant] = true
 	}
-}
-
-// gpuNodeOrder returns the placement preference for a training job: its
-// own sub-array first, the other as fallback (§V-C). The returned slice is
-// the reusable m.nodeOrder scratch, valid until the next call.
-func (m *MultiArray) gpuNodeOrder(j *job.Job) []int {
-	large := j.Request.GPUs >= LargeJobGPUs
-	order := m.nodeOrder[:0]
-	if large {
-		order = append(order, m.fourG...)
-		order = append(order, m.oneG...)
-	} else {
-		order = append(order, m.oneG...)
-		order = append(order, m.fourG...)
-	}
-	m.nodeOrder = order
-	return order
 }
 
 // startGPU attempts to place and start a training job with its
@@ -478,18 +483,14 @@ func nextSlimmer(cores int) int {
 // startGPUAt tries one specific core count.
 func (m *MultiArray) startGPUAt(j *job.Job, cores int) bool {
 	gpus := j.Request.GPUsPerNode()
-	order := m.gpuNodeOrder(j)
-	ownLen := len(m.oneG)
-	if j.Request.GPUs >= LargeJobGPUs {
-		ownLen = len(m.fourG)
-	}
+	large := j.Request.GPUs >= LargeJobGPUs
 
-	nodes := m.pickNodes(order, ownLen, j.Request.Nodes, gpus, cores, false)
+	nodes := m.pickNodes(large, j.Request.Nodes, gpus, cores, false)
 	if nodes == nil {
 		if m.DisablePreemption {
 			return false
 		}
-		nodes = m.pickNodes(order, ownLen, j.Request.Nodes, gpus, cores, true)
+		nodes = m.pickNodes(large, j.Request.Nodes, gpus, cores, true)
 		if nodes == nil {
 			return false
 		}
@@ -527,25 +528,28 @@ func (m *MultiArray) startGPUAt(j *job.Job, cores int) bool {
 }
 
 // pickNodes selects the k nodes a GPU job of gpus GPUs and cores cores per
-// node would start on, scanning order (own sub-array first, ownLen long)
-// and counting one placement query. withPreempt counts borrowed reserve
-// cores as headroom. It returns nil when fewer than k nodes are feasible.
+// node would start on, preferring its own sub-array (the 4-GPU one when
+// large, §V-C), and counts one placement query. withPreempt counts
+// borrowed reserve cores as headroom. It returns nil when fewer than k
+// nodes are feasible.
 //
 // Feasible nodes are packed best-fit (fewest free GPUs first) so large GPU
 // holes survive for 4-GPU jobs — the multi-array design's
-// anti-fragmentation goal. Only the first k in compareGPUCandidates order
-// are kept, in a k-slot insertion buffer, so a scan costs O(nodes × k)
-// rather than a sort of every feasible node; for k = 1 the buffer is a
-// min-scan.
-func (m *MultiArray) pickNodes(order []int, ownLen, k, gpus, cores int, withPreempt bool) []int {
+// anti-fragmentation goal. The cluster's first-fit index yields only the
+// nodes with at least gpus free GPUs, in ID order, so GPU-full and down
+// nodes cost nothing. Only the first k in compareGPUCandidates order are
+// kept, in a k-slot insertion buffer; that order is total, so the visit
+// order does not matter, and for k = 1 the buffer is a min-scan.
+func (m *MultiArray) pickNodes(large bool, k, gpus, cores int, withPreempt bool) []int {
 	c := m.env.Cluster()
 	c.NotePlacementQuery()
 	best := m.cands[:0]
 	feasible := 0
-	for pref, nid := range order {
-		n, err := c.Node(nid)
-		if err != nil || n.FreeGPUs() < gpus {
-			continue
+	fourGLen := len(m.fourG)
+	c.ScanPlaceable(0, gpus, false, func(n *cluster.Node) bool {
+		nid := n.ID
+		if nid >= m.gpuNodes {
+			return false // CPU-only nodes follow the GPU nodes
 		}
 		b := m.budgets[nid]
 		headroom := b.reserveFree() + b.sharedFree()
@@ -553,23 +557,24 @@ func (m *MultiArray) pickNodes(order []int, ownLen, k, gpus, cores int, withPree
 			headroom += b.borrowedCores()
 		}
 		if headroom < cores {
-			continue
+			return true
 		}
 		feasible++
-		cand := gpuCandidate{nid: nid, freeGPUs: n.FreeGPUs(), pref: pref}
+		cand := gpuCandidate{nid: nid, freeGPUs: n.FreeGPUs(), own: (nid < fourGLen) == large}
 		if len(best) == k {
-			if k == 0 || compareGPUCandidates(cand, best[k-1], ownLen, gpus) >= 0 {
-				continue
+			if k == 0 || compareGPUCandidates(cand, best[k-1], gpus) >= 0 {
+				return true
 			}
 			best = best[:k-1]
 		}
 		i := len(best)
 		best = append(best, cand)
-		for ; i > 0 && compareGPUCandidates(cand, best[i-1], ownLen, gpus) < 0; i-- {
+		for ; i > 0 && compareGPUCandidates(cand, best[i-1], gpus) < 0; i-- {
 			best[i] = best[i-1]
 		}
 		best[i] = cand
-	}
+		return true
+	})
 	m.cands = best
 	if feasible < k {
 		return nil
@@ -582,13 +587,12 @@ func (m *MultiArray) pickNodes(order []int, ownLen, k, gpus, cores int, withPree
 }
 
 // compareGPUCandidates is the total order pickNodes ranks feasible nodes
-// by: stay within the preferred sub-array region (pref < ownLen) first,
-// avoid breaking an intact >= 4-GPU hole second, then pack best-fit. The
-// nid tie-break makes it total, so the first k are unique.
-func compareGPUCandidates(a, b gpuCandidate, ownLen, gpus int) int {
-	aOwn, bOwn := a.pref < ownLen, b.pref < ownLen
-	if aOwn != bOwn {
-		if aOwn {
+// by: stay within the job's own sub-array first, avoid breaking an intact
+// >= 4-GPU hole second, then pack best-fit. The nid tie-break makes it
+// total, so the first k are unique.
+func compareGPUCandidates(a, b gpuCandidate, gpus int) int {
+	if a.own != b.own {
+		if a.own {
 			return -1
 		}
 		return 1
@@ -675,10 +679,10 @@ func (m *MultiArray) startCPU(j *job.Job, allowBorrow bool) bool {
 // QueueLens reports pending counts (gpu, cpu) for tests and metrics.
 func (m *MultiArray) QueueLens() (gpu, cpu int) {
 	for _, q := range m.gpuQueues {
-		gpu += q.Len()
+		gpu += q.jobs.Len()
 	}
 	for _, q := range m.cpuQueues {
-		cpu += q.Len()
+		cpu += q.jobs.Len()
 	}
 	return gpu, cpu
 }
@@ -737,9 +741,10 @@ func (m *MultiArray) Rebalance(stats history.Stats, gpusPerNode int) {
 	}
 }
 
-// CheckInvariants validates all node budgets and accountants, and that no
-// job sits in a queue while also running — the double-booking a buggy
-// requeue path would produce.
+// CheckInvariants validates all node budgets and accountants, the
+// sub-array split, that each array's tenant queues are in strictly
+// ascending tenant order, and that no job sits in a queue while also
+// running — the double-booking a buggy requeue path would produce.
 func (m *MultiArray) CheckInvariants() error {
 	for nid, b := range m.budgets {
 		if err := b.checkInvariants(); err != nil {
@@ -752,19 +757,49 @@ func (m *MultiArray) CheckInvariants() error {
 	if err := m.gpuAcc.CheckInvariants(); err != nil {
 		return err
 	}
-	for _, queues := range []map[job.TenantID]*list.List{m.cpuQueues, m.gpuQueues} {
-		//coda:ordered-ok error reporting on already-broken invariants; any witness will do
-		for tenant, q := range queues {
-			for elem := q.Front(); elem != nil; elem = elem.Next() {
+	if err := checkSplit(m.fourG, m.oneG, m.gpuNodes); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	for _, queues := range [...]tenantQueues{m.cpuQueues, m.gpuQueues} {
+		for i, tq := range queues {
+			if i > 0 && tq.tenant <= queues[i-1].tenant {
+				return fmt.Errorf("core: tenant queue %d follows tenant queue %d; want strictly ascending tenants",
+					tq.tenant, queues[i-1].tenant)
+			}
+			for elem := tq.jobs.Front(); elem != nil; elem = elem.Next() {
 				j, ok := elem.Value.(*job.Job)
 				if !ok {
-					return fmt.Errorf("tenant %d: queue holds a non-job entry", tenant)
+					return fmt.Errorf("tenant %d: queue holds a non-job entry", tq.tenant)
 				}
 				if _, isRunning := m.running[j.ID]; isRunning {
 					return fmt.Errorf("job %d is running and queued simultaneously", j.ID)
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// checkSplit verifies that the sub-arrays are the ID ranges the
+// constructor and Rebalance build, [0, len(fourG)) for the 4-GPU sub-array
+// and [len(fourG), gpuNodes) for the 1-GPU one: no overlap, no gap, no
+// other order.
+func checkSplit(fourG, oneG []int, gpuNodes int) error {
+	want := 0
+	for _, part := range [...][]int{fourG, oneG} {
+		for _, nid := range part {
+			if nid < 0 || nid >= gpuNodes {
+				return fmt.Errorf("sub-array node %d out of range [0,%d)", nid, gpuNodes)
+			}
+			if nid != want {
+				return fmt.Errorf("sub-arrays list node %d where node %d belongs; want 4-GPU nodes [0,%d) and 1-GPU nodes [%d,%d)",
+					nid, want, len(fourG), len(fourG), gpuNodes)
+			}
+			want++
+		}
+	}
+	if want != gpuNodes {
+		return fmt.Errorf("GPU node %d is in neither sub-array", want)
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ package fair
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/coda-repro/coda/internal/job"
 )
@@ -191,28 +190,24 @@ func (a *Accountant) DominantShare(t job.TenantID) float64 {
 	return share / a.weight(t)
 }
 
-// Rank orders the given tenants by ascending dominant share (classic DRF
-// progressive filling order); ties break by tenant ID for determinism.
-func (a *Accountant) Rank(tenants []job.TenantID) []job.TenantID {
-	out := append([]job.TenantID(nil), tenants...)
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := a.DominantShare(out[i]), a.DominantShare(out[j])
-		//coda:ordered-ok comparator tie-break; both shares come from the same deterministic computation
-		if si != sj {
-			return si < sj
-		}
-		return out[i] < out[j]
-	})
-	return out
-}
-
 // PoorestTenant returns the tenant with the lowest dominant share among the
-// candidates; false if candidates is empty.
+// candidates, ties broken by the lower tenant ID; false if candidates is
+// empty. Over distinct tenants (share, ID) is a strict total order, so this
+// allocation-free min-scan picks the head of classic DRF's progressive
+// filling order without ranking the rest.
 func (a *Accountant) PoorestTenant(candidates []job.TenantID) (job.TenantID, bool) {
 	if len(candidates) == 0 {
 		return 0, false
 	}
-	return a.Rank(candidates)[0], true
+	best, bestShare := candidates[0], a.DominantShare(candidates[0])
+	for _, t := range candidates[1:] {
+		share := a.DominantShare(t)
+		//coda:ordered-ok comparator tie-break; both shares come from the same deterministic computation
+		if share < bestShare || (share == bestShare && t < best) {
+			best, bestShare = t, share
+		}
+	}
+	return best, true
 }
 
 // CheckInvariants verifies the per-job ledger sums to the per-tenant usage.

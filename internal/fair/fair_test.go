@@ -2,11 +2,29 @@ package fair
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"github.com/coda-repro/coda/internal/job"
 )
+
+// Rank orders the given tenants by ascending dominant share (classic DRF
+// progressive filling order); ties break by tenant ID for determinism. It
+// is the reference PoorestTenant's min-scan must agree with: the head of
+// this ranking.
+func (a *Accountant) Rank(tenants []job.TenantID) []job.TenantID {
+	out := append([]job.TenantID(nil), tenants...)
+	sort.SliceStable(out, func(i, j int) bool {
+		si, sj := a.DominantShare(out[i]), a.DominantShare(out[j])
+		if si != sj {
+			return si < sj
+		}
+		return out[i] < out[j]
+	})
+	return out
+}
 
 func newTestAccountant(t *testing.T, mode Dominant) *Accountant {
 	t.Helper()
@@ -175,6 +193,68 @@ func TestRankDoesNotMutateInput(t *testing.T) {
 	_ = a.Rank(in)
 	if in[0] != 9 || in[1] != 1 {
 		t.Errorf("Rank mutated input: %v", in)
+	}
+}
+
+// TestPoorestTenantMatchesRank checks the min-scan against the full
+// ranking over random usages, weights and candidate orders, with exact
+// share ties forced in: equal charges, a doubled charge under a doubled
+// weight, and tenants with no usage at all.
+func TestPoorestTenantMatchesRank(t *testing.T) {
+	modes := []Dominant{DominantAuto, DominantCPU, DominantGPU}
+	ties := 0
+	for seed := int64(0); seed < 2000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, err := NewAccountant(Resources{CPU: float64(1 + rng.Intn(500)), GPU: float64(1 + rng.Intn(64))},
+			modes[rng.Intn(len(modes))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 1 + rng.Intn(12)
+		perm := rng.Perm(40)
+		cands := make([]job.TenantID, n)
+		id := job.ID(1)
+		var prev Resources
+		for i := range cands {
+			tenant := job.TenantID(perm[i])
+			cands[i] = tenant
+			res := Resources{CPU: float64(rng.Intn(60)), GPU: float64(rng.Intn(8))}
+			switch rng.Intn(4) {
+			case 0: // same charge as the previous tenant
+				res = prev
+			case 1: // twice the previous charge at twice the weight
+				res = Resources{CPU: 2 * prev.CPU, GPU: 2 * prev.GPU}
+				if err := a.SetWeight(tenant, 2); err != nil {
+					t.Fatal(err)
+				}
+			case 2: // no usage
+				continue
+			}
+			prev = res
+			if err := a.Charge(id, tenant, res); err != nil {
+				t.Fatal(err)
+			}
+			id++
+			if rng.Intn(3) == 0 {
+				if err := a.SetWeight(tenant, 0.5+rng.Float64()*2); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := a.Rank(cands)[0]
+		got, ok := a.PoorestTenant(cands)
+		if !ok || got != want {
+			t.Fatalf("seed %d: PoorestTenant(%v) = %d, %v; Rank head %d", seed, cands, got, ok, want)
+		}
+		for _, c := range cands {
+			if c != want && a.DominantShare(c) == a.DominantShare(want) {
+				ties++
+				break
+			}
+		}
+	}
+	if ties < 100 {
+		t.Errorf("only %d of 2000 cases had a tie at the head; the ID tie-break is not exercised", ties)
 	}
 }
 

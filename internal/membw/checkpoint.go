@@ -62,7 +62,7 @@ func (m *Monitor) RestoreCheckpointState(st MonitorState) error {
 			if _, dup := meter.jobs[js.ID]; dup {
 				return fmt.Errorf("membw: node %d has duplicate job %d in checkpoint", i, js.ID)
 			}
-			meter.jobs[js.ID] = usage{demand: js.Demand, cap: js.Cap, cpuJob: js.CPUJob}
+			meter.setJob(js.ID, usage{demand: js.Demand, cap: js.Cap, cpuJob: js.CPUJob})
 			meter.insertID(js.ID)
 		}
 	}

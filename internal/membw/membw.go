@@ -9,6 +9,7 @@ package membw
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -53,6 +54,18 @@ type Meter struct {
 	// register/deregister so Total and AppendJobs iterate in ID order
 	// without per-call collection and sorting.
 	ids []job.ID
+	// total caches Total's ID-order sum while totalOK holds. Every write
+	// to jobs clears totalOK, and the next read re-sums in ID order, so a
+	// cached total is bit-identical to a fresh one: it is never adjusted
+	// by adding or subtracting one job, which would change the float order.
+	total   float64
+	totalOK bool
+}
+
+// setJob writes one job's record and drops the cached total.
+func (m *Meter) setJob(id job.ID, u usage) {
+	m.jobs[id] = u
+	m.totalOK = false
 }
 
 // insertID adds id to the sorted ID mirror.
@@ -98,7 +111,7 @@ func (m *Meter) Register(id job.ID, demandGBs float64, cpuJob bool) error {
 	if _, ok := m.jobs[id]; ok {
 		return fmt.Errorf("%w: %d", ErrDuplicateJob, id)
 	}
-	m.jobs[id] = usage{demand: demandGBs, cpuJob: cpuJob}
+	m.setJob(id, usage{demand: demandGBs, cpuJob: cpuJob})
 	m.insertID(id)
 	return nil
 }
@@ -110,6 +123,7 @@ func (m *Meter) Deregister(id job.ID) error {
 	}
 	delete(m.jobs, id)
 	m.removeID(id)
+	m.totalOK = false
 	return nil
 }
 
@@ -124,7 +138,7 @@ func (m *Meter) SetDemand(id job.ID, demandGBs float64) error {
 		return fmt.Errorf("membw: negative demand %g for job %d", demandGBs, id)
 	}
 	u.demand = demandGBs
-	m.jobs[id] = u
+	m.setJob(id, u)
 	return nil
 }
 
@@ -152,13 +166,35 @@ func (m *Meter) HostsAny(in func(job.ID) bool) bool {
 
 // Total returns the node's aggregate bandwidth usage in GB/s. Jobs are
 // summed in ID order: float accumulation is order-sensitive, and the
-// simulator's determinism guarantee needs bit-identical totals.
+// simulator's determinism guarantee needs bit-identical totals. The sum is
+// cached until the next write to the node's jobs.
 func (m *Meter) Total() float64 {
+	if !m.totalOK {
+		m.total = m.sum()
+		m.totalOK = true
+	}
+	return m.total
+}
+
+// sum adds the jobs' effective bandwidth in ID order.
+func (m *Meter) sum() float64 {
 	total := 0.0
 	for _, id := range m.ids {
 		total += m.jobs[id].effective()
 	}
 	return total
+}
+
+// CheckInvariants reports a cached total that differs, bit for bit, from a
+// fresh ID-order sum: a write to the job table that did not drop the cache.
+func (m *Meter) CheckInvariants() error {
+	if !m.totalOK {
+		return nil
+	}
+	if fresh := m.sum(); math.Float64bits(fresh) != math.Float64bits(m.total) {
+		return fmt.Errorf("membw: cached total %v GB/s, jobs sum to %v", m.total, fresh)
+	}
+	return nil
 }
 
 // Utilization returns Total/Capacity in [0, +inf).
@@ -239,7 +275,7 @@ func (m *Meter) Throttle(id job.ID, capGBs float64) error {
 		return fmt.Errorf("membw: cap must be positive, got %g", capGBs)
 	}
 	u.cap = capGBs
-	m.jobs[id] = u
+	m.setJob(id, u)
 	return nil
 }
 
@@ -250,7 +286,7 @@ func (m *Meter) Unthrottle(id job.ID) error {
 		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
 	}
 	u.cap = 0
-	m.jobs[id] = u
+	m.setJob(id, u)
 	return nil
 }
 

@@ -3,6 +3,8 @@ package membw
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -305,5 +307,153 @@ func TestTotalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCachedTotalMatchesFreshSum drives a meter through random sequences
+// of register, deregister, set-demand, throttle, unthrottle and checkpoint
+// restore, reading Total at random points in between so the cache is often
+// valid when a write lands. After every step Total must be bit-equal to an
+// ID-order sum over a model of the job table kept by the test.
+func TestCachedTotalMatchesFreshSum(t *testing.T) {
+	type rec struct{ demand, cap float64 }
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		mon, err := NewMonitor(1, 100, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := mon.meters[0]
+		model := make(map[job.ID]rec)
+		modelIDs := func() []job.ID {
+			ids := make([]job.ID, 0, len(model))
+			for id := range model {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			return ids
+		}
+		// Fractional demands make the float sum order-sensitive.
+		demand := func() float64 { return rng.Float64() * 37 }
+		registered := func() (job.ID, bool) {
+			if len(model) == 0 {
+				return 0, false
+			}
+			ids := modelIDs()
+			return ids[rng.Intn(len(ids))], true
+		}
+		for step := 0; step < 300; step++ {
+			op := rng.Intn(6)
+			switch op {
+			case 0:
+				id := job.ID(1 + rng.Intn(40))
+				d := demand()
+				if err := m.Register(id, d, true); err == nil {
+					model[id] = rec{demand: d}
+				} else if _, ok := model[id]; !ok {
+					t.Fatalf("seed %d step %d: register %d: %v", seed, step, id, err)
+				}
+			case 1:
+				if id, ok := registered(); ok {
+					if err := m.Deregister(id); err != nil {
+						t.Fatal(err)
+					}
+					delete(model, id)
+				}
+			case 2:
+				if id, ok := registered(); ok {
+					r := model[id]
+					r.demand = demand()
+					if err := m.SetDemand(id, r.demand); err != nil {
+						t.Fatal(err)
+					}
+					model[id] = r
+				}
+			case 3:
+				if id, ok := registered(); ok {
+					r := model[id]
+					r.cap = 0.5 + rng.Float64()*30
+					if err := m.Throttle(id, r.cap); err != nil {
+						t.Fatal(err)
+					}
+					model[id] = r
+				}
+			case 4:
+				if id, ok := registered(); ok {
+					r := model[id]
+					r.cap = 0
+					if err := m.Unthrottle(id); err != nil {
+						t.Fatal(err)
+					}
+					model[id] = r
+				}
+			case 5:
+				// Restore into a fresh monitor whose empty meter already
+				// cached a zero total.
+				st := mon.CheckpointState()
+				fresh, err := NewMonitor(1, 100, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_ = fresh.meters[0].Total()
+				if err := fresh.RestoreCheckpointState(st); err != nil {
+					t.Fatal(err)
+				}
+				mon, m = fresh, fresh.meters[0]
+			}
+			want := 0.0
+			for _, id := range modelIDs() {
+				r := model[id]
+				eff := r.demand
+				if r.cap > 0 && r.cap < r.demand {
+					eff = r.cap
+				}
+				want += eff
+			}
+			if got := m.Total(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d step %d (op %d): Total %v, fresh ID-order sum %v", seed, step, op, got, want)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if rng.Intn(2) == 0 {
+				_ = m.Total() // leave the cache valid for the next write
+			}
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesStaleTotal mutates the job table behind the
+// meter's back, the way a new writer that forgot to drop the cache would:
+// the check must report the stale total, and must stay quiet while the
+// cache is invalid.
+func TestCheckInvariantsCatchesStaleTotal(t *testing.T) {
+	m := newTestMeter(t, true)
+	for i, d := range []float64{10.1, 20.2, 30.3} {
+		if err := m.Register(job.ID(i+1), d, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("invalid cache reported: %v", err)
+	}
+	_ = m.Total()
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("valid cache reported: %v", err)
+	}
+
+	m.jobs[2] = usage{demand: 5, cpuJob: true}
+	if err := m.CheckInvariants(); err == nil {
+		t.Error("demand changed without dropping the cache, check passed")
+	}
+	if err := m.SetDemand(2, 5); err != nil {
+		t.Fatal(err)
+	}
+	_ = m.Total()
+
+	delete(m.jobs, 3)
+	m.removeID(3)
+	if err := m.CheckInvariants(); err == nil {
+		t.Error("job removed without dropping the cache, check passed")
 	}
 }

@@ -50,6 +50,9 @@ func (s *Simulator) checkInvariantsDelta() error {
 		if err != nil {
 			return fmt.Errorf("node %d: %w", nid, err)
 		}
+		if err := meter.CheckInvariants(); err != nil {
+			return fmt.Errorf("node %d: %w", nid, err)
+		}
 		s.invUsages = meter.AppendJobs(s.invUsages[:0])
 		usages := s.invUsages
 		if len(usages) != n.JobCount() {
@@ -132,7 +135,8 @@ func (s *Simulator) checkConservation() error {
 //     on exactly its allocation's nodes, and every job holding resources
 //     on any node is running (no leaked allocations).
 //  4. Bandwidth accounting: the set of jobs registered on each node's
-//     memory-bandwidth meter equals the set of jobs occupying the node.
+//     memory-bandwidth meter equals the set of jobs occupying the node,
+//     and a cached meter total equals a fresh sum.
 //     (Demand may exceed capacity — that is contention, the phenomenon
 //     under study — but accounting must balance.)
 //  5. PCIe load is never negative.
@@ -224,6 +228,10 @@ func (s *Simulator) CheckInvariants() error {
 		// Bandwidth accounting identity: meter registrations == occupancy.
 		meter, err := s.monitor.Node(n.ID)
 		if err != nil {
+			nodeErr = fmt.Errorf("node %d: %w", n.ID, err)
+			return false
+		}
+		if err := meter.CheckInvariants(); err != nil {
 			nodeErr = fmt.Errorf("node %d: %w", n.ID, err)
 			return false
 		}
