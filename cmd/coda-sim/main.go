@@ -81,7 +81,7 @@ func run(args []string) error {
 	survivedKills := fs.Int("survived-kills", 0, "controller kills already survived by earlier processes of this run (advanced; -resume sets this automatically)")
 	maxJobStats := fs.Int("max-job-stats", -1, "per-job history cap (-1 = auto: cap at 10000 and sketch CDFs above 200000 jobs; 0 = unbounded)")
 	compactCDFs := fs.Bool("compact-cdfs", false, "bound queue-time CDFs with a log-bucketed sketch instead of exact samples")
-	runs := fs.Int("runs", 1, "replay the trace under this many consecutive seeds and print per-run plus merged metrics")
+	runs := fs.Int("runs", 1, "replay the generated trace under this many consecutive seeds and print per-run plus merged metrics (not with -trace)")
 	parallel := fs.Int("parallel", 0, "worker-pool width for -runs > 1 (0 = GOMAXPROCS)")
 	dumpPath := fs.String("dump", "", "write the run's bit-exact result dump (sim.DumpResult) to this file; two engines agree iff the dumps are byte-identical")
 	if err := fs.Parse(args); err != nil {
@@ -130,6 +130,8 @@ func run(args []string) error {
 			return fmt.Errorf("-series prints one run's time series; it requires -runs=1")
 		case *dumpPath != "":
 			return fmt.Errorf("-dump writes one run's result; it requires -runs=1")
+		case *tracePath != "":
+			return fmt.Errorf("-runs > 1 sweeps a generated trace; it conflicts with -trace")
 		}
 	}
 
@@ -248,7 +250,7 @@ func run(args []string) error {
 	}
 
 	if *runs > 1 {
-		return runMany(*runs, *parallel, opts, jobs, traceCfg, newPolicy, *ckptDir)
+		return runMany(*runs, *parallel, opts, *traceCfg, newPolicy, *ckptDir)
 	}
 
 	policy, err := newPolicy()
@@ -374,13 +376,13 @@ func policyFactory(name string, opts sim.Options, noEliminator bool) (func() (sc
 	}
 }
 
-// runMany replays the trace under runs consecutive seeds (noise and fault
-// streams both advance) on a bounded worker pool, then prints one line per
-// run and the merged aggregate. Results come back in matrix order, so the
-// output is deterministic regardless of -parallel. A generated trace
-// (traceCfg non-nil) is streamed: every run builds its own source from the
-// shared config, so the sweep never materializes the jobs.
-func runMany(runs, parallel int, opts sim.Options, jobs []*job.Job, traceCfg *trace.Config, newPolicy func() (sched.Scheduler, error), ckptDir string) error {
+// runMany replays the generated trace under runs consecutive seeds (noise
+// and fault streams both advance) on a bounded worker pool, then prints one
+// line per run and the merged aggregate. Results come back in matrix order,
+// so the output is deterministic regardless of -parallel. Every run streams
+// its own source from the trace config, so the sweep never materializes
+// the jobs.
+func runMany(runs, parallel int, opts sim.Options, traceCfg trace.Config, newPolicy func() (sched.Scheduler, error), ckptDir string) error {
 	var m runner.Matrix
 	for i := 0; i < runs; i++ {
 		o := opts.Clone()
@@ -398,8 +400,7 @@ func runMany(runs, parallel int, opts sim.Options, jobs []*job.Job, traceCfg *tr
 		m.Add(sim.RunSpec{
 			Name:         fmt.Sprintf("run-%d", i),
 			Options:      o,
-			Jobs:         jobs,
-			Trace:        traceCfg,
+			Trace:        &traceCfg,
 			NewScheduler: newPolicy,
 		})
 	}
@@ -425,11 +426,7 @@ func runMany(runs, parallel int, opts sim.Options, jobs []*job.Job, traceCfg *tr
 	if err != nil {
 		return err
 	}
-	jobsPerRun := len(jobs)
-	if traceCfg != nil {
-		jobsPerRun = traceCfg.CPUJobs + traceCfg.GPUJobs
-	}
-	printMerged(merged, jobsPerRun, elapsed)
+	printMerged(merged, traceCfg.CPUJobs+traceCfg.GPUJobs, elapsed)
 	return nil
 }
 

@@ -32,9 +32,10 @@ func TestRunNoEliminatorAndSeries(t *testing.T) {
 	}
 }
 
-func TestRunTraceReplay(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "trace.jsonl")
+// writeTrace writes a small generated trace file and returns its path.
+func writeTrace(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	cfg := trace.DefaultConfig()
 	cfg.CPUJobs, cfg.GPUJobs = 20, 8
 	cfg.Duration = cfg.Duration / 100
@@ -52,7 +53,11 @@ func TestRunTraceReplay(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-sched", "coda", "-trace", path, "-nodes", "4"}); err != nil {
+	return path
+}
+
+func TestRunTraceReplay(t *testing.T) {
+	if err := run([]string{"-sched", "coda", "-trace", writeTrace(t), "-nodes", "4"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -359,9 +364,11 @@ func TestMultiRunCheckpointSubdirs(t *testing.T) {
 }
 
 // TestMultiRunFlagValidation: the multi-run path rejects everything tied to
-// a single resumable process.
+// a single resumable process, and a trace file (it sweeps a generated trace
+// only; the file here replays fine under -runs 1).
 func TestMultiRunFlagValidation(t *testing.T) {
 	bad := [][]string{
+		{"-runs", "2", "-trace", writeTrace(t)},
 		{"-runs", "0"},
 		{"-runs", "-2"},
 		{"-runs", "2", "-resume", "somewhere"},

@@ -5,14 +5,13 @@
 // Usage:
 //
 //	coda-trace -gen -days 30 -cpu-jobs 75000 -gpu-jobs 25000 -o trace.jsonl
-//	coda-trace -gen -stream -days 30 -cpu-jobs 18750000 -gpu-jobs 6250000 -o month.jsonl
+//	coda-trace -gen -days 30 -cpu-jobs 18750000 -gpu-jobs 6250000 -o month.jsonl
 //	coda-trace -count-only -days 30 -cpu-jobs 18750000 -gpu-jobs 6250000
 //	coda-trace -stats trace.jsonl
 //
-// -stream spools jobs to the output one at a time instead of materializing
-// the slice, and -count-only summarizes the configured trace in a single
-// streaming pass without writing anything — both stay flat in memory at any
-// job count.
+// -gen spools jobs to the output one at a time, and -count-only summarizes
+// the configured trace without writing anything; each is one streaming
+// pass, so both stay flat in memory at any job count.
 package main
 
 import (
@@ -35,7 +34,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("coda-trace", flag.ContinueOnError)
 	gen := fs.Bool("gen", false, "generate a trace")
-	stream := fs.Bool("stream", false, "with -gen: stream jobs to the output instead of materializing the trace")
 	countOnly := fs.Bool("count-only", false, "summarize the configured trace in one streaming pass, writing nothing")
 	statsPath := fs.String("stats", "", "summarize an existing trace file")
 	out := fs.String("o", "", "output path for -gen (default stdout)")
@@ -61,6 +59,10 @@ func run(args []string) error {
 		}
 		return drainStats(os.Stdout, src, nil)
 	case *gen:
+		src, err := trace.NewSource(cfg)
+		if err != nil {
+			return err
+		}
 		w := os.Stdout
 		if *out != "" {
 			f, err := os.Create(*out)
@@ -70,28 +72,11 @@ func run(args []string) error {
 			defer f.Close()
 			w = f
 		}
-		if *stream {
-			src, err := trace.NewSource(cfg)
-			if err != nil {
-				return err
-			}
-			enc := trace.NewEncoder(w)
-			if err := drainStats(os.Stderr, src, enc.Encode); err != nil {
-				return err
-			}
-			return enc.Flush()
-		}
-		jobs, err := trace.Generate(cfg)
-		if err != nil {
+		enc := trace.NewEncoder(w)
+		if err := drainStats(os.Stderr, src, enc.Encode); err != nil {
 			return err
 		}
-		if err := trace.Write(w, jobs); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d jobs\n", len(jobs))
-		printStats(os.Stderr, trace.Summarize(jobs),
-			trace.HourlyArrivals(jobs, cfg.Duration, isCPU))
-		return nil
+		return enc.Flush()
 	case *statsPath != "":
 		f, err := os.Open(*statsPath)
 		if err != nil {
@@ -144,7 +129,7 @@ func drainStats(w *os.File, src *trace.Source, sink func(*job.Job) error) error 
 		n++
 	}
 	if sink != nil {
-		fmt.Fprintf(w, "wrote %d jobs (streamed)\n", n)
+		fmt.Fprintf(w, "wrote %d jobs\n", n)
 	}
 	printStats(w, acc.Stats(), bins.Bins())
 	return nil

@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"github.com/coda-repro/coda/internal/trace"
 )
 
 func TestGenerateAndStats(t *testing.T) {
@@ -23,28 +26,28 @@ func TestGenerateAndStats(t *testing.T) {
 }
 
 func TestStreamMatchesMaterialized(t *testing.T) {
-	// -gen -stream spools jobs through the incremental encoder; the file it
-	// writes must be byte-identical to the materialized path's.
-	dir := t.TempDir()
-	slice := filepath.Join(dir, "slice.jsonl")
-	streamed := filepath.Join(dir, "stream.jsonl")
-	args := []string{"-gen", "-days", "1", "-cpu-jobs", "50", "-gpu-jobs", "20", "-seed", "7"}
-	if err := run(append(args, "-o", slice)); err != nil {
+	// -gen spools jobs through the incremental encoder; the file it writes
+	// must be byte-identical to trace.Write over the materialized trace.
+	streamed := filepath.Join(t.TempDir(), "stream.jsonl")
+	if err := run([]string{"-gen", "-days", "1", "-cpu-jobs", "50", "-gpu-jobs", "20", "-seed", "7", "-o", streamed}); err != nil {
 		t.Fatalf("gen: %v", err)
 	}
-	if err := run(append(args, "-stream", "-o", streamed)); err != nil {
-		t.Fatalf("gen -stream: %v", err)
-	}
-	a, err := os.ReadFile(slice)
+	cfg := trace.DefaultConfig()
+	cfg.Seed, cfg.Duration, cfg.CPUJobs, cfg.GPUJobs = 7, 24*time.Hour, 50, 20
+	jobs, err := trace.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(streamed)
+	var want bytes.Buffer
+	if err := trace.Write(&want, jobs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(streamed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("streamed trace differs from materialized trace (%d vs %d bytes)", len(b), len(a))
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("streamed trace differs from materialized trace (%d vs %d bytes)", len(got), want.Len())
 	}
 }
 

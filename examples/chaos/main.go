@@ -13,6 +13,7 @@ import (
 
 	"github.com/coda-repro/coda/internal/chaos"
 	"github.com/coda-repro/coda/internal/core"
+	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 	"github.com/coda-repro/coda/internal/trace"
 )
@@ -28,10 +29,6 @@ func run() error {
 	cfg.CPUJobs, cfg.GPUJobs = 120, 40
 	cfg.Duration = 24 * time.Hour
 	cfg.Seed = 42
-	jobs, err := trace.Generate(cfg)
-	if err != nil {
-		return err
-	}
 
 	opts := sim.DefaultOptions()
 	opts.Cluster.Nodes = 8
@@ -56,16 +53,16 @@ func run() error {
 		RetryBackoff:   time.Minute,
 	}
 
-	coda, err := core.New(core.DefaultConfig(), opts.Cluster.Nodes,
-		opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
-	if err != nil {
-		return err
+	spec := sim.RunSpec{
+		Name:    "chaos",
+		Options: opts,
+		Trace:   &cfg, // streamed: the simulator pulls each job as it arrives
+		NewScheduler: func() (sched.Scheduler, error) {
+			return core.New(core.DefaultConfig(), opts.Cluster.Nodes,
+				opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
+		},
 	}
-	simulator, err := sim.New(opts, coda, jobs)
-	if err != nil {
-		return err
-	}
-	res, err := simulator.Run()
+	res, err := spec.Run()
 	if err != nil {
 		// An error here would mean an invariant violation — the checker
 		// aborts the run at the first broken accounting identity.
@@ -87,7 +84,7 @@ func run() error {
 
 	f := res.Faults
 	fmt.Printf("workload          %d jobs over %v on %d nodes, invariant checker hot\n",
-		len(jobs), cfg.Duration, opts.Cluster.Nodes)
+		spec.JobCount(), cfg.Duration, opts.Cluster.Nodes)
 	fmt.Printf("injected          %d node crashes, %d membw dropouts, %d stragglers\n",
 		f.NodeCrashes, f.MembwDropouts, f.Stragglers)
 	fmt.Printf("job kills         %d (%d injected failures), %d requeues\n",

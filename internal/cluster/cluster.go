@@ -521,36 +521,6 @@ func (c *Cluster) FindNodes(want, cores, gpus int, bestFit bool) []int {
 	return out
 }
 
-// StrandedGPUs counts free GPUs on nodes whose free cores are below
-// minCores — GPUs that cannot be used because the node ran out of CPU,
-// the paper's first fragmentation case (§VI-C).
-func (c *Cluster) StrandedGPUs(minCores int) int {
-	stranded := 0
-	for _, n := range c.nodes {
-		if n.FreeGPUs() > 0 && n.FreeCores() < minCores {
-			stranded += n.FreeGPUs()
-		}
-	}
-	return stranded
-}
-
-// FragmentedGPUs counts free GPUs that are unusable for a job wanting
-// gpusPerNode GPUs on one node — the paper's second fragmentation case:
-// partially-occupied nodes cannot host 4-GPU jobs (§VI-C).
-func (c *Cluster) FragmentedGPUs(gpusPerNode, minCores int) int {
-	frag := 0
-	for _, n := range c.nodes {
-		free := n.FreeGPUs()
-		if free == 0 {
-			continue
-		}
-		if free < gpusPerNode || n.FreeCores() < minCores {
-			frag += free
-		}
-	}
-	return frag
-}
-
 // Snapshot summarizes cluster occupancy.
 type Snapshot struct {
 	// UsedCores / TotalCores and UsedGPUs / TotalGPUs are occupancy counts.

@@ -261,36 +261,6 @@ func TestFindNodes(t *testing.T) {
 	})
 }
 
-func TestStrandedGPUs(t *testing.T) {
-	c := MustNew(smallConfig())
-	// Node 0: all 8 cores used, 1 GPU used -> 1 free GPU stranded.
-	if err := c.Allocate(1, job.Allocation{NodeIDs: []int{0}, CPUCores: 8, GPUs: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.StrandedGPUs(1); got != 1 {
-		t.Errorf("StrandedGPUs(1) = %d, want 1", got)
-	}
-	// With minCores 0 nothing is stranded (free cores 0 >= 0).
-	if got := c.StrandedGPUs(0); got != 0 {
-		t.Errorf("StrandedGPUs(0) = %d, want 0", got)
-	}
-}
-
-func TestFragmentedGPUs(t *testing.T) {
-	c := MustNew(smallConfig()) // 2 GPUs per node
-	// Node 0: 1 GPU used -> 1 free GPU; cannot host a 2-GPU-per-node job.
-	if err := c.Allocate(1, job.Allocation{NodeIDs: []int{0}, CPUCores: 1, GPUs: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.FragmentedGPUs(2, 1); got != 1 {
-		t.Errorf("FragmentedGPUs(2,1) = %d, want 1", got)
-	}
-	// For 1-GPU jobs nothing on node 0 is fragmented.
-	if got := c.FragmentedGPUs(1, 1); got != 0 {
-		t.Errorf("FragmentedGPUs(1,1) = %d, want 0", got)
-	}
-}
-
 func TestSnapshot(t *testing.T) {
 	c := MustNew(smallConfig())
 	if err := c.Allocate(1, job.Allocation{NodeIDs: []int{0, 1}, CPUCores: 3, GPUs: 1}); err != nil {

@@ -9,6 +9,7 @@ import (
 	"github.com/coda-repro/coda/internal/perfmodel"
 	"github.com/coda-repro/coda/internal/runner"
 	"github.com/coda-repro/coda/internal/sim"
+	"github.com/coda-repro/coda/internal/trace"
 )
 
 // AblationResult compares full CODA against one disabled design choice.
@@ -79,10 +80,10 @@ type ThresholdPoint struct {
 // EliminatorThresholdMatrix declares the threshold sweep: one cell per
 // threshold, all replaying the same hog-heavy trace.
 func EliminatorThresholdMatrix(sc Scale, thresholds []float64) (*runner.Matrix, error) {
-	jobs, err := hogHeavyTrace(sc)
-	if err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	stress := hogHeavyTrace(sc)
 	opts := sc.simOptions()
 	m := &runner.Matrix{}
 	for _, th := range thresholds {
@@ -92,7 +93,7 @@ func EliminatorThresholdMatrix(sc Scale, thresholds []float64) (*runner.Matrix, 
 		m.Add(sim.RunSpec{
 			Name:         fmt.Sprintf("threshold=%g", th),
 			Options:      opts,
-			Jobs:         jobs,
+			Trace:        &stress,
 			NewScheduler: newCODA(cfg, opts.Cluster),
 		})
 	}
@@ -123,12 +124,12 @@ func AblationEliminatorThreshold(sc Scale, thresholds []float64) ([]ThresholdPoi
 	return pts, nil
 }
 
-// hogHeavyTrace generates the scale's trace with 5% bandwidth hogs (10x
+// hogHeavyTrace is the scale's trace config with 5% bandwidth hogs (10x
 // the paper's density) so contention effects are measurable at any scale.
-func hogHeavyTrace(sc Scale) ([]*job.Job, error) {
+func hogHeavyTrace(sc Scale) trace.Config {
 	cfg := sc.traceConfig()
 	cfg.HogFraction = 0.05
-	return traceGenerate(cfg)
+	return cfg
 }
 
 // NstartAblationResult compares history-seeded against fixed-seed Nstart.

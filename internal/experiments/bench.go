@@ -29,8 +29,7 @@ const benchMaxJobStats = 10_000
 // under one scheduler ("fifo", "drf" or "coda"), optionally with the
 // invariant checker on in its delta-plus-cadence configuration.
 // cmd/coda-bench times spec.Run() around this to report events/sec and
-// placement-queries/sec. The trace is never materialized — the spec
-// carries the trace config and each run builds its own lazy source.
+// placement-queries/sec.
 func BenchSpec(sc Scale, scheduler string, invariants bool) (sim.RunSpec, error) {
 	if err := sc.Validate(); err != nil {
 		return sim.RunSpec{}, err

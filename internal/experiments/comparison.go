@@ -34,8 +34,9 @@ func runMatrix(m *runner.Matrix) ([]*sim.Result, error) {
 	return runner.Run(context.Background(), m, runner.Options{Parallel: parallelism})
 }
 
-// newFIFO, newDRF and newCODA are the scheduler recipes every comparison
-// cell is built from. Each returns a factory suitable for sim.RunSpec.
+// newFIFO, newDRF, newStatic and newCODA are the scheduler recipes every
+// experiment run is built from. Each returns a factory suitable for
+// sim.RunSpec.
 func newFIFO() func() (sched.Scheduler, error) {
 	return func() (sched.Scheduler, error) { return sched.NewFIFO(), nil }
 }
@@ -44,6 +45,10 @@ func newDRF(cc cluster.Config) func() (sched.Scheduler, error) {
 	return func() (sched.Scheduler, error) {
 		return sched.NewDRF(cc.TotalNodes()*cc.CoresPerNode, cc.Nodes*cc.GPUsPerNode)
 	}
+}
+
+func newStatic(cc cluster.Config) func() (sched.Scheduler, error) {
+	return func() (sched.Scheduler, error) { return sched.NewStatic(cc.CoresPerNode, cc.GPUsPerNode), nil }
 }
 
 func newCODA(cfg core.Config, cc cluster.Config) func() (sched.Scheduler, error) {
@@ -60,18 +65,18 @@ type Comparison struct {
 
 // ComparisonMatrix declares the headline three-scheduler replay for one
 // scale: the same trace and simulation options under FIFO, DRF and CODA,
-// in that cell order. Each cell deep-copies the trace on Add, so the runs
-// share nothing.
+// in that cell order. Each cell streams its own source from a copy of the
+// trace config, so the runs share nothing.
 func ComparisonMatrix(sc Scale) (*runner.Matrix, error) {
-	jobs, err := sc.generate()
-	if err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	cfg := sc.traceConfig()
 	opts := sc.simOptions()
 	m := &runner.Matrix{}
-	m.Add(sim.RunSpec{Name: "fifo", Options: opts, Jobs: jobs, NewScheduler: newFIFO()})
-	m.Add(sim.RunSpec{Name: "drf", Options: opts, Jobs: jobs, NewScheduler: newDRF(opts.Cluster)})
-	m.Add(sim.RunSpec{Name: "coda", Options: opts, Jobs: jobs, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "fifo", Options: opts, Trace: &cfg, NewScheduler: newFIFO()})
+	m.Add(sim.RunSpec{Name: "drf", Options: opts, Trace: &cfg, NewScheduler: newDRF(opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "coda", Options: opts, Trace: &cfg, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
 	return m, nil
 }
 
@@ -114,15 +119,15 @@ func MultiSeedComparisonMatrix(sc Scale, seeds []int64) (*runner.Matrix, error) 
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiments: multi-seed comparison needs at least one seed")
 	}
-	jobs, err := sc.generate()
-	if err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	cfg := sc.traceConfig()
 	opts := sc.simOptions()
 	m := &runner.Matrix{}
-	m.AddSeeds(sim.RunSpec{Name: "fifo", Options: opts, Jobs: jobs, NewScheduler: newFIFO()}, seeds...)
-	m.AddSeeds(sim.RunSpec{Name: "drf", Options: opts, Jobs: jobs, NewScheduler: newDRF(opts.Cluster)}, seeds...)
-	m.AddSeeds(sim.RunSpec{Name: "coda", Options: opts, Jobs: jobs, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)}, seeds...)
+	m.AddSeeds(sim.RunSpec{Name: "fifo", Options: opts, Trace: &cfg, NewScheduler: newFIFO()}, seeds...)
+	m.AddSeeds(sim.RunSpec{Name: "drf", Options: opts, Trace: &cfg, NewScheduler: newDRF(opts.Cluster)}, seeds...)
+	m.AddSeeds(sim.RunSpec{Name: "coda", Options: opts, Trace: &cfg, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)}, seeds...)
 	return m, nil
 }
 
@@ -158,11 +163,11 @@ func RunMultiSeedComparison(sc Scale, seeds []int64) (*MultiSeedComparison, erro
 // ablations). Not cached. The run executes on the calling goroutine — a
 // single cell needs no pool.
 func RunCODAVariant(sc Scale, cfg core.Config) (*sim.Result, error) {
-	jobs, err := sc.generate()
-	if err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	tr := sc.traceConfig()
 	opts := sc.simOptions()
-	spec := sim.RunSpec{Name: "coda-variant", Options: opts, Jobs: jobs, NewScheduler: newCODA(cfg, opts.Cluster)}
+	spec := sim.RunSpec{Name: "coda-variant", Options: opts, Trace: &tr, NewScheduler: newCODA(cfg, opts.Cluster)}
 	return spec.Run()
 }

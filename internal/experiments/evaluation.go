@@ -276,19 +276,15 @@ type Sec6EResult struct {
 func Sec6EMatrix(sc Scale) (*runner.Matrix, error) {
 	offCfg := core.DefaultConfig()
 	offCfg.DisableEliminator = true
-	jobs, err := sc.generate()
-	if err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	stressJobs, err := hogHeavyTrace(sc)
-	if err != nil {
-		return nil, err
-	}
+	cfg, stress := sc.traceConfig(), hogHeavyTrace(sc)
 	opts := sc.simOptions()
 	m := &runner.Matrix{}
-	m.Add(sim.RunSpec{Name: "eliminator-off", Options: opts, Jobs: jobs, NewScheduler: newCODA(offCfg, opts.Cluster)})
-	m.Add(sim.RunSpec{Name: "stress-on", Options: opts, Jobs: stressJobs, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
-	m.Add(sim.RunSpec{Name: "stress-off", Options: opts, Jobs: stressJobs, NewScheduler: newCODA(offCfg, opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "eliminator-off", Options: opts, Trace: &cfg, NewScheduler: newCODA(offCfg, opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "stress-on", Options: opts, Trace: &stress, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "stress-off", Options: opts, Trace: &stress, NewScheduler: newCODA(offCfg, opts.Cluster)})
 	return m, nil
 }
 

@@ -366,20 +366,6 @@ func TestFig2Shape(t *testing.T) {
 	}
 }
 
-func TestHourlyCPUArrivals(t *testing.T) {
-	bins, err := HourlyCPUArrivals(testScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, b := range bins {
-		total += b
-	}
-	if total != testScale().CPUJobs {
-		t.Errorf("binned %d arrivals, want %d", total, testScale().CPUJobs)
-	}
-}
-
 func TestAblations(t *testing.T) {
 	res, err := AblationAdaptiveAllocation(testScale())
 	if err != nil {

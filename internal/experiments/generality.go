@@ -26,16 +26,16 @@ func GeneralityMatrix(sc Scale, cpuOnlyNodes int) (*runner.Matrix, error) {
 	if cpuOnlyNodes < 0 {
 		return nil, fmt.Errorf("experiments: negative cpu-only nodes %d", cpuOnlyNodes)
 	}
-	jobs, err := sc.generate()
-	if err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	cfg := sc.traceConfig()
 	opts := sc.simOptions()
 	opts.Cluster.CPUOnlyNodes = cpuOnlyNodes
 	m := &runner.Matrix{}
-	m.Add(sim.RunSpec{Name: "fifo", Options: opts, Jobs: jobs, NewScheduler: newFIFO()})
-	m.Add(sim.RunSpec{Name: "drf", Options: opts, Jobs: jobs, NewScheduler: newDRF(opts.Cluster)})
-	m.Add(sim.RunSpec{Name: "coda", Options: opts, Jobs: jobs, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "fifo", Options: opts, Trace: &cfg, NewScheduler: newFIFO()})
+	m.Add(sim.RunSpec{Name: "drf", Options: opts, Trace: &cfg, NewScheduler: newDRF(opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "coda", Options: opts, Trace: &cfg, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
 	return m, nil
 }
 

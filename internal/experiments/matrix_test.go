@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"github.com/coda-repro/coda/internal/core"
 	"github.com/coda-repro/coda/internal/sim"
 )
 
@@ -79,33 +81,33 @@ func TestRunMultiSeedComparison(t *testing.T) {
 	}
 }
 
+// TestScaleCurve replays one trace (fixed load) under CODA on two cluster
+// sizes: half the cluster cannot start a larger share of GPU jobs
+// immediately than the full one.
 func TestScaleCurve(t *testing.T) {
-	nodeCounts := []int{40, 80}
-	pts, err := ScaleCurve(matrixScale(), nodeCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(nodeCounts) {
-		t.Fatalf("got %d points, want %d", len(pts), len(nodeCounts))
-	}
-	for i, pt := range pts {
-		if pt.Nodes != nodeCounts[i] {
-			t.Errorf("point %d at %d nodes, want %d", i, pt.Nodes, nodeCounts[i])
+	sc := matrixScale()
+	cfg := sc.traceConfig()
+	var immediate []float64
+	for _, nodes := range []int{40, 80} {
+		sc.Nodes = nodes
+		opts := sc.simOptions()
+		spec := sim.RunSpec{
+			Name:         fmt.Sprintf("nodes=%d", nodes),
+			Options:      opts,
+			Trace:        &cfg,
+			NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster),
 		}
-		if pt.GPUUtil <= 0 || pt.MakeSpan <= 0 {
-			t.Errorf("point %d degenerate: util=%g makespan=%v", i, pt.GPUUtil, pt.MakeSpan)
+		res, err := spec.Run()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if util := sim.WindowMean(&res.GPUUtilSeries, res.LastArrival); util <= 0 || res.EndTime <= 0 {
+			t.Errorf("%s degenerate: util=%g makespan=%v", spec.Name, util, res.EndTime)
+		}
+		immediate = append(immediate, res.GPUQueue.FractionAtMost(0))
 	}
-	// Fixed load on half the cluster cannot queue less: the fraction of GPU
-	// jobs starting immediately must not exceed the big cluster's.
-	if pts[0].GPUImmediate > pts[1].GPUImmediate {
-		t.Errorf("40-node immediate-start %g above 80-node %g under fixed load", pts[0].GPUImmediate, pts[1].GPUImmediate)
-	}
-	if _, err := ScaleCurve(matrixScale(), nil); err == nil {
-		t.Error("empty node list should fail")
-	}
-	if _, err := ScaleCurve(matrixScale(), []int{0}); err == nil {
-		t.Error("zero node count should fail")
+	if immediate[0] > immediate[1] {
+		t.Errorf("40-node immediate-start %g above 80-node %g under fixed load", immediate[0], immediate[1])
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/coda-repro/coda/internal/cluster"
-	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/sim"
 	"github.com/coda-repro/coda/internal/trace"
 )
@@ -50,11 +49,11 @@ func TinyScale() Scale {
 
 // WarehouseScale is the operating point the streaming intake exists for: a
 // 5,000-node warehouse serving a million jobs in a simulated week, the
-// same arrival rate as the paper's month scaled ~40x. Only the streaming
-// specs (BenchSpec, MemGateSpec) are viable here — materializing the trace
-// or keeping per-job history is exactly the O(jobs) memory the refactor
-// removed. The documented ceiling of the same shape is the 25M-job month:
-// Days 30, CPUJobs 18,750,000, GPUJobs 6,250,000.
+// same arrival rate as the paper's month scaled ~40x. Only the bounded
+// specs (BenchSpec, MemGateSpec) are viable here — keeping per-job history
+// is exactly the O(jobs) memory the streaming intake removed. The
+// documented ceiling of the same shape is the 25M-job month: Days 30,
+// CPUJobs 18,750,000, GPUJobs 6,250,000.
 func WarehouseScale() Scale {
 	return Scale{Seed: 1, Days: 7, CPUJobs: 750_000, GPUJobs: 250_000, Nodes: 5000}
 }
@@ -105,17 +104,4 @@ func (s Scale) simOptions() sim.Options {
 	// under heavy slowdown.
 	opts.MaxVirtualTime = s.Duration() + 4*24*time.Hour
 	return opts
-}
-
-// generate builds the trace for this scale.
-func (s Scale) generate() ([]*job.Job, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return trace.Generate(s.traceConfig())
-}
-
-// traceGenerate is a seam for experiments that tweak the trace config.
-func traceGenerate(cfg trace.Config) ([]*job.Job, error) {
-	return trace.Generate(cfg)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 )
 
@@ -27,17 +26,9 @@ func StaticBaseline(sc Scale) (StaticResult, error) {
 	if err != nil {
 		return StaticResult{}, err
 	}
-	jobs, err := sc.generate()
-	if err != nil {
-		return StaticResult{}, err
-	}
+	cfg := sc.traceConfig()
 	opts := sc.simOptions()
-	s := sched.NewStatic(opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
-	simulator, err := sim.New(opts, s, jobs)
-	if err != nil {
-		return StaticResult{}, err
-	}
-	res, err := simulator.Run()
+	res, err := sim.RunSpec{Name: "static", Options: opts, Trace: &cfg, NewScheduler: newStatic(opts.Cluster)}.Run()
 	if err != nil {
 		return StaticResult{}, err
 	}

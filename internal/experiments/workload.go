@@ -3,9 +3,7 @@ package experiments
 import (
 	"time"
 
-	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/metrics"
-	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 	"github.com/coda-repro/coda/internal/trace"
 )
@@ -29,16 +27,11 @@ func Fig1(sc Scale) (*Fig1Result, error) {
 	week.Days = 7
 	week.CPUJobs = int(float64(sc.CPUJobs) * 7 / sc.Days)
 	week.GPUJobs = int(float64(sc.GPUJobs) * 7 / sc.Days)
-	jobs, err := week.generate()
-	if err != nil {
+	if err := week.Validate(); err != nil {
 		return nil, err
 	}
-	opts := week.simOptions()
-	simulator, err := sim.New(opts, sched.NewFIFO(), jobs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := simulator.Run()
+	cfg := week.traceConfig()
+	res, err := sim.RunSpec{Name: "fig1", Options: week.simOptions(), Trace: &cfg, NewScheduler: newFIFO()}.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -104,34 +97,21 @@ type Fig2Result struct {
 // Fig2 reproduces Fig. 2: the trace's job-type and request statistics plus
 // the production (FIFO) queueing-delay distribution.
 func Fig2(sc Scale) (*Fig2Result, error) {
-	jobs, err := sc.generate()
-	if err != nil {
-		return nil, err
-	}
-	out := &Fig2Result{
-		Stats:             trace.Summarize(jobs),
-		PaperGPUOver3Min:  0.481,
-		PaperGPUOver10Min: 0.413,
-		PaperReq12:        0.761,
-		PaperReqOver10:    0.153,
-	}
 	c, err := RunComparison(sc)
 	if err != nil {
 		return nil, err
 	}
-	out.GPUOver3Min = c.FIFO.GPUQueue.FractionAbove(3 * time.Minute)
-	out.GPUOver10Min = c.FIFO.GPUQueue.FractionAbove(10 * time.Minute)
-	return out, nil
-}
-
-// HourlyCPUArrivals exposes Fig. 1's arrival pattern straight from the
-// trace (used by cmd/coda-trace).
-func HourlyCPUArrivals(sc Scale) ([]int, error) {
-	jobs, err := sc.generate()
+	jobs, err := trace.Generate(sc.traceConfig())
 	if err != nil {
 		return nil, err
 	}
-	return trace.HourlyArrivals(jobs, sc.Duration(), func(j *job.Job) bool {
-		return !j.IsGPU()
-	}), nil
+	return &Fig2Result{
+		Stats:             trace.Summarize(jobs),
+		GPUOver3Min:       c.FIFO.GPUQueue.FractionAbove(3 * time.Minute),
+		GPUOver10Min:      c.FIFO.GPUQueue.FractionAbove(10 * time.Minute),
+		PaperGPUOver3Min:  0.481,
+		PaperGPUOver10Min: 0.413,
+		PaperReq12:        0.761,
+		PaperReqOver10:    0.153,
+	}, nil
 }

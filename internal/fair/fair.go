@@ -34,6 +34,7 @@ func (r Resources) Sub(o Resources) Resources {
 // is intentional: it only gates dropping a tenant's ledger entry, and a
 // residual epsilon keeps the entry alive harmlessly (CheckInvariants
 // compares with a tolerance).
+//
 //coda:ordered-ok exact zero test by design; a float residue only delays map cleanup
 func (r Resources) IsZero() bool { return r.CPU == 0 && r.GPU == 0 }
 

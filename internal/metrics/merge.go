@@ -1,10 +1,5 @@
 package metrics
 
-import (
-	"fmt"
-	"time"
-)
-
 // Merge folds every sample of o into c. Merging is how multi-run
 // experiments build one distribution out of per-run CDFs; o is unchanged.
 // Merging a sketch into an exact CDF upgrades the receiver to a sketch
@@ -52,39 +47,4 @@ func (p *PerKeyCDF) Merge(o *PerKeyCDF) {
 		}
 		c.Merge(o.cdfs[k])
 	}
-}
-
-// MeanSeries returns the pointwise mean of the series: sample i of the
-// output averages sample i of every input. The inputs must be non-empty,
-// equal-length and share identical timestamps — the shape produced by
-// same-trace runs that only differ in seed. Accumulation iterates inputs
-// in slice order so the result is deterministic for a fixed argument
-// order.
-func MeanSeries(series []*Series) (*Series, error) {
-	if len(series) == 0 {
-		return nil, fmt.Errorf("metrics: mean of no series")
-	}
-	n := series[0].Len()
-	for i, s := range series {
-		if s.Len() != n {
-			return nil, fmt.Errorf("metrics: series %d has %d samples, series 0 has %d", i, s.Len(), n)
-		}
-	}
-	out := &Series{
-		times:  make([]time.Duration, n),
-		values: make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		t0 := series[0].times[i]
-		sum := 0.0
-		for j, s := range series {
-			if s.times[i] != t0 {
-				return nil, fmt.Errorf("metrics: series %d sample %d at %v, series 0 at %v", j, i, s.times[i], t0)
-			}
-			sum += s.values[i]
-		}
-		out.times[i] = t0
-		out.values[i] = sum / float64(len(series))
-	}
-	return out, nil
 }

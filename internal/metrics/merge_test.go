@@ -42,42 +42,3 @@ func TestPerKeyCDFMerge(t *testing.T) {
 	}
 	p.Merge(nil) // no-op
 }
-
-func TestMeanSeries(t *testing.T) {
-	var a, b Series
-	for i, v := range []float64{1, 2, 3} {
-		if err := a.Add(time.Duration(i)*time.Minute, v); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Add(time.Duration(i)*time.Minute, v+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mean, err := MeanSeries([]*Series{&a, &b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1.5, 2.5, 3.5}
-	for i := 0; i < mean.Len(); i++ {
-		tm, v := mean.At(i)
-		if tm != time.Duration(i)*time.Minute || v != want[i] {
-			t.Errorf("sample %d = (%v, %g), want (%v, %g)", i, tm, v, time.Duration(i)*time.Minute, want[i])
-		}
-	}
-}
-
-func TestMeanSeriesErrors(t *testing.T) {
-	if _, err := MeanSeries(nil); err == nil {
-		t.Error("mean of no series should fail")
-	}
-	var a, b Series
-	_ = a.Add(0, 1)
-	if _, err := MeanSeries([]*Series{&a, &b}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	var c Series
-	_ = c.Add(time.Second, 1)
-	if _, err := MeanSeries([]*Series{&a, &c}); err == nil {
-		t.Error("timestamp mismatch should fail")
-	}
-}

@@ -12,7 +12,6 @@ package perfmodel
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"github.com/coda-repro/coda/internal/job"
@@ -188,11 +187,6 @@ func Names() []string {
 	return names
 }
 
-// Models returns a copy of the full catalog.
-func Models() []Model {
-	return append([]Model(nil), catalog...)
-}
-
 // Lookup returns the model by name.
 func Lookup(name string) (*Model, error) {
 	i, ok := index[name]
@@ -201,17 +195,6 @@ func Lookup(name string) (*Model, error) {
 	}
 	m := catalog[i]
 	return &m, nil
-}
-
-// ByCategory returns the models of one category in catalog order.
-func ByCategory(c job.Category) []Model {
-	var out []Model
-	for _, m := range catalog {
-		if m.Category == c {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // batch resolves a possibly-zero batch size to the default.
@@ -410,19 +393,4 @@ func DefaultStartCores(c job.Category) int {
 	default:
 		return 4 // no category disclosed: a middle-of-the-road seed
 	}
-}
-
-// SortedByOptimalCores returns model names ordered by descending 1N1G
-// optimal core count (useful for reports).
-func SortedByOptimalCores() []string {
-	names := Names()
-	sort.SliceStable(names, func(i, j int) bool {
-		a := catalog[index[names[i]]]
-		b := catalog[index[names[j]]]
-		if a.optCores1G != b.optCores1G {
-			return a.optCores1G > b.optCores1G
-		}
-		return a.Name < b.Name
-	})
-	return names
 }

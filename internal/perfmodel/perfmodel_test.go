@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -66,21 +67,16 @@ func TestCatalogComplete(t *testing.T) {
 	}
 }
 
+// TestByCategory checks the catalog mix: 4 CV, 2 NLP and 2 Speech models,
+// none without a category.
 func TestByCategory(t *testing.T) {
-	cv := ByCategory(job.CategoryCV)
-	if len(cv) != 4 {
-		t.Errorf("CV models = %d, want 4", len(cv))
+	counts := map[job.Category]int{}
+	for _, name := range Names() {
+		counts[mustLookup(t, name).Category]++
 	}
-	nlp := ByCategory(job.CategoryNLP)
-	if len(nlp) != 2 {
-		t.Errorf("NLP models = %d, want 2", len(nlp))
-	}
-	speech := ByCategory(job.CategorySpeech)
-	if len(speech) != 2 {
-		t.Errorf("Speech models = %d, want 2", len(speech))
-	}
-	if got := ByCategory(job.CategoryNone); got != nil {
-		t.Errorf("CategoryNone models = %v, want nil", got)
+	want := map[job.Category]int{job.CategoryCV: 4, job.CategoryNLP: 2, job.CategorySpeech: 2}
+	if !reflect.DeepEqual(counts, want) {
+		t.Errorf("catalog mix = %v, want %v", counts, want)
 	}
 }
 
@@ -491,30 +487,6 @@ func TestDefaultStartCores(t *testing.T) {
 		if got := DefaultStartCores(tt.cat); got != tt.want {
 			t.Errorf("DefaultStartCores(%v) = %d, want %d", tt.cat, got, tt.want)
 		}
-	}
-}
-
-func TestSortedByOptimalCores(t *testing.T) {
-	names := SortedByOptimalCores()
-	if len(names) != len(Names()) {
-		t.Fatalf("len = %d", len(names))
-	}
-	prev := math.MaxInt
-	for _, n := range names {
-		m := mustLookup(t, n)
-		opt, _ := m.OptimalCores(cfg1N1G(), 0)
-		if opt > prev {
-			t.Errorf("order violated at %s", n)
-		}
-		prev = opt
-	}
-}
-
-func TestModelsReturnsCopy(t *testing.T) {
-	ms := Models()
-	ms[0].Name = "corrupted"
-	if Names()[0] == "corrupted" {
-		t.Error("Models() must return a copy")
 	}
 }
 

@@ -7,9 +7,9 @@
 // parallelism exists purely between runs, never inside one.
 //
 // The determinism argument: every RunSpec is deep-copied when it is added
-// to a Matrix, so each run owns its options, fault plan and job structs
-// outright; each sim.Simulator then builds its own RNG, cluster, scheduler
-// and metrics from that sealed spec. No memory is shared between in-flight
+// to a Matrix, so each run owns its options, fault plan and trace config
+// outright; each sim.Simulator then builds its own trace source, RNG,
+// cluster, scheduler and metrics from that sealed spec. No memory is shared between in-flight
 // runs, and results are delivered by matrix index rather than completion
 // order. Scheduling runs across more workers therefore changes wall-clock
 // interleaving only — per-run results are byte-identical to sequential

@@ -24,10 +24,6 @@ func codaSpec(t *testing.T) sim.RunSpec {
 	cfg.CPUJobs, cfg.GPUJobs = 60, 20
 	cfg.Duration = 12 * time.Hour
 	cfg.Seed = 42
-	jobs, err := trace.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := sim.DefaultOptions()
 	opts.Invariants = true
 	// Make the runs seed-sensitive: AddSeeds re-seeds both the measurement
@@ -45,7 +41,7 @@ func codaSpec(t *testing.T) sim.RunSpec {
 	return sim.RunSpec{
 		Name:    "coda",
 		Options: opts,
-		Jobs:    jobs,
+		Trace:   &cfg,
 		NewScheduler: func() (sched.Scheduler, error) {
 			return core.New(core.DefaultConfig(), opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
 		},
@@ -259,19 +255,20 @@ func TestRunEmptyMatrix(t *testing.T) {
 }
 
 // TestMatrixAddIsolates: Add deep-copies the spec, so mutating the
-// template after Add (options, fault plan, jobs) cannot perturb the cell.
+// template after Add (options, fault plan, trace config) cannot perturb
+// the cell.
 func TestMatrixAddIsolates(t *testing.T) {
 	template := codaSpec(t)
 	m := &runner.Matrix{}
 	m.Add(template)
 
 	template.Options.Seed = 999
-	template.Jobs[0].Work = 72 * time.Hour
+	template.Trace.Seed = 999
 	got := m.Spec(0)
 	if got.Options.Seed == 999 {
 		t.Error("cell shares Options with the template")
 	}
-	if got.Jobs[0].Work == 72*time.Hour {
-		t.Error("cell shares job structs with the template")
+	if got.Trace.Seed == 999 {
+		t.Error("cell shares the trace config with the template")
 	}
 }

@@ -447,7 +447,9 @@ func (s *Simulator) armChaos() error {
 	return nil
 }
 
-// New builds a simulator for the scheduler and a fully materialized trace.
+// New builds a simulator for the scheduler and an explicit job list: a
+// hand-built scenario, a trace file, or none at all for the control plane.
+// Generated traces stream through NewStreaming (RunSpec.Run).
 func New(opts Options, scheduler sched.Scheduler, jobs []*job.Job) (*Simulator, error) {
 	s, err := newSimulator(opts, scheduler)
 	if err != nil {

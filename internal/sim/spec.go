@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 
-	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/trace"
 )
@@ -19,41 +17,32 @@ func (o Options) Clone() Options {
 }
 
 // RunSpec is a self-contained description of one simulation run: options,
-// trace and scheduler recipe. A spec is a plain value that can be cloned,
-// so one spec can seed many runs (a seed sweep, a matrix cell) without the
-// runs sharing any mutable state.
+// trace config and scheduler recipe. A spec is a plain value that can be
+// cloned, so one spec can seed many runs (a seed sweep, a matrix cell)
+// without the runs sharing any mutable state.
 //
 // Schedulers are stateful and cannot be copied, so the spec carries a
 // factory instead of an instance: NewScheduler must build a fresh scheduler
 // on every call and must not capture mutable state shared with other specs.
+// Runs over an explicit job list build their simulator with New instead.
 type RunSpec struct {
 	// Name labels the run in results, errors and reports.
 	Name string
 	// Options configures the simulator.
 	Options Options
-	// Jobs is the materialized trace. Run hands these to the simulator
-	// without copying; clone the spec (or the jobs) before reusing it.
-	// Mutually exclusive with Trace.
-	Jobs []*job.Job
-	// Trace, when set, streams the trace lazily from a seeded source
-	// instead of materializing Jobs: each run (and each clone) constructs
-	// its own trace.Source from this config, so intake memory stays O(1)
-	// in the job count. Mutually exclusive with Jobs.
+	// Trace is the seeded trace the run streams: each run (and each clone)
+	// constructs its own trace.Source from this config, so intake memory
+	// stays O(1) in the job count. Required.
 	Trace *trace.Config
 	// NewScheduler builds the run's scheduler.
 	NewScheduler func() (sched.Scheduler, error)
 }
 
 // Clone returns a deep copy of the spec: options (including the fault
-// plan) and every job are copied; the scheduler factory is shared, which
-// is safe exactly because it constructs a fresh scheduler per call.
+// plan) and the trace config are copied; the scheduler factory is shared,
+// which is safe exactly because it constructs a fresh scheduler per call.
 func (sp RunSpec) Clone() RunSpec {
 	sp.Options = sp.Options.Clone()
-	jobs := make([]*job.Job, len(sp.Jobs))
-	for i, j := range sp.Jobs {
-		jobs[i] = j.Clone()
-	}
-	sp.Jobs = jobs
 	if sp.Trace != nil {
 		cfg := *sp.Trace
 		sp.Trace = &cfg
@@ -61,14 +50,13 @@ func (sp RunSpec) Clone() RunSpec {
 	return sp
 }
 
-// JobCount returns how many jobs the spec will submit, whichever intake
-// path it uses. For streaming specs this is arithmetic on the trace config,
-// not a walk of materialized jobs.
+// JobCount returns how many jobs the spec will submit (zero without a
+// trace): arithmetic on the trace config, not a walk of the jobs.
 func (sp RunSpec) JobCount() int {
-	if sp.Trace != nil {
-		return sp.Trace.CPUJobs + sp.Trace.GPUJobs
+	if sp.Trace == nil {
+		return 0
 	}
-	return len(sp.Jobs)
+	return sp.Trace.CPUJobs + sp.Trace.GPUJobs
 }
 
 // Validate checks the spec without building anything.
@@ -76,13 +64,11 @@ func (sp RunSpec) Validate() error {
 	if sp.NewScheduler == nil {
 		return fmt.Errorf("sim: run spec %q has no scheduler factory", sp.Name)
 	}
-	if sp.Trace != nil {
-		if len(sp.Jobs) > 0 {
-			return fmt.Errorf("sim: run spec %q sets both Jobs and Trace", sp.Name)
-		}
-		if err := sp.Trace.Validate(); err != nil {
-			return fmt.Errorf("sim: run spec %q: %w", sp.Name, err)
-		}
+	if sp.Trace == nil {
+		return fmt.Errorf("sim: run spec %q has no trace", sp.Name)
+	}
+	if err := sp.Trace.Validate(); err != nil {
+		return fmt.Errorf("sim: run spec %q: %w", sp.Name, err)
 	}
 	if err := sp.Options.Validate(); err != nil {
 		return fmt.Errorf("sim: run spec %q: %w", sp.Name, err)
@@ -90,35 +76,24 @@ func (sp RunSpec) Validate() error {
 	return nil
 }
 
-// Run executes the spec on the calling goroutine: build the scheduler,
-// build the simulator, run to completion. It is the single-threaded unit
-// of work the runner package parallelizes across specs.
+// Run executes the spec on the calling goroutine: validate it, build the
+// scheduler and the streaming simulator, run to completion. It is the
+// single-threaded unit of work the runner package parallelizes across specs.
 func (sp RunSpec) Run() (*Result, error) {
-	if sp.NewScheduler == nil {
-		return nil, errors.New("sim: run spec has no scheduler factory")
+	if err := sp.Validate(); err != nil {
+		return nil, err
 	}
 	scheduler, err := sp.NewScheduler()
 	if err != nil {
 		return nil, fmt.Errorf("sim: run %q: %w", sp.Name, err)
 	}
-	var simulator *Simulator
-	if sp.Trace != nil {
-		if len(sp.Jobs) > 0 {
-			return nil, fmt.Errorf("sim: run %q sets both Jobs and Trace", sp.Name)
-		}
-		src, err := trace.NewSource(*sp.Trace)
-		if err != nil {
-			return nil, fmt.Errorf("sim: run %q: %w", sp.Name, err)
-		}
-		simulator, err = NewStreaming(sp.Options, scheduler, src)
-		if err != nil {
-			return nil, fmt.Errorf("sim: run %q: %w", sp.Name, err)
-		}
-	} else {
-		simulator, err = New(sp.Options, scheduler, sp.Jobs)
-		if err != nil {
-			return nil, fmt.Errorf("sim: run %q: %w", sp.Name, err)
-		}
+	src, err := trace.NewSource(*sp.Trace)
+	if err != nil {
+		return nil, fmt.Errorf("sim: run %q: %w", sp.Name, err)
+	}
+	simulator, err := NewStreaming(sp.Options, scheduler, src)
+	if err != nil {
+		return nil, fmt.Errorf("sim: run %q: %w", sp.Name, err)
 	}
 	res, err := simulator.Run()
 	if err != nil {

@@ -20,10 +20,6 @@ func chaoticSpec(t *testing.T) RunSpec {
 	cfg.CPUJobs, cfg.GPUJobs = 40, 12
 	cfg.Duration = 8 * time.Hour
 	cfg.Seed = 5
-	jobs, err := trace.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := testOptions()
 	opts.Seed = 9
 	opts.Faults = chaos.Plan{
@@ -38,7 +34,7 @@ func chaoticSpec(t *testing.T) RunSpec {
 	return RunSpec{
 		Name:    "chaotic",
 		Options: opts,
-		Jobs:    jobs,
+		Trace:   &cfg,
 		NewScheduler: func() (sched.Scheduler, error) {
 			return core.New(core.DefaultConfig(), opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
 		},
@@ -89,7 +85,7 @@ func TestSpecReuseIsIsolated(t *testing.T) {
 	runB.Options.Faults.Faults[0] = chaos.Fault{At: 30 * time.Minute, Kind: chaos.KindNodeCrash, Node: 3}
 	runB.Options.Faults.Faults[1] = chaos.Fault{At: 4 * time.Hour, Kind: chaos.KindNodeRecover, Node: 3}
 	runB.Options.Faults.JobFailureProb = 0.5
-	runB.Jobs[0].Work += time.Hour
+	runB.Trace.HogFraction = 0.5
 
 	resB, err := runB.Run()
 	if err != nil {
@@ -106,7 +102,7 @@ func TestSpecReuseIsIsolated(t *testing.T) {
 		t.Error("sabotaged plan produced an identical run; the test lost its sensitivity")
 	}
 	// The source spec itself must also be untouched.
-	if spec.Options.Faults.JobFailureProb != 0.05 || spec.Options.Faults.Faults[0].Node != 1 {
+	if spec.Options.Faults.JobFailureProb != 0.05 || spec.Options.Faults.Faults[0].Node != 1 || spec.Trace.HogFraction != trace.DefaultConfig().HogFraction {
 		t.Error("cloned run leaked mutations back into the source spec")
 	}
 }
@@ -124,7 +120,11 @@ func TestSimulatorSealsPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simulator, err := New(opts, s, spec.Jobs)
+	jobs, err := trace.Generate(*spec.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulator, err := New(opts, s, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +163,19 @@ func TestRunSpecValidate(t *testing.T) {
 	}
 	if _, err := noSched.Run(); err == nil {
 		t.Error("running a spec without scheduler factory should fail")
+	}
+	noTrace := spec.Clone()
+	noTrace.Trace = nil
+	if err := noTrace.Validate(); err == nil {
+		t.Error("spec without a trace should fail validation")
+	}
+	if res, err := noTrace.Run(); err == nil {
+		t.Errorf("running a spec without a trace should fail, got a result with %d events", res.Events)
+	}
+	badTrace := spec.Clone()
+	badTrace.Trace.Duration = 0
+	if err := badTrace.Validate(); err == nil {
+		t.Error("spec with an invalid trace config should fail validation")
 	}
 	badOpts := spec.Clone()
 	badOpts.Options.TickInterval = -time.Second

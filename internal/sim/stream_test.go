@@ -8,6 +8,7 @@ import (
 
 	"github.com/coda-repro/coda/internal/chaos"
 	"github.com/coda-repro/coda/internal/checkpoint"
+	"github.com/coda-repro/coda/internal/core"
 	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/trace"
@@ -76,25 +77,55 @@ func runStreaming(t *testing.T, opts Options, mk func() sched.Scheduler, cfg tra
 	return res
 }
 
-// TestStreamingMatchesMaterialized is the tentpole's safety net: for both a
-// stateless scheduler (FIFO) and the full CODA stack, a streaming run must
-// produce a byte-identical result dump to a materialized run of the same
-// trace config under an active chaos plan.
+// TestStreamingMatchesMaterialized is the reference comparison behind
+// every RunSpec, which always streams: for each scheduler the experiments
+// replay (FIFO, DRF, static and the full CODA stack), a streaming run must
+// produce a byte-identical result dump to a materialized New run over
+// trace.Generate of the same config, under an active chaos plan. The second
+// shape adds dedicated CPU-only nodes (§VI-G) and raises the bandwidth-hog
+// fraction to the 5% of §VI-E's stress trace and the threshold sweep.
 func TestStreamingMatchesMaterialized(t *testing.T) {
-	cfg := streamTraceConfig(17)
-	opts := streamTestOptions(17)
-	schedulers := map[string]func() sched.Scheduler{
-		"fifo": func() sched.Scheduler { return sched.NewFIFO() },
-		"coda": func() sched.Scheduler { return codaScheduler(t, opts) },
+	mixedOpts := streamTestOptions(17)
+	mixedOpts.Cluster.CPUOnlyNodes = 2
+	hogHeavy := streamTraceConfig(17)
+	hogHeavy.HogFraction = 0.05
+	shapes := []struct {
+		suffix string
+		opts   Options
+		cfg    trace.Config
+	}{
+		{"", streamTestOptions(17), streamTraceConfig(17)},
+		{"-cpu-only-hogs", mixedOpts, hogHeavy},
 	}
-	for name, mk := range schedulers {
-		t.Run(name, func(t *testing.T) {
-			want := DumpResult(runMaterialized(t, opts, mk, cfg))
-			got := DumpResult(runStreaming(t, opts, mk, cfg))
-			if got != want {
-				t.Fatalf("streaming diverged from materialized at %s", FirstDiff(want, got))
+	for _, shape := range shapes {
+		opts, cc := shape.opts, shape.opts.Cluster
+		schedulers := []struct {
+			name string
+			mk   func() (sched.Scheduler, error)
+		}{
+			{"fifo", func() (sched.Scheduler, error) { return sched.NewFIFO(), nil }},
+			{"drf", func() (sched.Scheduler, error) {
+				return sched.NewDRF(cc.TotalNodes()*cc.CoresPerNode, cc.Nodes*cc.GPUsPerNode)
+			}},
+			{"static", func() (sched.Scheduler, error) { return sched.NewStatic(cc.CoresPerNode, cc.GPUsPerNode), nil }},
+			{"coda", func() (sched.Scheduler, error) { return core.NewForCluster(core.DefaultConfig(), cc) }},
+		}
+		for _, sc := range schedulers {
+			mk := func() sched.Scheduler {
+				s, err := sc.mk()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
 			}
-		})
+			t.Run(sc.name+shape.suffix, func(t *testing.T) {
+				want := DumpResult(runMaterialized(t, opts, mk, shape.cfg))
+				got := DumpResult(runStreaming(t, opts, mk, shape.cfg))
+				if got != want {
+					t.Fatalf("streaming diverged from materialized at %s", FirstDiff(want, got))
+				}
+			})
+		}
 	}
 }
 

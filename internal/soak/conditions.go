@@ -240,17 +240,13 @@ func evalServeKillEquivalence(c Condition, o *Outcome) Verdict {
 		CheckpointEvery: 20,
 		Horizon:         spec.Options.MaxVirtualTime,
 	}
-	// The drill scripts a request stream from explicit jobs; a streaming
-	// spec materializes them here, where the drill's own memory needs
-	// (request log, WAL) are O(jobs) anyway.
-	jobs := spec.Jobs
-	if spec.Trace != nil {
-		var err error
-		jobs, err = trace.Generate(*spec.Trace)
-		if err != nil {
-			v.Detail = "drill trace: " + err.Error()
-			return v
-		}
+	// The drill scripts a request stream from explicit jobs, so the trace
+	// is materialized here, where the drill's own memory needs (request
+	// log, WAL) are O(jobs) anyway.
+	jobs, err := trace.Generate(*spec.Trace)
+	if err != nil {
+		v.Detail = "drill trace: " + err.Error()
+		return v
 	}
 	rep, err := ctl.RunKillDrill(spec.Options, spec.NewScheduler, jobs, drill)
 	if err != nil {
@@ -271,27 +267,19 @@ func evalServeKillEquivalence(c Condition, o *Outcome) Verdict {
 }
 
 // startOrResume builds the next simulator attempt: from the latest
-// checkpoint when one exists, cold otherwise. Cold starts clone the
-// template so every attempt begins from pristine jobs.
+// checkpoint when one exists, cold otherwise. Cold starts stream a fresh
+// source from the template's trace config.
 func startOrResume(template sim.RunSpec, latest []byte, sink sim.CheckpointSink) (*sim.Simulator, error) {
 	scheduler, err := template.NewScheduler()
 	if err != nil {
 		return nil, fmt.Errorf("replay scheduler: %w", err)
 	}
 	if latest == nil {
-		fresh := template.Clone()
-		if fresh.Trace != nil {
-			src, err := trace.NewSource(*fresh.Trace)
-			if err != nil {
-				return nil, fmt.Errorf("replay trace source: %w", err)
-			}
-			s, err := sim.NewStreaming(fresh.Options, scheduler, src)
-			if err != nil {
-				return nil, fmt.Errorf("replay cold start: %w", err)
-			}
-			return s, nil
+		src, err := trace.NewSource(*template.Trace)
+		if err != nil {
+			return nil, fmt.Errorf("replay trace source: %w", err)
 		}
-		s, err := sim.New(fresh.Options, scheduler, fresh.Jobs)
+		s, err := sim.NewStreaming(template.Options, scheduler, src)
 		if err != nil {
 			return nil, fmt.Errorf("replay cold start: %w", err)
 		}

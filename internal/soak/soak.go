@@ -40,15 +40,25 @@ type Scale struct {
 	Nodes int `json:"nodes"`
 }
 
-// The scale presets. Tiny is sized for CI under -race: half a simulated
-// day on a 24-node cluster — 120 GPUs against ~675 expected GPU-hours of
-// demand, enough headroom that verdicts measure the scheduler, not the
-// luck of one 100-job sample path (a heavy draw can reach ~800 GPU-hours
-// with a 100-GPU instantaneous peak). Full is the paper-shaped month on
-// the 80-node cluster, matching trace.DefaultConfig.
-func TinyScale() Scale  { return Scale{Name: "tiny", Days: 0.5, CPUJobs: 300, GPUJobs: 100, Nodes: 24} }
-func SmallScale() Scale { return Scale{Name: "small", Days: 3, CPUJobs: 7500, GPUJobs: 2500, Nodes: 80} }
-func FullScale() Scale  { return Scale{Name: "full", Days: 30, CPUJobs: 75000, GPUJobs: 25000, Nodes: 80} }
+// TinyScale is sized for CI under -race: half a simulated day on a 24-node
+// cluster — 120 GPUs against ~675 expected GPU-hours of demand, enough
+// headroom that verdicts measure the scheduler, not the luck of one
+// 100-job sample path (a heavy draw can reach ~800 GPU-hours with a
+// 100-GPU instantaneous peak).
+func TinyScale() Scale {
+	return Scale{Name: "tiny", Days: 0.5, CPUJobs: 300, GPUJobs: 100, Nodes: 24}
+}
+
+// SmallScale is a 3-day replay at the paper's load.
+func SmallScale() Scale {
+	return Scale{Name: "small", Days: 3, CPUJobs: 7500, GPUJobs: 2500, Nodes: 80}
+}
+
+// FullScale is the paper-shaped month on the 80-node cluster, matching
+// trace.DefaultConfig.
+func FullScale() Scale {
+	return Scale{Name: "full", Days: 30, CPUJobs: 75000, GPUJobs: 25000, Nodes: 80}
+}
 
 // WarehouseScale is the streaming-intake stress shape: a 5,000-node
 // warehouse serving a million jobs in a simulated week. Only viable since

@@ -227,8 +227,8 @@ type Source struct {
 	gpu, cpu stream
 	nextID   int64
 
-	gpuWeights, cpuWeights       []float64
-	modelWeights, configWeights  []float64
+	gpuWeights, cpuWeights      []float64
+	modelWeights, configWeights []float64
 }
 
 // NewSource validates cfg and positions a fresh Source at the first job.
