@@ -240,13 +240,12 @@ func (s *Scheduler) CheckpointState() ([]byte, error) {
 			Interventions: s.elim.interventions,
 			Degraded:      s.elim.degraded,
 		}
-		//coda:ordered-ok entries are sorted below before serialization
-		for id, iv := range s.elim.throttled {
+		for i, id := range s.elim.throttled.ids {
+			iv := s.elim.throttled.ivs[i]
 			es.Throttled = append(es.Throttled, interventionState{
 				Job: id, CapGBs: iv.capGBs, CoreHalved: iv.coreHalved, OrigCores: iv.origCores,
 			})
 		}
-		sort.Slice(es.Throttled, func(i, j int) bool { return es.Throttled[i].Job < es.Throttled[j].Job })
 		st.Elim = es
 	}
 	return json.Marshal(st)
@@ -357,8 +356,12 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 	}
 
 	if st.Elim != nil {
+		// Restored in list order; the final audit rejects a list that is not
+		// strictly ascending by job.
 		for _, iv := range st.Elim.Throttled {
-			s.elim.throttled[iv.Job] = intervention{capGBs: iv.CapGBs, coreHalved: iv.CoreHalved, origCores: iv.OrigCores}
+			s.elim.throttled.ids = append(s.elim.throttled.ids, iv.Job)
+			s.elim.throttled.ivs = append(s.elim.throttled.ivs,
+				intervention{capGBs: iv.CapGBs, coreHalved: iv.CoreHalved, origCores: iv.OrigCores})
 		}
 		s.elim.nextCheck = st.Elim.NextCheck
 		s.elim.interventions = st.Elim.Interventions

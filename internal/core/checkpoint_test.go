@@ -167,3 +167,61 @@ func TestRestoreRejectsMalformedSplit(t *testing.T) {
 		t.Errorf("CheckInvariants with 4-GPU sub-array [1]: %v, want an error naming node 1", err)
 	}
 }
+
+// TestRestoreRejectsMalformedThrottles crafts checkpoints whose eliminator
+// throttle list is out of job order or names a job twice. A map used to
+// keep only the last entry of a repeated job; the sorted list must refuse
+// both on restore, and CheckInvariants must refuse them on a live
+// scheduler.
+func TestRestoreRejectsMalformedThrottles(t *testing.T) {
+	cfg := DefaultConfig()
+	opts := testOptions()
+	blob, err := midRunScheduler(t, cfg, opts).CheckpointState()
+	if err != nil {
+		t.Fatalf("CheckpointState: %v", err)
+	}
+	var st schedulerState
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	capped := func(id job.ID, capGBs float64) interventionState {
+		return interventionState{Job: id, CapGBs: capGBs}
+	}
+	for _, tc := range []struct {
+		name      string
+		throttled []interventionState
+		want      string // "" when restore must succeed
+	}{
+		{"sorted", []interventionState{capped(4, 10), capped(5, 20)}, ""},
+		{"unsorted", []interventionState{capped(5, 20), capped(4, 10)}, "throttled job 4 after job 5"},
+		{"repeated", []interventionState{capped(4, 10), capped(4, 20)}, "throttled job 4 after job 4"},
+	} {
+		st.Elim.Throttled = tc.throttled
+		crafted, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = newCoda(t, cfg, opts).RestoreCheckpoint(crafted)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s throttle list: restore failed: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s throttle list: restore error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+
+	fresh := newCoda(t, cfg, opts)
+	if err := fresh.RestoreCheckpoint(blob); err != nil {
+		t.Fatalf("RestoreCheckpoint: %v", err)
+	}
+	fresh.elim.throttled.add(9, intervention{capGBs: 5})
+	fresh.elim.throttled.add(12, intervention{capGBs: 5})
+	if err := fresh.CheckInvariants(); err != nil {
+		t.Fatalf("CheckInvariants with a sorted throttle list: %v", err)
+	}
+	ids := fresh.elim.throttled.ids
+	ids[len(ids)-2], ids[len(ids)-1] = ids[len(ids)-1], ids[len(ids)-2]
+	if err := fresh.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "throttled job 9 after job 12") {
+		t.Errorf("CheckInvariants with throttled jobs 12, 9: %v, want an ordering error", err)
+	}
+}

@@ -234,11 +234,20 @@ func (s *Scheduler) OnJobCancelled(j *job.Job) {
 }
 
 // CheckInvariants validates the scheduler's internal bookkeeping: node
-// budgets, fair-share accountants, and that no job is simultaneously
-// running and queued. The simulator's invariant checker calls this after
+// budgets, fair-share accountants, that no job is simultaneously running
+// and queued, and that the eliminator's throttle list is in strictly
+// ascending job order. The simulator's invariant checker calls this after
 // every event when enabled.
 func (s *Scheduler) CheckInvariants() error {
-	return s.arrays.CheckInvariants()
+	if err := s.arrays.CheckInvariants(); err != nil {
+		return err
+	}
+	if s.elim != nil {
+		if err := s.elim.throttled.check(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	return nil
 }
 
 // Tick implements sched.Scheduler: profiling steps, contention checks and

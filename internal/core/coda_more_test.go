@@ -227,3 +227,39 @@ func TestNewEliminatorConfigDefaults(t *testing.T) {
 		t.Errorf("invalid config not defaulted: %+v", e.cfg)
 	}
 }
+
+// TestResizeRunningRefusalRollsBack grows a 2-node training job whose
+// second node's pools are full: the first node's booking must roll back,
+// the refusal must be errPoolsFull, and refusing must allocate nothing —
+// the allocator's probes hit this path on every refused step.
+func TestResizeRunningRefusalRollsBack(t *testing.T) {
+	m, err := NewMultiArray(DefaultArrayConfig(), 2, 28, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Bind(&scriptedEnv{})
+	g := gpuJob(1, 0, "resnet50", 4, 8, 2, time.Hour)
+	for nid := range 2 {
+		if !m.budgets[nid].chargeGPU(g.ID, 4) {
+			t.Fatalf("node %d cannot fund the job", nid)
+		}
+	}
+	m.running[g.ID] = &runInfo{j: g, alloc: job.Allocation{NodeIDs: []int{0, 1}, CPUCores: 4, GPUs: 4}}
+	b1 := m.budgets[1]
+	if !b1.chargeCPU(2, b1.reserveFree()+b1.sharedFree(), true) {
+		t.Fatal("cannot fill node 1's pools")
+	}
+	before := [2]draw{m.budgets[0].gpuDraws[g.ID], b1.gpuDraws[g.ID]}
+	if err := m.ResizeRunning(g.ID, 6); err != errPoolsFull {
+		t.Fatalf("ResizeRunning onto a full node: %v, want errPoolsFull", err)
+	}
+	if after := [2]draw{m.budgets[0].gpuDraws[g.ID], b1.gpuDraws[g.ID]}; after != before {
+		t.Errorf("refused resize left draws %+v, want %+v", after, before)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = m.ResizeRunning(g.ID, 6) }); allocs != 0 {
+		t.Errorf("a refused resize allocates %v times, want 0", allocs)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
@@ -46,7 +47,7 @@ type Eliminator struct {
 	array *MultiArray
 	// throttled tracks active interventions per job: the cap applied, or
 	// coreHalved for the MBA-less fallback.
-	throttled map[job.ID]intervention
+	throttled throttleSet
 	nextCheck time.Duration
 	// interventions counts total throttle/halve actions (§VI-E reporting).
 	interventions int
@@ -63,6 +64,52 @@ type intervention struct {
 	capGBs     float64
 	coreHalved bool
 	origCores  int
+}
+
+// throttleSet holds the active interventions sorted by job ID: job ids[i]
+// is restrained as ivs[i]. Lookups are binary searches, and ids is the
+// sorted list relax merges against a node meter's own.
+type throttleSet struct {
+	ids []job.ID
+	ivs []intervention
+}
+
+// get returns job id's intervention, if it has one.
+func (t *throttleSet) get(id job.ID) (intervention, bool) {
+	if i, ok := slices.BinarySearch(t.ids, id); ok {
+		return t.ivs[i], true
+	}
+	return intervention{}, false
+}
+
+// add records an intervention on job id, which must hold none.
+func (t *throttleSet) add(id job.ID, iv intervention) {
+	i, _ := slices.BinarySearch(t.ids, id)
+	t.ids = slices.Insert(t.ids, i, id)
+	t.ivs = slices.Insert(t.ivs, i, iv)
+}
+
+// remove drops job id's intervention, if it has one.
+func (t *throttleSet) remove(id job.ID) {
+	if i, ok := slices.BinarySearch(t.ids, id); ok {
+		t.ids = slices.Delete(t.ids, i, i+1)
+		t.ivs = slices.Delete(t.ivs, i, i+1)
+	}
+}
+
+// check reports a set whose job IDs are not strictly ascending, which
+// covers a job listed twice, or whose two slices disagree in length.
+func (t *throttleSet) check() error {
+	if len(t.ids) != len(t.ivs) {
+		return fmt.Errorf("eliminator lists %d throttled jobs but %d interventions", len(t.ids), len(t.ivs))
+	}
+	for i := 1; i < len(t.ids); i++ {
+		if t.ids[i] <= t.ids[i-1] {
+			return fmt.Errorf("eliminator lists throttled job %d after job %d; want strictly ascending job IDs",
+				t.ids[i], t.ids[i-1])
+		}
+	}
+	return nil
 }
 
 // NewEliminator builds the eliminator. It reads the allocator's settled
@@ -83,10 +130,9 @@ func NewEliminator(cfg EliminatorConfig, alloc *Allocator, array *MultiArray) *E
 		cfg.CheckInterval = def.CheckInterval
 	}
 	return &Eliminator{
-		cfg:       cfg,
-		alloc:     alloc,
-		array:     array,
-		throttled: make(map[job.ID]intervention),
+		cfg:   cfg,
+		alloc: alloc,
+		array: array,
 	}
 }
 
@@ -101,13 +147,7 @@ func (e *Eliminator) Interventions() int { return e.interventions }
 func (e *Eliminator) Degraded() int { return e.degraded }
 
 // Forget drops intervention state for a completed job.
-func (e *Eliminator) Forget(id job.ID) { delete(e.throttled, id) }
-
-// isThrottled reports whether the eliminator holds an intervention on id.
-func (e *Eliminator) isThrottled(id job.ID) bool {
-	_, ok := e.throttled[id]
-	return ok
-}
+func (e *Eliminator) Forget(id job.ID) { e.throttled.remove(id) }
 
 // Tick runs one monitoring pass when the check interval elapsed.
 func (e *Eliminator) Tick() {
@@ -182,7 +222,7 @@ func (e *Eliminator) restrain(meter *membw.Meter) {
 		if !u.CPUJob || u.EffectiveGBs <= 0 {
 			continue
 		}
-		if _, done := e.throttled[u.ID]; done {
+		if _, done := e.throttled.get(u.ID); done {
 			continue
 		}
 		if meter.MBASupported() {
@@ -193,7 +233,7 @@ func (e *Eliminator) restrain(meter *membw.Meter) {
 			if err := e.env.ThrottleJob(u.ID, capGBs); err != nil {
 				continue
 			}
-			e.throttled[u.ID] = intervention{capGBs: capGBs}
+			e.throttled.add(u.ID, intervention{capGBs: capGBs})
 			e.interventions++
 			return
 		}
@@ -207,7 +247,7 @@ func (e *Eliminator) restrain(meter *membw.Meter) {
 		if err := e.array.ResizeRunning(u.ID, half); err != nil {
 			continue
 		}
-		e.throttled[u.ID] = intervention{coreHalved: true, origCores: alloc.CPUCores}
+		e.throttled.add(u.ID, intervention{coreHalved: true, origCores: alloc.CPUCores})
 		e.interventions++
 		return
 	}
@@ -215,14 +255,15 @@ func (e *Eliminator) restrain(meter *membw.Meter) {
 
 // relax lifts interventions on a node whose bandwidth dropped below the
 // release level, restoring throttled jobs one per pass. Most quiet nodes
-// host no throttled job, so it checks that before ranking the node's jobs.
+// host no throttled job, so it merges the throttled IDs against the node's
+// before ranking the node's jobs.
 func (e *Eliminator) relax(meter *membw.Meter) {
-	if !meter.HostsAny(e.isThrottled) {
+	if !meter.HostsAnyOf(e.throttled.ids) {
 		return
 	}
 	e.usages = meter.AppendJobs(e.usages[:0])
 	for _, u := range e.usages {
-		iv, ok := e.throttled[u.ID]
+		iv, ok := e.throttled.get(u.ID)
 		if !ok {
 			continue
 		}
@@ -235,7 +276,7 @@ func (e *Eliminator) relax(meter *membw.Meter) {
 				continue
 			}
 		}
-		delete(e.throttled, u.ID)
+		e.throttled.remove(u.ID)
 		return
 	}
 }

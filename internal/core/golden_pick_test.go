@@ -270,3 +270,56 @@ func TestPickNodesMoreGPUsThanAnyNode(t *testing.T) {
 		}
 	}
 }
+
+// TestPickNodesStopsEarly counts the nodes pickNodes visits on a 5,000-node
+// cluster of 4-GPU nodes whose 4-GPU sub-array is nodes [0, 1500). Nodes
+// 2000 and 3000 have exactly one GPU free, every other node all four. The
+// walk must stop at the first node that fills the buffer with an
+// unbeatable worst entry (own sub-array, no hole broken, exactly the GPUs
+// asked for), and visit every placeable GPU node when no node is
+// unbeatable; each pick must equal referencePickNodes'.
+func TestPickNodesStopsEarly(t *testing.T) {
+	cc := cluster.Config{Nodes: 5000, CoresPerNode: 28, GPUsPerNode: 4, BandwidthGBs: 100, PCIeGBs: 16}
+	c, err := cluster.New(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewForCluster(DefaultConfig(), cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.Arrays()
+	m.Bind(&clusterEnv{c: c})
+	if len(m.fourG) != 1500 {
+		t.Fatalf("4-GPU sub-array has %d nodes, the cases below assume 1500", len(m.fourG))
+	}
+	for i, nid := range []int{2000, 3000} {
+		if err := c.Allocate(job.ID(i+1), job.Allocation{NodeIDs: []int{nid}, CPUCores: 2, GPUs: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		k, gpus   int
+		want      []int
+		wantVisit int64
+	}{
+		{"1-GPU job stops at the first exact fit", 1, 1, []int{2000}, 2001},
+		{"2-node 1-GPU job stops at the second exact fit", 2, 1, []int{2000, 3000}, 3001},
+		{"4-GPU job stops at the first own node", 1, 4, []int{0}, 1},
+		{"2-GPU job has no exact fit and walks every placeable node", 1, 2, []int{1500}, 4998},
+	} {
+		j := &job.Job{ID: 1 << 20, Kind: job.KindGPUTraining,
+			Request: job.Request{CPUCores: 4, GPUs: tc.gpus * tc.k, Nodes: tc.k}}
+		order, ownLen := preferenceOrder(m, j)
+		want := referencePickNodes(m, j, order, ownLen, tc.gpus, 4, false)
+		if !slices.Equal(want, tc.want) {
+			t.Fatalf("%s: reference picks %v, the case assumes %v", tc.name, want, tc.want)
+		}
+		v0 := m.pickVisits
+		got := m.pickNodes(j.Request.GPUs >= LargeJobGPUs, tc.k, tc.gpus, 4, false)
+		if visits := m.pickVisits - v0; !slices.Equal(got, want) || visits != tc.wantVisit {
+			t.Errorf("%s: picked %v visiting %d nodes, want %v visiting %d", tc.name, got, visits, want, tc.wantVisit)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"container/list"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -87,6 +88,9 @@ type MultiArray struct {
 	tenants    []job.TenantID
 	candidates []job.TenantID
 	cands      []gpuCandidate
+	// pickVisits counts the nodes pickNodes' walks have visited, a
+	// deterministic work counter.
+	pickVisits int64
 }
 
 // gpuCandidate is a feasible node for a GPU placement pass; own marks a
@@ -301,8 +305,13 @@ func (m *MultiArray) RunningAlloc(id job.ID) (job.Allocation, bool) {
 	return info.alloc.Clone(), true
 }
 
+// errPoolsFull refuses a resize some node's pools cannot fund. The
+// allocator's probes hit it routinely, so it is one preformatted value.
+var errPoolsFull = errors.New("core: node pools cannot host the resized job")
+
 // ResizeRunning changes a running job's per-node cores, keeping pool
-// bookkeeping, cluster state and fair-share accounting consistent.
+// bookkeeping, cluster state and fair-share accounting consistent. A
+// refusal allocates nothing.
 func (m *MultiArray) ResizeRunning(id job.ID, newCores int) error {
 	info, ok := m.running[id]
 	if !ok {
@@ -312,21 +321,17 @@ func (m *MultiArray) ResizeRunning(id job.ID, newCores int) error {
 	if newCores == old {
 		return nil
 	}
-	// Book pools first (pool headroom implies cluster headroom).
-	resized := make([]int, 0, len(info.alloc.NodeIDs))
-	for _, nid := range info.alloc.NodeIDs {
+	// Book pools first (pool headroom implies cluster headroom); on a
+	// refusal, roll back the nodes already booked.
+	nodes := info.alloc.NodeIDs
+	for i, nid := range nodes {
 		if !m.budgets[nid].resize(id, newCores) {
-			for _, done := range resized {
-				m.budgets[done].resize(id, old)
-			}
-			return fmt.Errorf("core: node %d cannot host %d cores for job %d", nid, newCores, id)
+			m.resizeBudgets(id, nodes[:i], old)
+			return errPoolsFull
 		}
-		resized = append(resized, nid)
 	}
 	if err := m.env.ResizeJob(id, newCores); err != nil {
-		for _, done := range resized {
-			m.budgets[done].resize(id, old)
-		}
+		m.resizeBudgets(id, nodes, old)
 		return err
 	}
 	info.alloc.CPUCores = newCores
@@ -339,6 +344,13 @@ func (m *MultiArray) ResizeRunning(id job.ID, newCores int) error {
 		GPU: float64(info.alloc.TotalGPUs()),
 	})
 	return nil
+}
+
+// resizeBudgets books cores for job id on each of nodes' budgets.
+func (m *MultiArray) resizeBudgets(id job.ID, nodes []int, cores int) {
+	for _, nid := range nodes {
+		m.budgets[nid].resize(id, cores)
+	}
 }
 
 // pendingTenants lists tenants with non-empty queues, sorted by tenant ID,
@@ -538,8 +550,10 @@ func (m *MultiArray) startGPUAt(j *job.Job, cores int) bool {
 // anti-fragmentation goal. The cluster's first-fit index yields only the
 // nodes with at least gpus free GPUs, in ID order, so GPU-full and down
 // nodes cost nothing. Only the first k in compareGPUCandidates order are
-// kept, in a k-slot insertion buffer; that order is total, so the visit
-// order does not matter, and for k = 1 the buffer is a min-scan.
+// kept, in a k-slot insertion buffer; that order is total, and for k = 1
+// the buffer is a min-scan. The walk stops once the buffer is full and
+// its worst entry is unbeatable: later nodes have higher IDs and at least
+// gpus free GPUs, so none of them can rank before it.
 func (m *MultiArray) pickNodes(large bool, k, gpus, cores int, withPreempt bool) []int {
 	c := m.env.Cluster()
 	c.NotePlacementQuery()
@@ -551,6 +565,7 @@ func (m *MultiArray) pickNodes(large bool, k, gpus, cores int, withPreempt bool)
 		if nid >= m.gpuNodes {
 			return false // CPU-only nodes follow the GPU nodes
 		}
+		m.pickVisits++
 		b := m.budgets[nid]
 		headroom := b.reserveFree() + b.sharedFree()
 		if withPreempt {
@@ -573,7 +588,7 @@ func (m *MultiArray) pickNodes(large bool, k, gpus, cores int, withPreempt bool)
 			best[i] = best[i-1]
 		}
 		best[i] = cand
-		return true
+		return len(best) < k || !unbeatable(best[k-1], gpus)
 	})
 	m.cands = best
 	if feasible < k {
@@ -608,6 +623,14 @@ func compareGPUCandidates(a, b gpuCandidate, gpus int) int {
 		return a.freeGPUs - b.freeGPUs
 	}
 	return a.nid - b.nid
+}
+
+// unbeatable reports whether no node visited after c can rank before it in
+// compareGPUCandidates order: c is in the job's own sub-array, breaks no
+// hole and has exactly gpus free GPUs, the fewest a placeable node has, so
+// only a lower node ID could still win the tie.
+func unbeatable(c gpuCandidate, gpus int) bool {
+	return c.own && !breaksHole(c, gpus) && c.freeGPUs == gpus
 }
 
 // breaksHole marks placements of gpus GPUs that would split an intact

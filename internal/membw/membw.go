@@ -151,13 +151,19 @@ func (m *Meter) JobBandwidth(id job.ID) (float64, error) {
 	return u.effective(), nil
 }
 
-// HostsAny reports whether the meter tracks a job for which in returns
-// true, asking in about each tracked job in ascending ID order until one
-// matches. It allocates nothing, so a hot caller can test a set of its own
-// against a node before paying for AppendJobs.
-func (m *Meter) HostsAny(in func(job.ID) bool) bool {
-	for _, id := range m.ids {
-		if in(id) {
+// HostsAnyOf reports whether the meter tracks any of the jobs in sorted,
+// which must be in ascending ID order. It merges sorted against the meter's
+// own sorted ID mirror and allocates nothing, so a hot caller can test a set
+// of its own against a node before paying for AppendJobs.
+func (m *Meter) HostsAnyOf(sorted []job.ID) bool {
+	i, j := 0, 0
+	for i < len(m.ids) && j < len(sorted) {
+		switch {
+		case m.ids[i] < sorted[j]:
+			i++
+		case m.ids[i] > sorted[j]:
+			j++
+		default:
 			return true
 		}
 	}

@@ -39,39 +39,69 @@ func TestNewMeterValidation(t *testing.T) {
 	}
 }
 
-// TestHostsAny checks the set-membership test against an empty set, a
-// hit, a miss, and a job after its deregistration, and that it allocates
-// nothing.
-func TestHostsAny(t *testing.T) {
+// TestHostsAnyOf checks the sorted-set membership test against an empty
+// set, a hit, a miss, a job after its deregistration, sets that lie wholly
+// before, after or between the meter's jobs, and random sets against a
+// linear oracle; it must allocate nothing.
+func TestHostsAnyOf(t *testing.T) {
 	m := newTestMeter(t, true)
 	for _, id := range []job.ID{3, 7, 11} {
 		if err := m.Register(id, 10, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	set := map[job.ID]bool{}
-	in := func(id job.ID) bool { return set[id] }
-	if m.HostsAny(in) {
-		t.Error("HostsAny(empty set) = true")
+	for _, tc := range []struct {
+		set  []job.ID
+		want bool
+	}{
+		{nil, false},
+		{[]job.ID{7}, true},
+		{[]job.ID{4}, false},
+		{[]job.ID{1, 2}, false},
+		{[]job.ID{12, 40}, false},
+		{[]job.ID{4, 5, 8, 10}, false},
+		{[]job.ID{1, 11}, true},
+		{[]job.ID{3}, true},
+	} {
+		if got := m.HostsAnyOf(tc.set); got != tc.want {
+			t.Errorf("HostsAnyOf(%v) = %v with jobs {3, 7, 11}, want %v", tc.set, got, tc.want)
+		}
 	}
-	set[7] = true
-	if !m.HostsAny(in) {
-		t.Error("HostsAny({7}) = false with job 7 registered")
-	}
-	delete(set, 7)
-	set[4] = true
-	if m.HostsAny(in) {
-		t.Error("HostsAny({4}) = true with job 4 never registered")
-	}
-	set[11] = true
 	if err := m.Deregister(11); err != nil {
 		t.Fatal(err)
 	}
-	if m.HostsAny(in) {
-		t.Error("HostsAny({4, 11}) = true after job 11 deregistered")
+	if m.HostsAnyOf([]job.ID{4, 11}) {
+		t.Error("HostsAnyOf({4, 11}) = true after job 11 deregistered")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { m.HostsAny(in) }); allocs != 0 {
-		t.Errorf("HostsAny allocates %v times per call, want 0", allocs)
+	set := []job.ID{4, 7}
+	if allocs := testing.AllocsPerRun(100, func() { m.HostsAnyOf(set) }); allocs != 0 {
+		t.Errorf("HostsAnyOf allocates %v times per call, want 0", allocs)
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		m := newTestMeter(t, true)
+		registered := map[job.ID]bool{}
+		for i := rng.Intn(8); i > 0; i-- {
+			id := job.ID(1 + rng.Intn(30))
+			if !registered[id] {
+				registered[id] = true
+				if err := m.Register(id, 1, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var set []job.ID
+		want := false
+		for id := job.ID(1); id <= 30; id++ {
+			if rng.Intn(6) == 0 {
+				set = append(set, id)
+				want = want || registered[id]
+			}
+		}
+		if got := m.HostsAnyOf(set); got != want {
+			t.Fatalf("trial %d: HostsAnyOf(%v) = %v, oracle %v", trial, set, got, want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -236,15 +235,16 @@ func (s *Simulator) Checkpoint() (*Checkpoint, error) {
 		}
 		ck.Events = append(ck.Events, es)
 	}
-	//coda:ordered-ok entries are sorted below before serialization
-	for _, r := range s.running {
+	for _, r := range s.runOrder {
+		if r.stopped {
+			continue
+		}
 		ck.Running = append(ck.Running, RunningState{
 			Job: *r.job, Alloc: r.alloc.Clone(), Remaining: r.remaining,
 			Speed: r.speed, LastUpdate: r.lastUpdate, Version: r.version,
 			StartedAt: r.startedAt, BwDemand: r.bwDemand, Attempt: r.attempt,
 		})
 	}
-	sort.Slice(ck.Running, func(i, j int) bool { return ck.Running[i].Job.ID < ck.Running[j].Job.ID })
 	//coda:ordered-ok entries are sorted below before serialization
 	for id, n := range s.retries {
 		ck.Retries = append(ck.Retries, RetryCount{Job: id, Count: n})
@@ -326,16 +326,16 @@ func Resume(ck *Checkpoint, scheduler sched.Scheduler, sink CheckpointSink) (*Si
 	}
 
 	s := &Simulator{
-		opts:        opts,
-		cluster:     c,
-		monitor:     mon,
-		scheduler:   scheduler,
-		rng:         rand.New(rand.NewSource(opts.Seed)),
-		pending:     make(map[job.ID]*job.Job, len(ck.Pending)),
-		running:     make(map[job.ID]*runningJob, len(ck.Running)),
-		pcieLoad:    append([]float64(nil), ck.PcieLoad...),
-		cpuCoresOn:  make([]int, nodes),
-		refreshSeen: make(map[job.ID]bool),
+		opts:       opts,
+		cluster:    c,
+		monitor:    mon,
+		scheduler:  scheduler,
+		rng:        rand.New(rand.NewSource(opts.Seed)),
+		pending:    make(map[job.ID]*job.Job, len(ck.Pending)),
+		running:    make(map[job.ID]*runningJob, len(ck.Running)),
+		onNode:     make([][]*runningJob, nodes),
+		pcieLoad:   append([]float64(nil), ck.PcieLoad...),
+		cpuCoresOn: make([]int, nodes),
 
 		now:      ck.Now,
 		seq:      ck.Seq,
@@ -389,7 +389,12 @@ func Resume(ck *Checkpoint, scheduler sched.Scheduler, sink CheckpointSink) (*Si
 			}
 			r.model = model
 		}
-		s.running[j.ID] = r
+		for _, nid := range r.alloc.NodeIDs {
+			if nid < 0 || nid >= nodes {
+				return nil, fmt.Errorf("sim: resume: running job %d placed on node %d of %d", j.ID, nid, nodes)
+			}
+		}
+		s.track(r)
 		// cpuCoresOn is derived state: rebuild it from the restored
 		// allocations instead of serializing it.
 		if !j.IsGPU() {
@@ -414,10 +419,9 @@ func Resume(ck *Checkpoint, scheduler sched.Scheduler, sink CheckpointSink) (*Si
 			}
 		}
 	}
-	//coda:ordered-ok error reporting on a corrupt checkpoint; any witness will do
-	for id := range s.running {
-		if !s.startedOnce[id] {
-			return nil, fmt.Errorf("sim: resume: running job %d not marked as started", id)
+	for _, r := range s.runOrder { // freshly tracked: nothing stopped
+		if !s.startedOnce[r.job.ID] {
+			return nil, fmt.Errorf("sim: resume: running job %d not marked as started", r.job.ID)
 		}
 	}
 
@@ -455,6 +459,9 @@ func Resume(ck *Checkpoint, scheduler sched.Scheduler, sink CheckpointSink) (*Si
 	}
 
 	for i, es := range ck.Events {
+		if err := checkEventKey(ck, i); err != nil {
+			return nil, fmt.Errorf("sim: resume: %w", err)
+		}
 		kind := eventKind(es.Kind)
 		switch kind {
 		case evArrival:
@@ -480,7 +487,7 @@ func Resume(ck *Checkpoint, scheduler sched.Scheduler, sink CheckpointSink) (*Si
 				e.run = r
 			}
 		}
-		heap.Push(&s.events, e)
+		s.events.push(e)
 	}
 
 	if ck.Trace != nil {
@@ -512,6 +519,29 @@ func Resume(ck *Checkpoint, scheduler sched.Scheduler, sink CheckpointSink) (*Si
 		return nil, fmt.Errorf("sim: resumed state fails invariants: %w", err)
 	}
 	return s, nil
+}
+
+// checkEventKey vets the heap key of ck.Events[i]. A checkpoint lists its
+// events in strictly ascending (at, seq) order, none due before the
+// checkpoint's time and every sequence number drawn before it was taken. A
+// list that breaks this would restore keys that are not a strict total
+// order, and its pop order would then depend on the heap's layout.
+func checkEventKey(ck *Checkpoint, i int) error {
+	es := ck.Events[i]
+	if es.At < ck.Now {
+		return fmt.Errorf("event %d at %v precedes the checkpoint time %v", i, es.At, ck.Now)
+	}
+	if es.Seq >= ck.Seq {
+		return fmt.Errorf("event %d has sequence number %d; the checkpoint drew only those below %d", i, es.Seq, ck.Seq)
+	}
+	if i > 0 {
+		prev := ck.Events[i-1]
+		if es.At < prev.At || (es.At == prev.At && es.Seq <= prev.Seq) {
+			return fmt.Errorf("event %d (at %v, seq %d) does not follow event %d (at %v, seq %d); want strictly ascending (at, seq)",
+				i, es.At, es.Seq, i-1, prev.At, prev.Seq)
+		}
+	}
+	return nil
 }
 
 // maybeCheckpoint takes a checkpoint when either cadence has come due. Both

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -336,6 +337,83 @@ func TestResumeRejectsBadCheckpoints(t *testing.T) {
 			t.Error("missing results should fail")
 		}
 	})
+	t.Run("running job on an unknown node", func(t *testing.T) {
+		ck := decode(t)
+		if len(ck.Running) == 0 {
+			t.Fatal("checkpoint has no running jobs")
+		}
+		ck.Running[0].Alloc.NodeIDs[0] = len(ck.PcieLoad)
+		if _, err := Resume(ck, sched.NewFIFO(), nil); err == nil {
+			t.Error("a running job placed on a node past the cluster should fail")
+		}
+	})
+}
+
+// TestResumeRejectsBadEventKeys hand-edits the event list of a mid-run
+// checkpoint. Resume must refuse a repeated (at, seq) key, a descending
+// pair, an event due before the checkpoint's time and a sequence number the
+// checkpoint had not drawn yet. Such a list would restore keys that are
+// not a strict total order, and its pop order would then depend on the
+// heap's layout. The unedited checkpoint must still resume.
+func TestResumeRejectsBadEventKeys(t *testing.T) {
+	opts := testOptions()
+	opts.Seed = 4
+	opts.CheckpointEveryEvents = 200
+	var snap []byte
+	opts.CheckpointSink = func(ck *Checkpoint) error {
+		if snap == nil && len(ck.Events) >= 3 && ck.Now > 0 {
+			data, err := encodeCheckpoint(ck)
+			if err != nil {
+				return err
+			}
+			snap = data
+		}
+		return nil
+	}
+	s, err := New(opts, sched.NewFIFO(), ckptWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil {
+		t.Fatal("no checkpoint with three pending events captured")
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(ck *Checkpoint)
+		want string // "" when resume must succeed
+	}{
+		{"unedited", func(*Checkpoint) {}, ""},
+		{"repeated key", func(ck *Checkpoint) {
+			ck.Events[1].At, ck.Events[1].Seq = ck.Events[0].At, ck.Events[0].Seq
+		}, "event 1 "},
+		{"descending pair", func(ck *Checkpoint) {
+			ck.Events[1], ck.Events[2] = ck.Events[2], ck.Events[1]
+		}, "event 2 "},
+		{"due before the checkpoint", func(ck *Checkpoint) {
+			ck.Events[0].At = ck.Now - time.Millisecond
+		}, "event 0 "},
+		{"sequence number not yet drawn", func(ck *Checkpoint) {
+			ck.Events[len(ck.Events)-1].Seq = ck.Seq
+		}, "sequence number"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ck Checkpoint
+			if err := checkpoint.Decode(snap, &ck); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&ck)
+			_, err := Resume(&ck, sched.NewFIFO(), nil)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("resume failed: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("resume error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
 }
 
 // TestCheckpointCadenceValidation pins the Options.Validate additions.

@@ -7,6 +7,7 @@ import (
 	"github.com/coda-repro/coda/internal/chaos"
 	"github.com/coda-repro/coda/internal/cluster"
 	"github.com/coda-repro/coda/internal/core"
+	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/trace"
 )
@@ -104,4 +105,74 @@ func TestDeltaCheckDetectsTouchedCorruption(t *testing.T) {
 			t.Fatal("cadence audit missed a corrupted untouched node")
 		}
 	})
+}
+
+// busyServiceSim returns a service-mode FIFO simulator with four CPU jobs
+// running, all on node 0, and healthy audits. The periodic full audit is
+// kept out of the way so each test runs the audits itself.
+func busyServiceSim(t *testing.T) *Simulator {
+	t.Helper()
+	opts := testOptions()
+	opts.Service = true
+	opts.InvariantsEvery = 1 << 30
+	s, err := New(opts, sched.NewFIFO(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := job.ID(1); id <= 4; id++ {
+		if err := s.InjectArrival(cpuJob(id, 0, 2, time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.RunUntil(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.runOrder) != 4 || len(s.onNode[0]) != 4 {
+		t.Fatalf("%d jobs running, %d on node 0; want 4 and 4", len(s.runOrder), len(s.onNode[0]))
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("healthy state fails the full audit: %v", err)
+	}
+	if err := s.checkInvariantsDelta(); err != nil {
+		t.Fatalf("healthy state fails the delta audit: %v", err)
+	}
+	return s
+}
+
+// TestAuditsCatchRunningViewCorruption corrupts the ID-ordered views of
+// the running set — a node's list loses an entry or falls out of order,
+// or the running-job order keeps a job that is not running — and checks
+// that the full audit and the delta audit over the touched job or node
+// both reject each.
+func TestAuditsCatchRunningViewCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(s *Simulator)
+	}{
+		{"dropped node entry", func(s *Simulator) {
+			s.onNode[0] = removeRun(s.onNode[0], 2)
+			s.touchJob(2)
+		}},
+		{"misordered node entries", func(s *Simulator) {
+			s.onNode[0][1], s.onNode[0][2] = s.onNode[0][2], s.onNode[0][1]
+			if err := s.cluster.SetNodeState(0, cluster.NodeUp); err != nil { // journals node 0
+				t.Fatal(err)
+			}
+		}},
+		{"stale running-order entry", func(s *Simulator) {
+			s.runOrder = insertRun(s.runOrder, &runningJob{job: cpuJob(9, 0, 2, time.Hour)})
+			s.touchJob(9)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := busyServiceSim(t)
+			tc.corrupt(s)
+			if err := s.checkInvariantsDelta(); err == nil {
+				t.Error("delta audit missed the corruption")
+			}
+			if err := s.CheckInvariants(); err == nil {
+				t.Error("full audit missed the corruption")
+			}
+		})
+	}
 }

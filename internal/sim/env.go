@@ -109,7 +109,7 @@ func (s *Simulator) StartJob(id job.ID, alloc job.Allocation) error {
 	}
 
 	delete(s.pending, id)
-	s.running[id] = r
+	s.track(r)
 	s.touchJob(id)
 	if !j.IsGPU() {
 		for _, nid := range alloc.NodeIDs {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/coda-repro/coda/internal/cluster"
 )
@@ -46,41 +45,8 @@ func (s *Simulator) checkInvariantsDelta() error {
 		if err != nil {
 			return err
 		}
-		meter, err := s.monitor.Node(nid)
-		if err != nil {
-			return fmt.Errorf("node %d: %w", nid, err)
-		}
-		if err := meter.CheckInvariants(); err != nil {
-			return fmt.Errorf("node %d: %w", nid, err)
-		}
-		s.invUsages = meter.AppendJobs(s.invUsages[:0])
-		usages := s.invUsages
-		if len(usages) != n.JobCount() {
-			return fmt.Errorf("node %d: meter tracks %d jobs, node hosts %d", nid, len(usages), n.JobCount())
-		}
-		for _, u := range usages {
-			if _, _, ok := n.JobShare(u.ID); !ok {
-				return fmt.Errorf("node %d: meter tracks job %d which holds no share there", nid, u.ID)
-			}
-		}
-		s.invIDs = n.AppendJobs(s.invIDs[:0])
-		cpuCores := 0
-		for _, id := range s.invIDs {
-			r, ok := s.running[id]
-			if !ok {
-				return fmt.Errorf("node %d holds resources of job %d which is not running (leaked allocation)", nid, id)
-			}
-			if !r.job.IsGPU() {
-				if c, _, ok := n.JobShare(id); ok {
-					cpuCores += c
-				}
-			}
-		}
-		if cpuCores != s.cpuCoresOn[nid] {
-			return fmt.Errorf("node %d: cpu-core cache says %d, shares sum to %d", nid, s.cpuCoresOn[nid], cpuCores)
-		}
-		if s.pcieLoad[nid] < 0 {
-			return fmt.Errorf("node %d: negative pcie load %g", nid, s.pcieLoad[nid])
+		if err := s.checkNodeJobs(n); err != nil {
+			return err
 		}
 	}
 
@@ -97,19 +63,88 @@ func (s *Simulator) checkInvariantsDelta() error {
 		if retry && run {
 			return fmt.Errorf("job %d is retrying and running simultaneously", id)
 		}
-		if run {
-			placed, ok := s.cluster.PlacementSize(id)
-			if !ok {
-				return fmt.Errorf("running job %d holds no cluster placement", id)
-			}
-			if placed != len(r.alloc.NodeIDs) {
-				return fmt.Errorf("running job %d placed on %d nodes, allocation names %d",
-					id, placed, len(r.alloc.NodeIDs))
+		i, listed := searchRun(s.runOrder, id)
+		live := listed && !s.runOrder[i].stopped
+		if live && s.runOrder[i] != r {
+			return fmt.Errorf("running-job order lists job %d, which is not its running attempt", id)
+		}
+		if !run {
+			continue
+		}
+		if !live {
+			return fmt.Errorf("running job %d is missing from the running-job order", id)
+		}
+		placed, ok := s.cluster.PlacementSize(id)
+		if !ok {
+			return fmt.Errorf("running job %d holds no cluster placement", id)
+		}
+		if placed != len(r.alloc.NodeIDs) {
+			return fmt.Errorf("running job %d placed on %d nodes, allocation names %d",
+				id, placed, len(r.alloc.NodeIDs))
+		}
+		for _, nid := range r.alloc.NodeIDs {
+			if i, ok := searchRun(s.onNode[nid], id); !ok || s.onNode[nid][i] != r {
+				return fmt.Errorf("node %d: running job %d is missing from the node's running-job list", nid, id)
 			}
 		}
 	}
 
 	return s.checkConservation()
+}
+
+// checkNodeJobs audits one node's hosted jobs. onNode lists exactly the jobs
+// with a share on the node, in strictly ascending ID order, each one its
+// job's running attempt; the cpu-core cache equals the CPU jobs' shares;
+// the bandwidth meter tracks exactly the hosted jobs, and a cached meter
+// total equals a fresh sum; the PCIe load is not negative.
+func (s *Simulator) checkNodeJobs(n *cluster.Node) error {
+	list := s.onNode[n.ID]
+	if len(list) != n.JobCount() {
+		return fmt.Errorf("node %d hosts %d jobs but its running-job list has %d (leaked allocation or stale list)",
+			n.ID, n.JobCount(), len(list))
+	}
+	cpuCores := 0
+	for i, r := range list {
+		id := r.job.ID
+		if i > 0 && id <= list[i-1].job.ID {
+			return fmt.Errorf("node %d: running-job list has job %d after job %d; want strictly ascending IDs",
+				n.ID, id, list[i-1].job.ID)
+		}
+		if s.running[id] != r {
+			return fmt.Errorf("node %d: running-job list holds job %d, which is not its running attempt", n.ID, id)
+		}
+		c, _, ok := n.JobShare(id)
+		if !ok {
+			return fmt.Errorf("node %d: running-job list holds job %d, which holds no share there", n.ID, id)
+		}
+		if !r.job.IsGPU() {
+			cpuCores += c
+		}
+	}
+	if cpuCores != s.cpuCoresOn[n.ID] {
+		return fmt.Errorf("node %d: cpu-core cache says %d, shares sum to %d", n.ID, s.cpuCoresOn[n.ID], cpuCores)
+	}
+	// Bandwidth accounting identity: meter registrations == occupancy.
+	meter, err := s.monitor.Node(n.ID)
+	if err != nil {
+		return fmt.Errorf("node %d: %w", n.ID, err)
+	}
+	if err := meter.CheckInvariants(); err != nil {
+		return fmt.Errorf("node %d: %w", n.ID, err)
+	}
+	s.invUsages = meter.AppendJobs(s.invUsages[:0])
+	if len(s.invUsages) != n.JobCount() {
+		return fmt.Errorf("node %d: meter tracks %d jobs, node hosts %d", n.ID, len(s.invUsages), n.JobCount())
+	}
+	for _, u := range s.invUsages {
+		if _, _, ok := n.JobShare(u.ID); !ok {
+			return fmt.Errorf("node %d: meter tracks job %d which holds no share there", n.ID, u.ID)
+		}
+	}
+	if s.pcieLoad[n.ID] < 0 {
+		return fmt.Errorf("node %d: negative pcie load %g", n.ID, s.pcieLoad[n.ID])
+	}
+	return nil
 }
 
 // checkConservation is the O(1) job-conservation identity shared by the
@@ -133,7 +168,9 @@ func (s *Simulator) checkConservation() error {
 //     and/or waiting out a retry backoff.
 //  3. Placement consistency: every running job holds a cluster placement
 //     on exactly its allocation's nodes, and every job holding resources
-//     on any node is running (no leaked allocations).
+//     on any node is running (no leaked allocations). The running-job order
+//     and each node's running-job list name exactly those jobs, in strictly
+//     ascending ID order.
 //  4. Bandwidth accounting: the set of jobs registered on each node's
 //     memory-bandwidth meter equals the set of jobs occupying the node,
 //     and a cached meter total equals a fresh sum.
@@ -172,12 +209,6 @@ func (s *Simulator) CheckInvariants() error {
 	// job marked started must still be in flight (the mark is dropped when
 	// the job completes, fails terminally or is cancelled).
 	//coda:ordered-ok error reporting on already-broken invariants; any witness will do
-	for id := range s.running {
-		if !s.startedOnce[id] {
-			return fmt.Errorf("running job %d is not marked as started", id)
-		}
-	}
-	//coda:ordered-ok error reporting on already-broken invariants; any witness will do
 	for id := range s.startedOnce {
 		_, p := s.pending[id]
 		_, r := s.running[id]
@@ -187,15 +218,28 @@ func (s *Simulator) CheckInvariants() error {
 		}
 	}
 
-	// Placement consistency, in sorted ID order for deterministic reports.
-	s.invIDs = s.invIDs[:0]
-	//coda:ordered-ok collected IDs are fully ordered by the sort below
-	for id := range s.running {
-		s.invIDs = append(s.invIDs, id)
-	}
-	slices.Sort(s.invIDs)
-	for _, id := range s.invIDs {
-		r := s.running[id]
+	// The running-job order lists exactly the running attempts, plus the
+	// stopped entries it counts, in strictly ascending ID order, and each
+	// running attempt holds a cluster placement on exactly its allocation's
+	// nodes.
+	live, stopped := 0, 0
+	for i, r := range s.runOrder {
+		id := r.job.ID
+		if i > 0 && id <= s.runOrder[i-1].job.ID {
+			return fmt.Errorf("running-job order has job %d after job %d; want strictly ascending IDs",
+				id, s.runOrder[i-1].job.ID)
+		}
+		if r.stopped {
+			stopped++
+			continue
+		}
+		live++
+		if s.running[id] != r {
+			return fmt.Errorf("running-job order lists job %d, which is not its running attempt", id)
+		}
+		if !s.startedOnce[id] {
+			return fmt.Errorf("running job %d is not marked as started", id)
+		}
 		placed, ok := s.cluster.PlacementSize(id)
 		if !ok {
 			return fmt.Errorf("running job %d holds no cluster placement", id)
@@ -205,58 +249,17 @@ func (s *Simulator) CheckInvariants() error {
 				id, placed, len(r.alloc.NodeIDs))
 		}
 	}
+	if live != len(s.running) || stopped != s.runOrderStopped {
+		return fmt.Errorf("running-job order lists %d running jobs and %d stopped entries; %d jobs run and %d entries were stopped",
+			live, stopped, len(s.running), s.runOrderStopped)
+	}
 	var nodeErr error
 	s.cluster.EachNode(func(n *cluster.Node) bool {
-		cpuCores := 0
-		s.invIDs = n.AppendJobs(s.invIDs[:0])
-		for _, id := range s.invIDs {
-			r, ok := s.running[id]
-			if !ok {
-				nodeErr = fmt.Errorf("node %d holds resources of job %d which is not running (leaked allocation)", n.ID, id)
-				return false
-			}
-			if !r.job.IsGPU() {
-				if c, _, ok := n.JobShare(id); ok {
-					cpuCores += c
-				}
-			}
-		}
-		if s.cpuCoresOn != nil && cpuCores != s.cpuCoresOn[n.ID] {
-			nodeErr = fmt.Errorf("node %d: cpu-core cache says %d, shares sum to %d", n.ID, s.cpuCoresOn[n.ID], cpuCores)
-			return false
-		}
-		// Bandwidth accounting identity: meter registrations == occupancy.
-		meter, err := s.monitor.Node(n.ID)
-		if err != nil {
-			nodeErr = fmt.Errorf("node %d: %w", n.ID, err)
-			return false
-		}
-		if err := meter.CheckInvariants(); err != nil {
-			nodeErr = fmt.Errorf("node %d: %w", n.ID, err)
-			return false
-		}
-		s.invUsages = meter.AppendJobs(s.invUsages[:0])
-		usages := s.invUsages
-		if len(usages) != n.JobCount() {
-			nodeErr = fmt.Errorf("node %d: meter tracks %d jobs, node hosts %d", n.ID, len(usages), n.JobCount())
-			return false
-		}
-		for _, u := range usages {
-			if _, _, ok := n.JobShare(u.ID); !ok {
-				nodeErr = fmt.Errorf("node %d: meter tracks job %d which holds no share there", n.ID, u.ID)
-				return false
-			}
-		}
-		return true
+		nodeErr = s.checkNodeJobs(n)
+		return nodeErr == nil
 	})
 	if nodeErr != nil {
 		return nodeErr
-	}
-
-	for nid, load := range s.pcieLoad {
-		if load < 0 {
-			return fmt.Errorf("node %d: negative pcie load %g", nid, load)
-		}
 	}
 
 	// Conservation: no admitted job is ever lost.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"slices"
 	"time"
 
 	"github.com/coda-repro/coda/internal/cluster"
@@ -257,17 +256,12 @@ func (s *Simulator) sample() {
 	// Per-active-GPU utilization and per-active-core busy fraction.
 	// Iterate jobs in ID order: float accumulation is order-sensitive and
 	// samples must reproduce bit-for-bit across runs.
-	ids := s.sampleIDs[:0]
-	//coda:ordered-ok collected IDs are fully ordered by the sort below
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	s.sampleIDs = ids
 	gpuUtilSum, gpuWeight := 0.0, 0.0
 	cpuUtilSum, cpuWeight := 0.0, 0.0
-	for _, id := range ids {
-		r := s.running[id]
+	for _, r := range s.runOrder {
+		if r.stopped {
+			continue
+		}
 		cores := float64(r.alloc.TotalCPUCores())
 		if r.model != nil {
 			util, err := r.model.GPUUtil(r.cfg(), r.job.BatchSize, r.alloc.CPUCores, s.worstContention(r.alloc.NodeIDs))

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -35,7 +34,7 @@ func (s *Simulator) RunUntil(t time.Duration) error {
 	}
 	s.bootstrap()
 	for len(s.events) > 0 && s.events[0].at <= t {
-		e := heap.Pop(&s.events).(*event)
+		e := s.events.pop()
 		s.dispatch(e)
 		if err := s.postEvent(e.kind); err != nil {
 			return err

@@ -9,7 +9,7 @@
 package sim
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -202,28 +202,69 @@ type event struct {
 	run *runningJob
 }
 
+// before reports whether e sorts ahead of o: earlier time first, then
+// lower sequence number. No two queued events share a sequence number, so
+// (at, seq) is a strict total order and every correct heap pops the same
+// sequence.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
 // eventHeap is the pending-event queue: a binary min-heap on (at, seq), so
 // events come out in strictly ascending (at, seq) order regardless of
-// insertion order. Checkpoints never record its layout: the snapshot is
-// canonicalized to sorted (at, seq) order.
+// insertion order. It compares inline instead of through heap.Interface.
+// Checkpoints never record its layout: the snapshot is canonicalized to
+// sorted (at, seq) order.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// push adds e, sifting it up from the last leaf.
+func (h *eventHeap) push(e *event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+
+// pop removes and returns the earliest event, sifting the last leaf down
+// from the root. The heap must not be empty.
+func (h *eventHeap) pop() *event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if r := child + 1; r < n && q[r].before(q[child]) {
+				child = r
+			}
+			if !q[child].before(last) {
+				break
+			}
+			q[i] = q[child]
+			i = child
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // runningJob is the live state of a started job.
@@ -247,6 +288,12 @@ type runningJob struct {
 	// Checkpoints use it to re-pin evJobFail events to the attempt they were
 	// armed against: a pointer cannot survive serialization, a serial can.
 	attempt int64
+	// refreshed is the refreshNodes call that last re-evaluated the job, so
+	// a job spanning several refreshed nodes is visited once per call.
+	refreshed uint64
+	// stopped marks an attempt untrack took out of running; runOrder may
+	// still list it.
+	stopped bool
 }
 
 // cfg returns the job's training configuration.
@@ -291,6 +338,20 @@ type Simulator struct {
 
 	pending map[job.ID]*job.Job
 	running map[job.ID]*runningJob
+	// onNode[nid] lists the running jobs with a share on node nid, and
+	// runOrder all running jobs, both in ascending job ID: the orders
+	// refreshNodes, sample, Checkpoint and the audits walk. track and
+	// untrack keep them, on the lines that write running (StartJob, stopJob
+	// and Resume), so no caller collects and sorts map keys. A stopped
+	// attempt stays in runOrder, marked stopped, until stopped entries
+	// outnumber the rest: deleting from the middle of a long list would
+	// copy half of it per completion. A restarted job takes its stopped
+	// entry's slot back. runOrderStopped counts the stopped entries.
+	onNode          [][]*runningJob
+	runOrder        []*runningJob
+	runOrderStopped int
+	// refreshEpoch numbers refreshNodes calls (see runningJob.refreshed).
+	refreshEpoch uint64
 	// startedOnce marks jobs that started at least once and have not yet
 	// reached a terminal state. A job's queue-time sample fires exactly on
 	// its first start, and the aggregate CDFs must see every job even when
@@ -353,15 +414,10 @@ type Simulator struct {
 	// cpuCoresOn[nid] is the per-node sum of CPU-job cores, maintained
 	// incrementally so the contention hot path never walks node job maps.
 	cpuCoresOn []int
-	// Reusable scratch: refreshSeen/refreshIDs back refreshNodes,
-	// sampleIDs backs sample, fragMinCores backs fragRate, invIDs backs
-	// the invariant checkers, touchedJobs journals the job IDs events
-	// touched for the delta invariant check.
-	refreshSeen  map[job.ID]bool
-	refreshIDs   []job.ID
-	sampleIDs    []job.ID
+	// Reusable scratch: fragMinCores backs fragRate, invUsages backs the
+	// invariant checkers, touchedJobs journals the job IDs events touched
+	// for the delta invariant check.
 	fragMinCores map[int]int
-	invIDs       []job.ID
 	invUsages    []membw.JobUsage
 	touchedJobs  []job.ID
 	// eventsSinceAudit counts events since the last full invariant audit.
@@ -402,9 +458,9 @@ func newSimulator(opts Options, scheduler sched.Scheduler) (*Simulator, error) {
 		pending:     make(map[job.ID]*job.Job),
 		running:     make(map[job.ID]*runningJob),
 		startedOnce: make(map[job.ID]bool),
+		onNode:      make([][]*runningJob, opts.Cluster.TotalNodes()),
 		pcieLoad:    make([]float64, opts.Cluster.TotalNodes()),
 		cpuCoresOn:  make([]int, opts.Cluster.TotalNodes()),
-		refreshSeen: make(map[job.ID]bool),
 		results:     newResult(scheduler.Name(), opts.CompactCDFs),
 	}
 	if opts.CheckpointEvery > 0 {
@@ -526,7 +582,7 @@ func NewStreaming(opts Options, scheduler sched.Scheduler, src *trace.Source) (*
 func (s *Simulator) push(e *event) {
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.events, e)
+	s.events.push(e)
 }
 
 // takeEvent returns a recycled queue entry when one is free so the
@@ -558,7 +614,7 @@ func (s *Simulator) pushEvent(ev event) {
 func (s *Simulator) pushArrival(j *job.Job) {
 	e := s.takeEvent()
 	*e = event{at: j.Arrival, seq: int64(j.ID) - 1 - int64(s.totalJobs), kind: evArrival, job: j}
-	heap.Push(&s.events, e)
+	s.events.push(e)
 }
 
 // queueNextArrival captures the source cursor, draws the next job and
@@ -634,7 +690,7 @@ func (s *Simulator) Run() (*Result, error) {
 		if steps > maxEvents {
 			return nil, fmt.Errorf("sim: exceeded %d events at t=%v (scheduler wedged?)", maxEvents, s.now)
 		}
-		e := heap.Pop(&s.events).(*event)
+		e := s.events.pop()
 		if s.opts.MaxVirtualTime > 0 && e.at > s.opts.MaxVirtualTime {
 			break
 		}
@@ -803,9 +859,61 @@ func (s *Simulator) stopJob(r *runningJob) {
 			}
 		}
 	}
-	delete(s.running, id)
+	s.untrack(r)
 	r.version++ // kill outstanding completion events
 	s.refreshNodes(r.alloc.NodeIDs)
+}
+
+// track records a started attempt in running and in its ID-ordered views.
+func (s *Simulator) track(r *runningJob) {
+	s.running[r.job.ID] = r
+	if i, ok := searchRun(s.runOrder, r.job.ID); ok && s.runOrder[i].stopped {
+		s.runOrder[i] = r
+		s.runOrderStopped--
+	} else {
+		s.runOrder = slices.Insert(s.runOrder, i, r)
+	}
+	for _, nid := range r.alloc.NodeIDs {
+		s.onNode[nid] = insertRun(s.onNode[nid], r)
+	}
+}
+
+// untrack drops a stopped attempt from running and from its nodes' lists,
+// and marks its runOrder entry stopped, compacting runOrder once stopped
+// entries are the majority.
+func (s *Simulator) untrack(r *runningJob) {
+	id := r.job.ID
+	delete(s.running, id)
+	for _, nid := range r.alloc.NodeIDs {
+		s.onNode[nid] = removeRun(s.onNode[nid], id)
+	}
+	r.stopped = true
+	s.runOrderStopped++
+	if 2*s.runOrderStopped > len(s.runOrder) {
+		s.runOrder = slices.DeleteFunc(s.runOrder, func(e *runningJob) bool { return e.stopped })
+		s.runOrderStopped = 0
+	}
+}
+
+// searchRun finds job id in a list of running jobs in ascending ID order.
+func searchRun(list []*runningJob, id job.ID) (int, bool) {
+	return slices.BinarySearchFunc(list, id, func(r *runningJob, id job.ID) int {
+		return cmp.Compare(r.job.ID, id)
+	})
+}
+
+// insertRun adds r to an ID-ordered list; a newer arrival appends.
+func insertRun(list []*runningJob, r *runningJob) []*runningJob {
+	i, _ := searchRun(list, r.job.ID)
+	return slices.Insert(list, i, r)
+}
+
+// removeRun drops job id from an ID-ordered list.
+func removeRun(list []*runningJob, id job.ID) []*runningJob {
+	if i, ok := searchRun(list, id); ok {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
 }
 
 // advance integrates a job's progress up to now.
@@ -942,28 +1050,17 @@ func (s *Simulator) baseSpeed(r *runningJob) float64 {
 }
 
 // refreshNodes re-evaluates the speed of every job touching the nodes and
-// reschedules their completions when the speed changed.
+// reschedules their completions when the speed changed. It visits the nodes
+// in the given order and each node's jobs in ID order, once per job: the
+// visit order fixes the heap sequence numbers scheduleCompletion hands out.
 func (s *Simulator) refreshNodes(nodeIDs []int) {
-	clear(s.refreshSeen)
+	s.refreshEpoch++
 	for _, nid := range nodeIDs {
-		n, err := s.cluster.Node(nid)
-		if err != nil {
-			continue
-		}
-		// Collect into reusable scratch and sort: the per-node visit order
-		// must stay identical to the Jobs() order this loop used to walk,
-		// because scheduleCompletion hands out heap sequence numbers.
-		s.refreshIDs = n.AppendJobs(s.refreshIDs[:0])
-		slices.Sort(s.refreshIDs)
-		for _, id := range s.refreshIDs {
-			if s.refreshSeen[id] {
+		for _, r := range s.onNode[nid] {
+			if r.refreshed == s.refreshEpoch {
 				continue
 			}
-			s.refreshSeen[id] = true
-			r, ok := s.running[id]
-			if !ok {
-				continue
-			}
+			r.refreshed = s.refreshEpoch
 			s.advance(r)
 			newSpeed := s.computeSpeed(r)
 			//coda:ordered-ok change detector; both sides come from the same deterministic computation
