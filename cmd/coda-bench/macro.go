@@ -117,13 +117,20 @@ func writeBenchJSON(path string, entries []benchEntry) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// allocTolerance is how far a variant's allocation count may rise above the
+// baseline's before compareBenchBaseline fails. Repeated runs agree to a few
+// allocations; 5% leaves room for the runtime and nothing for a new
+// per-event or per-job allocation.
+const allocTolerance = 0.05
+
 // compareBenchBaseline fails when any variant's events/sec or placement
 // queries/sec fell more than tolerance below the committed baseline — the
 // CI regression gate. Gating query throughput separately catches a
 // placement-path regression even when event processing elsewhere masks it.
 // It also fails when a variant's event or placement-query count differs
 // from the baseline's at all: the counts are the same on every machine, so
-// any change to them is a change in what the engine decided.
+// any change to them is a change in what the engine decided. And it fails
+// when a variant allocates more than allocTolerance above the baseline.
 func compareBenchBaseline(path string, entries []benchEntry, tolerance float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -137,7 +144,7 @@ func compareBenchBaseline(path string, entries []benchEntry, tolerance float64) 
 	for _, b := range baseline {
 		byName[b.Name] = b
 	}
-	var moved, regressed []string
+	var moved, regressed, allocs []string
 	for _, e := range entries {
 		b, ok := byName[e.Name]
 		if !ok {
@@ -146,6 +153,9 @@ func compareBenchBaseline(path string, entries []benchEntry, tolerance float64) 
 		if e.Events != b.Events || e.PlacementQueries != b.PlacementQueries {
 			moved = append(moved, fmt.Sprintf("%s: %d events / %d placement queries, baseline %d / %d",
 				e.Name, e.Events, e.PlacementQueries, b.Events, b.PlacementQueries))
+		}
+		if float64(e.Allocs) > float64(b.Allocs)*(1+allocTolerance) {
+			allocs = append(allocs, fmt.Sprintf("%s: %d allocations, baseline %d", e.Name, e.Allocs, b.Allocs))
 		}
 		if b.EventsPerSec <= 0 {
 			continue
@@ -170,6 +180,9 @@ func compareBenchBaseline(path string, entries []benchEntry, tolerance float64) 
 	}
 	if len(moved) > 0 {
 		return fmt.Errorf("work counts moved: %v", moved)
+	}
+	if len(allocs) > 0 {
+		return fmt.Errorf("allocations grew beyond %.0f%%: %v", allocTolerance*100, allocs)
 	}
 	if len(regressed) > 0 {
 		return fmt.Errorf("throughput regression beyond %.0f%%: %v", tolerance*100, regressed)

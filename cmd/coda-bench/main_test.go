@@ -117,3 +117,27 @@ func TestCompareBenchBaselineCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareBenchBaselineAllocs: allocation counts up to 5% above the
+// baseline pass the gate, and one allocation more fails it and names the
+// variant.
+func TestCompareBenchBaselineAllocs(t *testing.T) {
+	baseline := []benchEntry{
+		{Name: "macro-fifo", Events: 35710, PlacementQueries: 44366, EventsPerSec: 100, QueriesPerSec: 100, Allocs: 20000},
+		{Name: "macro-coda", Events: 20346, PlacementQueries: 7167, EventsPerSec: 100, QueriesPerSec: 100, Allocs: 40000},
+	}
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := writeBenchJSON(path, baseline); err != nil {
+		t.Fatal(err)
+	}
+	run := append([]benchEntry(nil), baseline...)
+	run[0].Allocs, run[1].Allocs = 21000, 30000
+	if err := compareBenchBaseline(path, run, 0.2); err != nil {
+		t.Fatalf("allocations at most 5%% above the baseline: %v", err)
+	}
+	run[1].Allocs = 42001
+	err := compareBenchBaseline(path, run, 0.2)
+	if err == nil || !strings.Contains(err.Error(), "macro-coda") || strings.Contains(err.Error(), "macro-fifo") {
+		t.Errorf("macro-coda 5%% + 1 over: error %v, want one naming macro-coda only", err)
+	}
+}

@@ -234,6 +234,13 @@ type Cluster struct {
 	// touched journals the node IDs every mutator changed since the last
 	// ResetTouched — the delta invariant checker audits exactly these.
 	touched []int
+	// usedCores, usedGPUs and activeNodes (nodes hosting a job) are kept by
+	// Allocate, Release and Resize, and totalCores and totalGPUs are fixed
+	// at construction, so Snapshot is O(1); CheckInvariants compares them
+	// with a node sum.
+	usedCores, usedGPUs   int
+	totalCores, totalGPUs int
+	activeNodes           int
 }
 
 // TouchedNodes returns the IDs of nodes mutated since the last
@@ -273,6 +280,8 @@ func New(cfg Config) (*Cluster, error) {
 			PCIeGBs:      cfg.PCIeGBs,
 			jobs:         make(map[job.ID]nodeShare),
 		}
+		c.totalCores += cfg.CoresPerNode
+		c.totalGPUs += gpus
 	}
 	c.index = newCapacityIndex(c.nodes)
 	return c, nil
@@ -308,40 +317,16 @@ func (c *Cluster) Nodes() []*Node {
 }
 
 // TotalCores returns the cluster-wide core count.
-func (c *Cluster) TotalCores() int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.Cores
-	}
-	return total
-}
+func (c *Cluster) TotalCores() int { return c.totalCores }
 
 // TotalGPUs returns the cluster-wide GPU count.
-func (c *Cluster) TotalGPUs() int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.GPUs
-	}
-	return total
-}
+func (c *Cluster) TotalGPUs() int { return c.totalGPUs }
 
 // UsedCores returns the cluster-wide allocated core count.
-func (c *Cluster) UsedCores() int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.usedCores
-	}
-	return total
-}
+func (c *Cluster) UsedCores() int { return c.usedCores }
 
 // UsedGPUs returns the cluster-wide allocated GPU count.
-func (c *Cluster) UsedGPUs() int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.usedGPUs
-	}
-	return total
-}
+func (c *Cluster) UsedGPUs() int { return c.usedGPUs }
 
 // Allocate grants alloc to job id. Every node in alloc.NodeIDs receives
 // alloc.CPUCores cores and alloc.GPUs GPUs. The call is atomic: on any
@@ -375,9 +360,14 @@ func (c *Cluster) Allocate(id job.ID, alloc job.Allocation) error {
 	for _, nid := range alloc.NodeIDs {
 		n := c.nodes[nid]
 		oldGPUs, oldCores := n.FreeGPUs(), n.FreeCores()
+		if len(n.jobs) == 0 {
+			c.activeNodes++
+		}
 		n.usedCores += alloc.CPUCores
 		n.usedGPUs += alloc.GPUs
 		n.jobs[id] = nodeShare{cores: alloc.CPUCores, gpus: alloc.GPUs}
+		c.usedCores += alloc.CPUCores
+		c.usedGPUs += alloc.GPUs
 		c.reindexFrom(n, oldGPUs, oldCores)
 		c.touched = append(c.touched, nid)
 	}
@@ -398,6 +388,11 @@ func (c *Cluster) Release(id job.ID) error {
 		n.usedCores -= share.cores
 		n.usedGPUs -= share.gpus
 		delete(n.jobs, id)
+		c.usedCores -= share.cores
+		c.usedGPUs -= share.gpus
+		if len(n.jobs) == 0 {
+			c.activeNodes--
+		}
 		c.reindexFrom(n, oldGPUs, oldCores)
 		c.touched = append(c.touched, nid)
 	}
@@ -430,6 +425,7 @@ func (c *Cluster) Resize(id job.ID, newCores int) error {
 		share := n.jobs[id]
 		oldGPUs, oldCores := n.FreeGPUs(), n.FreeCores()
 		n.usedCores += newCores - share.cores
+		c.usedCores += newCores - share.cores
 		share.cores = newCores
 		n.jobs[id] = share
 		c.reindexFrom(n, oldGPUs, oldCores)
@@ -532,15 +528,11 @@ type Snapshot struct {
 
 // Snapshot returns current occupancy.
 func (c *Cluster) Snapshot() Snapshot {
-	s := Snapshot{TotalCores: c.TotalCores(), TotalGPUs: c.TotalGPUs()}
-	for _, n := range c.nodes {
-		s.UsedCores += n.usedCores
-		s.UsedGPUs += n.usedGPUs
-		if len(n.jobs) > 0 {
-			s.ActiveNodes++
-		}
+	return Snapshot{
+		UsedCores: c.usedCores, TotalCores: c.totalCores,
+		UsedGPUs: c.usedGPUs, TotalGPUs: c.totalGPUs,
+		ActiveNodes: c.activeNodes,
 	}
-	return s
 }
 
 // CheckNodeInvariants verifies one node's accounting consistency and its
@@ -582,10 +574,21 @@ func (c *Cluster) CheckNodeInvariants(nid int) error {
 // error describing the first violation found. Used by tests and the
 // simulator's self-checks.
 func (c *Cluster) CheckInvariants() error {
+	var sum Snapshot
 	for _, n := range c.nodes {
 		if err := c.CheckNodeInvariants(n.ID); err != nil {
 			return err
 		}
+		sum.UsedCores += n.usedCores
+		sum.UsedGPUs += n.usedGPUs
+		sum.TotalCores += n.Cores
+		sum.TotalGPUs += n.GPUs
+		if len(n.jobs) > 0 {
+			sum.ActiveNodes++
+		}
+	}
+	if got := c.Snapshot(); got != sum {
+		return fmt.Errorf("cluster counters %+v disagree with the node sum %+v", got, sum)
 	}
 	// Per-node checks prove every node appears in its correct index cell;
 	// a matching total rules out stale leftover entries anywhere else.

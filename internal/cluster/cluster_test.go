@@ -273,6 +273,47 @@ func TestSnapshot(t *testing.T) {
 	if s.TotalCores != 32 || s.TotalGPUs != 8 {
 		t.Errorf("Snapshot totals = %+v", s)
 	}
+	if err := c.Resize(1, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Allocate(2, job.Allocation{NodeIDs: []int{1}, CPUCores: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Release(1); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Snapshot(); s != (Snapshot{UsedCores: 2, TotalCores: 32, TotalGPUs: 8, ActiveNodes: 1}) {
+		t.Errorf("Snapshot after resize, allocate and release = %+v", s)
+	}
+}
+
+// TestCheckInvariantsCatchesCounterDrift puts each cluster-wide counter
+// one off and requires CheckInvariants to reject it against the node sum.
+func TestCheckInvariantsCatchesCounterDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drift func(c *Cluster)
+	}{
+		{"used cores", func(c *Cluster) { c.usedCores++ }},
+		{"used gpus", func(c *Cluster) { c.usedGPUs-- }},
+		{"total cores", func(c *Cluster) { c.totalCores++ }},
+		{"total gpus", func(c *Cluster) { c.totalGPUs++ }},
+		{"active nodes", func(c *Cluster) { c.activeNodes-- }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := MustNew(smallConfig())
+			if err := c.Allocate(1, job.Allocation{NodeIDs: []int{0, 1}, CPUCores: 3, GPUs: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("healthy cluster: %v", err)
+			}
+			tc.drift(c)
+			if err := c.CheckInvariants(); err == nil {
+				t.Error("CheckInvariants missed the drifted counter")
+			}
+		})
+	}
 }
 
 func TestNodeAccessors(t *testing.T) {

@@ -74,8 +74,9 @@ func (b *nodeBudget) tally(d draw, sign int, cpu bool) {
 	}
 }
 
-// sums recomputes the running totals from the draw maps: the reference
-// checkInvariants holds the totals to, and how restore rebuilds them.
+// sums recomputes the running totals from the draw maps: how restore
+// rebuilds them. checkInvariants sums the same way in the walk that also
+// checks each draw.
 func (b *nodeBudget) sums() (usedReserve, usedShared, borrowed int) {
 	for _, d := range b.gpuDraws {
 		usedReserve += d.fromReserve
@@ -218,29 +219,36 @@ func (b *nodeBudget) resizeDraw(m map[job.ID]draw, id job.ID, d draw, newCores i
 	return true
 }
 
-// checkInvariants validates the pool accounting.
+// checkInvariants validates the pool accounting. It walks each draw map
+// once, checking every draw and summing the totals as it goes.
 func (b *nodeBudget) checkInvariants() error {
-	if r, s, bo := b.sums(); r != b.usedReserve || s != b.usedShared || bo != b.borrowed {
+	var usedReserve, usedShared, borrowed int
+	//coda:ordered-ok integer sums and error reporting on already-corrupt state; any witness will do
+	for id, d := range b.gpuDraws {
+		if d.fromReserve < 0 || d.fromShared < 0 || d.total() == 0 {
+			return fmt.Errorf("core: gpu job %d has corrupt draw %+v", id, d)
+		}
+		usedReserve += d.fromReserve
+		usedShared += d.fromShared
+	}
+	//coda:ordered-ok integer sums and error reporting on already-corrupt state; any witness will do
+	for id, d := range b.cpuDraws {
+		if d.fromReserve < 0 || d.fromShared < 0 || d.total() == 0 {
+			return fmt.Errorf("core: cpu job %d has corrupt draw %+v", id, d)
+		}
+		usedReserve += d.fromReserve
+		usedShared += d.fromShared
+		borrowed += d.fromReserve
+	}
+	if usedReserve != b.usedReserve || usedShared != b.usedShared || borrowed != b.borrowed {
 		return fmt.Errorf("core: running totals (reserve %d, shared %d, borrowed %d) disagree with the draws (%d, %d, %d)",
-			b.usedReserve, b.usedShared, b.borrowed, r, s, bo)
+			b.usedReserve, b.usedShared, b.borrowed, usedReserve, usedShared, borrowed)
 	}
 	if b.reserveUsed() > b.reserve {
 		return fmt.Errorf("core: reserve overcommitted (%d > %d)", b.reserveUsed(), b.reserve)
 	}
 	if b.sharedUsed() > b.cores-b.reserve {
 		return fmt.Errorf("core: shared pool overcommitted (%d > %d)", b.sharedUsed(), b.cores-b.reserve)
-	}
-	//coda:ordered-ok error reporting on already-corrupt state; any witness will do
-	for id, d := range b.gpuDraws {
-		if d.fromReserve < 0 || d.fromShared < 0 || d.total() == 0 {
-			return fmt.Errorf("core: gpu job %d has corrupt draw %+v", id, d)
-		}
-	}
-	//coda:ordered-ok error reporting on already-corrupt state; any witness will do
-	for id, d := range b.cpuDraws {
-		if d.fromReserve < 0 || d.fromShared < 0 || d.total() == 0 {
-			return fmt.Errorf("core: cpu job %d has corrupt draw %+v", id, d)
-		}
 	}
 	return nil
 }

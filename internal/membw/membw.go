@@ -170,6 +170,11 @@ func (m *Meter) HostsAnyOf(sorted []job.ID) bool {
 	return false
 }
 
+// IDs returns the tracked jobs' IDs in ascending order. The slice is the
+// meter's own mirror, valid until the next Register or Deregister; callers
+// must not modify it.
+func (m *Meter) IDs() []job.ID { return m.ids }
+
 // Total returns the node's aggregate bandwidth usage in GB/s. Jobs are
 // summed in ID order: float accumulation is order-sensitive, and the
 // simulator's determinism guarantee needs bit-identical totals. The sum is
@@ -329,15 +334,3 @@ func (m *Monitor) Node(id int) (*Meter, error) {
 
 // Size returns the node count.
 func (m *Monitor) Size() int { return len(m.meters) }
-
-// HotNodes returns node IDs whose bandwidth utilization is at or above
-// threshold (e.g. 0.75 per the paper), ascending by ID.
-func (m *Monitor) HotNodes(threshold float64) []int {
-	var hot []int
-	for i, meter := range m.meters {
-		if meter.Utilization() >= threshold {
-			hot = append(hot, i)
-		}
-	}
-	return hot
-}

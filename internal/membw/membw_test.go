@@ -288,14 +288,11 @@ func TestMonitor(t *testing.T) {
 	if err := m2.Register(2, 60, true); err != nil {
 		t.Fatal(err)
 	}
-
-	hot := mon.HotNodes(0.75)
-	if len(hot) != 1 || hot[0] != 0 {
-		t.Errorf("HotNodes(0.75) = %v, want [0]", hot)
-	}
-	hot = mon.HotNodes(0.5)
-	if len(hot) != 2 || hot[0] != 0 || hot[1] != 2 {
-		t.Errorf("HotNodes(0.5) = %v, want [0 2]", hot)
+	m1, _ := mon.Node(1)
+	for i, want := range []float64{80, 0, 60} {
+		if got := []*Meter{m0, m1, m2}[i].Total(); got != want {
+			t.Errorf("node %d total = %v, want %v", i, got, want)
+		}
 	}
 }
 

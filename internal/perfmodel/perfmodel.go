@@ -323,8 +323,13 @@ func (m *Model) GPUUtil(cfg Config, batchSize, coresPerNode int, c Contention) (
 	if err != nil {
 		return 0, err
 	}
-	return m.peakUtil * speed, nil
+	return m.UtilAtSpeed(speed), nil
 }
+
+// UtilAtSpeed returns the GPU utilization at an operating point where Speed
+// returned speed: GPUUtil without re-running the model, for a caller that
+// keeps the speed.
+func (m *Model) UtilAtSpeed(speed float64) float64 { return m.peakUtil * speed }
 
 // BandwidthDemand returns the per-node memory-bandwidth demand in GB/s at
 // the given operating point (Fig. 6): linear in the per-node GPU count,

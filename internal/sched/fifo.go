@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/coda-repro/coda/internal/job"
@@ -28,9 +29,13 @@ type FIFO struct {
 	// seq numbers arrivals; entries within a shape are appended in seq
 	// order and removals preserve it, so each sub-queue head is its
 	// earliest entry.
-	seq       uint64
+	seq uint64
+	// shapes holds every shape seen, shapeList the live (non-empty) ones in
+	// no particular order. An emptied shape stays in shapes, detached from
+	// shapeList with its storage kept, so the next job of that shape
+	// reuses it instead of allocating a queue and a map entry.
 	shapes    map[job.Request]*shapeQueue
-	shapeList []*shapeQueue // live (non-empty) shapes, order irrelevant
+	shapeList []*shapeQueue
 	size      int
 	// ReserveDepth is how many unplaceable GPU jobs get node reservations
 	// per pass, modeling SLURM backfill's future-slot holds: the held
@@ -55,7 +60,7 @@ type fifoEntry struct {
 // and reclaimed by periodic compaction.
 type shapeQueue struct {
 	key     job.Request
-	listIdx int // position in FIFO.shapeList, for O(1) detach
+	listIdx int // position in FIFO.shapeList, for O(1) detach; -1 detached
 	head    int
 	entries []fifoEntry
 }
@@ -107,7 +112,7 @@ func (f *FIFO) Tick() { f.drain() }
 
 // OnJobCancelled implements Canceller: the queued job is removed and a
 // pass runs, because nodes the job would have reserved may now start later
-// arrivals.
+// arrivals. A detached shape is empty, so its search finds nothing.
 func (f *FIFO) OnJobCancelled(j *job.Job) {
 	if sq, ok := f.shapes[j.Request]; ok {
 		for i := 0; i < sq.length(); i++ {
@@ -121,12 +126,15 @@ func (f *FIFO) OnJobCancelled(j *job.Job) {
 }
 
 // enqueue appends j to its shape's sub-queue, creating the shape on
-// first use.
+// first use and re-attaching it to the live list when it was empty.
 func (f *FIFO) enqueue(j *job.Job) {
 	sq, ok := f.shapes[j.Request]
 	if !ok {
-		sq = &shapeQueue{key: j.Request, listIdx: len(f.shapeList)}
+		sq = &shapeQueue{key: j.Request, listIdx: -1}
 		f.shapes[j.Request] = sq
+	}
+	if sq.listIdx < 0 {
+		sq.listIdx = len(f.shapeList)
 		f.shapeList = append(f.shapeList, sq)
 	}
 	f.seq++
@@ -161,14 +169,18 @@ func (f *FIFO) removeEntry(sq *shapeQueue, i int) {
 	}
 }
 
-// detach removes an emptied shape from the live list and the lookup map.
+// detach removes an emptied shape from the live list. It stays in the
+// lookup map with its entries rewound (every slot is already zeroed), for
+// the next job of its shape.
 func (f *FIFO) detach(sq *shapeQueue) {
 	last := len(f.shapeList) - 1
 	f.shapeList[sq.listIdx] = f.shapeList[last]
 	f.shapeList[sq.listIdx].listIdx = sq.listIdx
 	f.shapeList[last] = nil
 	f.shapeList = f.shapeList[:last]
-	delete(f.shapes, sq.key)
+	sq.listIdx = -1
+	sq.head = 0
+	sq.entries = sq.entries[:0]
 }
 
 // entriesInOrder snapshots the whole queue in arrival order (checkpointing;
@@ -282,3 +294,41 @@ func heapSiftDown(h []shapeRef, i int) {
 
 // QueueLen reports the pending job count (for tests and metrics).
 func (f *FIFO) QueueLen() int { return f.size }
+
+// CheckInvariants verifies the shape queues: every listed shape is
+// non-empty and sits at its listIdx, every detached shape is empty, and
+// size equals the sum of the queue lengths.
+func (f *FIFO) CheckInvariants() error {
+	for i, sq := range f.shapeList {
+		if sq.listIdx != i {
+			return fmt.Errorf("fifo: shape %+v listed at %d records index %d", sq.key, i, sq.listIdx)
+		}
+		if sq.length() == 0 {
+			return fmt.Errorf("fifo: listed shape %+v is empty", sq.key)
+		}
+		if f.shapes[sq.key] != sq {
+			return fmt.Errorf("fifo: listed shape %+v is not the one its key looks up", sq.key)
+		}
+	}
+	queued := 0
+	//coda:ordered-ok integer sum and error reporting on already-broken state; any witness will do
+	for key, sq := range f.shapes {
+		if sq.key != key {
+			return fmt.Errorf("fifo: shape %+v filed under %+v", sq.key, key)
+		}
+		if sq.listIdx < 0 {
+			if n := sq.length(); n != 0 {
+				return fmt.Errorf("fifo: detached shape %+v holds %d jobs", key, n)
+			}
+			continue
+		}
+		if sq.listIdx >= len(f.shapeList) || f.shapeList[sq.listIdx] != sq {
+			return fmt.Errorf("fifo: shape %+v records list index %d but is not listed there", key, sq.listIdx)
+		}
+		queued += sq.length()
+	}
+	if queued != f.size {
+		return fmt.Errorf("fifo: shape queues hold %d jobs, size says %d", queued, f.size)
+	}
+	return nil
+}

@@ -140,6 +140,9 @@ func TestFIFOShapeHeapMatchesFlatWalk(t *testing.T) {
 			if fast.QueueLen() != len(flat.queue) {
 				t.Fatalf("seed %d step %d: queue len %d vs flat %d", seed, step, fast.QueueLen(), len(flat.queue))
 			}
+			if err := fast.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
 			ck, err := fast.CheckpointState()
 			if err != nil {
 				t.Fatalf("seed %d step %d: checkpoint: %v", seed, step, err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"time"
 
@@ -214,7 +213,10 @@ func (s *Simulator) Checkpoint() (*Checkpoint, error) {
 	// internal layout must not leak into the encoding. A streamed run's
 	// single in-queue arrival is skipped: Resume regenerates it (job and
 	// sequence number both) from the Trace cursor.
-	evs := slices.Clone(s.events)
+	evs := make([]*event, len(s.events))
+	for i, he := range s.events {
+		evs[i] = he.e
+	}
 	sort.Slice(evs, func(i, j int) bool {
 		if evs[i].at != evs[j].at {
 			return evs[i].at < evs[j].at
@@ -333,6 +335,7 @@ func Resume(ck *Checkpoint, scheduler sched.Scheduler, sink CheckpointSink) (*Si
 		rng:        rand.New(rand.NewSource(opts.Seed)),
 		pending:    make(map[job.ID]*job.Job, len(ck.Pending)),
 		running:    make(map[job.ID]*runningJob, len(ck.Running)),
+		models:     make(map[string]*perfmodel.Model),
 		onNode:     make([][]*runningJob, nodes),
 		pcieLoad:   append([]float64(nil), ck.PcieLoad...),
 		cpuCoresOn: make([]int, nodes),
@@ -383,7 +386,7 @@ func Resume(ck *Checkpoint, scheduler sched.Scheduler, sink CheckpointSink) (*Si
 			startedAt: rs.StartedAt, bwDemand: rs.BwDemand, attempt: rs.Attempt,
 		}
 		if j.IsGPU() {
-			model, err := perfmodel.Lookup(j.Model)
+			model, err := s.model(j.Model)
 			if err != nil {
 				return nil, fmt.Errorf("sim: resume job %d: %w", j.ID, err)
 			}
@@ -402,6 +405,13 @@ func Resume(ck *Checkpoint, scheduler sched.Scheduler, sink CheckpointSink) (*Si
 				s.cpuCoresOn[nid] += r.alloc.CPUCores
 			}
 		}
+	}
+
+	// The speed caches are derived state too. Every node's load is
+	// restored now, so each running job's inputs are what they were when
+	// the checkpoint was taken.
+	for _, r := range s.runOrder {
+		s.startSpeedCache(r)
 	}
 
 	s.startedOnce = make(map[job.ID]bool, len(ck.StartedOnce))

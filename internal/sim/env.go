@@ -8,7 +8,6 @@ import (
 	"github.com/coda-repro/coda/internal/cluster"
 	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/membw"
-	"github.com/coda-repro/coda/internal/perfmodel"
 	"github.com/coda-repro/coda/internal/sched"
 )
 
@@ -70,7 +69,7 @@ func (s *Simulator) StartJob(id job.ID, alloc job.Allocation) error {
 	}
 	var bwDemand float64
 	if j.IsGPU() {
-		model, err := perfmodel.Lookup(j.Model)
+		model, err := s.model(j.Model)
 		if err != nil {
 			_ = s.cluster.Release(id)
 			return fmt.Errorf("sim: job %d: %w", id, err)
@@ -124,6 +123,7 @@ func (s *Simulator) StartJob(id job.ID, alloc job.Allocation) error {
 
 	// New load may slow neighbours; refresh the whole neighbourhood
 	// (including this job, whose speed is set by the same pass).
+	s.startSpeedCache(r)
 	r.speed = s.computeSpeed(r)
 	s.scheduleCompletion(r)
 	s.refreshNodes(alloc.NodeIDs)
@@ -174,6 +174,9 @@ func (s *Simulator) ResizeJob(id job.ID, coresPerNode int) error {
 			_ = meter.SetDemand(id, newDemand)
 		}
 	}
+	if r.model == nil {
+		s.evalSpeed(r)
+	}
 	s.results.noteResize(r.job, coresPerNode)
 	s.refreshNodes(r.alloc.NodeIDs)
 	return nil
@@ -221,6 +224,9 @@ func (s *Simulator) ThrottleJob(id job.ID, capGBs float64) error {
 			return err
 		}
 	}
+	if r.model == nil {
+		s.evalSpeed(r)
+	}
 	s.results.noteThrottle(id)
 	s.refreshNodes(r.alloc.NodeIDs)
 	return nil
@@ -241,6 +247,9 @@ func (s *Simulator) UnthrottleJob(id job.ID) error {
 			return err
 		}
 	}
+	if r.model == nil {
+		s.evalSpeed(r)
+	}
 	s.refreshNodes(r.alloc.NodeIDs)
 	return nil
 }
@@ -255,10 +264,12 @@ func (s *Simulator) GPUUtil(id job.ID) (float64, error) {
 	if r.model == nil {
 		return 0, fmt.Errorf("sim: job %d is not a training job", id)
 	}
-	util, err := r.model.GPUUtil(r.cfg(), r.job.BatchSize, r.alloc.CPUCores, s.worstContention(r.alloc.NodeIDs))
-	if err != nil {
-		return 0, err
+	// The cached raw speed is what the model gave at this operating point
+	// when its inputs last changed.
+	if r.rawErr != nil {
+		return 0, r.rawErr
 	}
+	util := r.model.UtilAtSpeed(r.rawSpeed)
 	if s.opts.UtilNoise > 0 {
 		util *= 1 + s.opts.UtilNoise*(2*s.noise()-1)
 	}

@@ -34,8 +34,9 @@ func (s *Simulator) checkEventInvariants() error {
 }
 
 // checkInvariantsDelta verifies the invariants on the nodes and jobs the
-// current event touched, plus the O(1) conservation identity. Anything the
-// event did not touch cannot have changed since its own last check.
+// current event touched, including the speed caches of every job on a
+// touched node, plus the O(1) conservation identity. Anything the event
+// did not touch cannot have changed since its own last check.
 func (s *Simulator) checkInvariantsDelta() error {
 	for _, nid := range s.cluster.TouchedNodes() {
 		if err := s.cluster.CheckNodeInvariants(nid); err != nil {
@@ -47,6 +48,11 @@ func (s *Simulator) checkInvariantsDelta() error {
 		}
 		if err := s.checkNodeJobs(n); err != nil {
 			return err
+		}
+		for _, r := range s.onNode[nid] {
+			if err := s.checkSpeedCache(r); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -132,13 +138,15 @@ func (s *Simulator) checkNodeJobs(n *cluster.Node) error {
 	if err := meter.CheckInvariants(); err != nil {
 		return fmt.Errorf("node %d: %w", n.ID, err)
 	}
-	s.invUsages = meter.AppendJobs(s.invUsages[:0])
-	if len(s.invUsages) != n.JobCount() {
-		return fmt.Errorf("node %d: meter tracks %d jobs, node hosts %d", n.ID, len(s.invUsages), n.JobCount())
+	// The list was just proven to name exactly the hosted jobs in ID order,
+	// so the meter's sorted ID mirror must equal it entry for entry.
+	ids := meter.IDs()
+	if len(ids) != len(list) {
+		return fmt.Errorf("node %d: meter tracks %d jobs, node hosts %d", n.ID, len(ids), len(list))
 	}
-	for _, u := range s.invUsages {
-		if _, _, ok := n.JobShare(u.ID); !ok {
-			return fmt.Errorf("node %d: meter tracks job %d which holds no share there", n.ID, u.ID)
+	for i, r := range list {
+		if ids[i] != r.job.ID {
+			return fmt.Errorf("node %d: meter tracks job %d where the node hosts job %d", n.ID, ids[i], r.job.ID)
 		}
 	}
 	if s.pcieLoad[n.ID] < 0 {
@@ -176,8 +184,10 @@ func (s *Simulator) checkConservation() error {
 //     and a cached meter total equals a fresh sum.
 //     (Demand may exceed capacity — that is contention, the phenomenon
 //     under study — but accounting must balance.)
-//  5. PCIe load is never negative.
-//  6. Job conservation: arrivals left + pending + running + retrying +
+//  5. Speed caches: each running job's cached raw speed and optimal core
+//     count equal, bit for bit, a fresh evaluation of its inputs.
+//  6. PCIe load is never negative.
+//  7. Job conservation: arrivals left + pending + running + retrying +
 //     completed + terminally failed + cancelled = admitted. No admitted
 //     job is ever lost.
 //
@@ -247,6 +257,9 @@ func (s *Simulator) CheckInvariants() error {
 		if placed != len(r.alloc.NodeIDs) {
 			return fmt.Errorf("running job %d placed on %d nodes, allocation names %d",
 				id, placed, len(r.alloc.NodeIDs))
+		}
+		if err := s.checkSpeedCache(r); err != nil {
+			return err
 		}
 	}
 	if live != len(s.running) || stopped != s.runOrderStopped {

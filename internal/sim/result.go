@@ -264,14 +264,15 @@ func (s *Simulator) sample() {
 		}
 		cores := float64(r.alloc.TotalCPUCores())
 		if r.model != nil {
-			util, err := r.model.GPUUtil(r.cfg(), r.job.BatchSize, r.alloc.CPUCores, s.worstContention(r.alloc.NodeIDs))
-			if err == nil {
+			// The speed cache holds what the model gives at this operating
+			// point: every change to the job's inputs re-evaluated it.
+			if r.rawErr == nil {
+				util := r.model.UtilAtSpeed(r.rawSpeed)
 				w := float64(r.alloc.TotalGPUs())
 				gpuUtilSum += util * w
 				gpuWeight += w
 			}
-			opt, err := r.model.OptimalCores(r.cfg(), r.job.BatchSize)
-			if err == nil {
+			if opt := r.optCores; opt > 0 {
 				// Data-preparation workers alternate between decode bursts
 				// and I/O waits: an allocated core is busy well below 100%
 				// even at the optimal allocation, and over-allocated cores

@@ -12,6 +12,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -202,37 +203,52 @@ type event struct {
 	run *runningJob
 }
 
-// before reports whether e sorts ahead of o: earlier time first, then
+// heapEntry is one slot of the event queue: the event's time inline beside
+// its pointer, 16 bytes, so a comparison loads the event itself only when
+// two times tie and the sequence numbers decide.
+type heapEntry struct {
+	at time.Duration
+	e  *event
+}
+
+// before reports whether h sorts ahead of o: earlier time first, then
 // lower sequence number. No two queued events share a sequence number, so
 // (at, seq) is a strict total order and every correct heap pops the same
 // sequence.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+func (h heapEntry) before(o heapEntry) bool {
+	if h.at != o.at {
+		return h.at < o.at
 	}
-	return e.seq < o.seq
+	return h.e.seq < o.e.seq
 }
 
 // eventHeap is the pending-event queue: a binary min-heap on (at, seq), so
 // events come out in strictly ascending (at, seq) order regardless of
-// insertion order. It compares inline instead of through heap.Interface.
-// Checkpoints never record its layout: the snapshot is canonicalized to
-// sorted (at, seq) order.
-type eventHeap []*event
+// insertion order. It compares inline instead of through heap.Interface,
+// and grows by doubling. Checkpoints never record its layout: the snapshot
+// is canonicalized to sorted (at, seq) order.
+type eventHeap []heapEntry
 
 // push adds e, sifting it up from the last leaf.
 func (h *eventHeap) push(e *event) {
-	q := append(*h, e)
+	q := *h
+	if len(q) == cap(q) {
+		grown := make(eventHeap, len(q), max(2*cap(q), 64))
+		copy(grown, q)
+		q = grown
+	}
+	x := heapEntry{at: e.at, e: e}
+	q = q[:len(q)+1]
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.before(q[parent]) {
+		if !x.before(q[parent]) {
 			break
 		}
 		q[i] = q[parent]
 		i = parent
 	}
-	q[i] = e
+	q[i] = x
 	*h = q
 }
 
@@ -240,10 +256,10 @@ func (h *eventHeap) push(e *event) {
 // from the root. The heap must not be empty.
 func (h *eventHeap) pop() *event {
 	q := *h
-	top := q[0]
+	top := q[0].e
 	n := len(q) - 1
 	last := q[n]
-	q[n] = nil
+	q[n] = heapEntry{}
 	q = q[:n]
 	if n > 0 {
 		i := 0
@@ -276,6 +292,20 @@ type runningJob struct {
 	remaining time.Duration
 	// speed is the current progress rate in (0, 1].
 	speed float64
+	// rawSpeed and rawErr are what the job's speed inputs gave at their
+	// last evaluation, before the minSpeed clamp and the straggler
+	// slowdown: perfmodel's Speed under the worst contention across the
+	// job's nodes for a training job, the throttle and core ratios of its
+	// own meter record and allocation for a CPU job (rawErr is always nil
+	// for those). optCores is a training job's optimal per-node core
+	// count, 0 when the model rejects its configuration; it depends only on
+	// the attempt's configuration and batch size. evalSpeed writes the
+	// first two and startSpeedCache all three; sample and GPUUtil read them
+	// instead of re-running the model, and the audits re-evaluate them bit
+	// for bit.
+	rawSpeed float64
+	rawErr   error
+	optCores int
 	// lastUpdate is when remaining was last integrated.
 	lastUpdate time.Duration
 	// version invalidates stale completion events after speed changes.
@@ -352,6 +382,10 @@ type Simulator struct {
 	runOrderStopped int
 	// refreshEpoch numbers refreshNodes calls (see runningJob.refreshed).
 	refreshEpoch uint64
+	// models holds the simulator's own copy of each model a training job
+	// named, looked up once: running attempts share them and never write
+	// to them.
+	models map[string]*perfmodel.Model
 	// startedOnce marks jobs that started at least once and have not yet
 	// reached a terminal state. A job's queue-time sample fires exactly on
 	// its first start, and the aggregate CDFs must see every job even when
@@ -414,11 +448,9 @@ type Simulator struct {
 	// cpuCoresOn[nid] is the per-node sum of CPU-job cores, maintained
 	// incrementally so the contention hot path never walks node job maps.
 	cpuCoresOn []int
-	// Reusable scratch: fragMinCores backs fragRate, invUsages backs the
-	// invariant checkers, touchedJobs journals the job IDs events touched
-	// for the delta invariant check.
+	// Reusable scratch: fragMinCores backs fragRate, touchedJobs journals
+	// the job IDs events touched for the delta invariant check.
 	fragMinCores map[int]int
-	invUsages    []membw.JobUsage
 	touchedJobs  []job.ID
 	// eventsSinceAudit counts events since the last full invariant audit.
 	eventsSinceAudit int
@@ -458,6 +490,7 @@ func newSimulator(opts Options, scheduler sched.Scheduler) (*Simulator, error) {
 		pending:     make(map[job.ID]*job.Job),
 		running:     make(map[job.ID]*runningJob),
 		startedOnce: make(map[job.ID]bool),
+		models:      make(map[string]*perfmodel.Model),
 		onNode:      make([][]*runningJob, opts.Cluster.TotalNodes()),
 		pcieLoad:    make([]float64, opts.Cluster.TotalNodes()),
 		cpuCoresOn:  make([]int, opts.Cluster.TotalNodes()),
@@ -864,6 +897,20 @@ func (s *Simulator) stopJob(r *runningJob) {
 	s.refreshNodes(r.alloc.NodeIDs)
 }
 
+// model returns the simulator's copy of the named model, looking it up on
+// first use.
+func (s *Simulator) model(name string) (*perfmodel.Model, error) {
+	if m, ok := s.models[name]; ok {
+		return m, nil
+	}
+	m, err := perfmodel.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	s.models[name] = m
+	return m, nil
+}
+
 // track records a started attempt in running and in its ID-ordered views.
 func (s *Simulator) track(r *runningJob) {
 	s.running[r.job.ID] = r
@@ -1011,26 +1058,40 @@ func (s *Simulator) slowdown(nodeIDs []int) float64 {
 	return worst
 }
 
-// computeSpeed returns the job's progress rate at the current allocation
-// and contention.
+// computeSpeed returns the job's progress rate from its cached raw speed
+// and its nodes' straggler slowdown.
 func (s *Simulator) computeSpeed(r *runningJob) float64 {
-	speed := s.baseSpeed(r) * s.slowdown(r.alloc.NodeIDs)
+	base := r.rawSpeed
+	if r.rawErr != nil || base < minSpeed {
+		base = minSpeed
+	}
+	speed := base * s.slowdown(r.alloc.NodeIDs)
 	if speed < minSpeed {
 		return minSpeed
 	}
 	return speed
 }
 
-// baseSpeed is the fault-free progress rate (allocation + contention only).
-func (s *Simulator) baseSpeed(r *runningJob) float64 {
+// evalSpeed re-evaluates the job's raw speed from its current inputs and
+// caches it (see runningJob.rawSpeed).
+func (s *Simulator) evalSpeed(r *runningJob) {
+	r.rawSpeed, r.rawErr = s.rawSpeed(r)
+}
+
+// startSpeedCache fills a newly tracked attempt's speed cache.
+func (s *Simulator) startSpeedCache(r *runningJob) {
+	s.evalSpeed(r)
+	r.optCores = optimalCores(r)
+}
+
+// rawSpeed is the fault-free progress rate (allocation + contention only)
+// before the minSpeed clamp.
+func (s *Simulator) rawSpeed(r *runningJob) (float64, error) {
 	if r.model != nil {
-		speed, err := r.model.Speed(r.cfg(), r.job.BatchSize, r.alloc.CPUCores, s.worstContention(r.alloc.NodeIDs))
-		if err != nil || speed < minSpeed {
-			return minSpeed
-		}
-		return speed
+		return r.model.Speed(r.cfg(), r.job.BatchSize, r.alloc.CPUCores, s.worstContention(r.alloc.NodeIDs))
 	}
-	// CPU jobs: slowed by bandwidth throttling and by core shrinkage.
+	// CPU jobs: slowed by bandwidth throttling and by core shrinkage. Both
+	// read only the job's own meter record and allocation.
 	speed := 1.0
 	if r.job.Bandwidth > 0 {
 		meter, err := s.monitor.Node(r.alloc.NodeIDs[0])
@@ -1043,10 +1104,36 @@ func (s *Simulator) baseSpeed(r *runningJob) float64 {
 	if req := r.job.Request.CPUCores; req > 0 && r.alloc.CPUCores < req {
 		speed *= float64(r.alloc.CPUCores) / float64(req)
 	}
-	if speed < minSpeed {
-		return minSpeed
+	return speed, nil
+}
+
+// optimalCores is a training job's optimal per-node core count at its
+// configuration and batch size, 0 for a CPU job or when the model rejects
+// the configuration.
+func optimalCores(r *runningJob) int {
+	if r.model == nil {
+		return 0
 	}
-	return speed
+	opt, err := r.model.OptimalCores(r.cfg(), r.job.BatchSize)
+	if err != nil {
+		return 0
+	}
+	return opt
+}
+
+// checkSpeedCache re-evaluates a running job's cached speed inputs and
+// reports a cache that differs from them, bit for bit: an input change
+// that no re-evaluation followed.
+func (s *Simulator) checkSpeedCache(r *runningJob) error {
+	raw, err := s.rawSpeed(r)
+	if math.Float64bits(raw) != math.Float64bits(r.rawSpeed) || (err == nil) != (r.rawErr == nil) {
+		return fmt.Errorf("running job %d: cached raw speed %v (error %v), its inputs give %v (error %v)",
+			r.job.ID, r.rawSpeed, r.rawErr, raw, err)
+	}
+	if opt := optimalCores(r); opt != r.optCores {
+		return fmt.Errorf("running job %d: cached optimal cores %d, its configuration gives %d", r.job.ID, r.optCores, opt)
+	}
+	return nil
 }
 
 // refreshNodes re-evaluates the speed of every job touching the nodes and
@@ -1061,7 +1148,16 @@ func (s *Simulator) refreshNodes(nodeIDs []int) {
 				continue
 			}
 			r.refreshed = s.refreshEpoch
+			// Advance every visited job, even a CPU job whose rate cannot
+			// have changed: where an integration is split is part of the
+			// recorded arithmetic.
 			s.advance(r)
+			if r.model != nil {
+				// A training job reads its nodes' contention. A CPU job's
+				// raw speed changes only with its own record, where
+				// ResizeJob, ThrottleJob and UnthrottleJob re-evaluate it.
+				s.evalSpeed(r)
+			}
 			newSpeed := s.computeSpeed(r)
 			//coda:ordered-ok change detector; both sides come from the same deterministic computation
 			if newSpeed != r.speed {

@@ -50,16 +50,40 @@ type arrivalSampler struct {
 	// non-whole-day duration is partial).
 	cum     []float64
 	dayLens []float64
+	// c is dayMass's cosine coefficient, amplitude·day/2π.
+	c float64
+	// The certified inversion's constants (see bracket): k is the
+	// amplitude of dayMass's slope, whose derivative is 1 + k·sin(·);
+	// errBound bounds dayMass's floating-point error; knotMass[i] is
+	// dayMass(i·knotStep), the starting table of the Newton estimate.
+	// certify is false when dayMass might not be monotone.
+	k        float64
+	errBound float64
+	knotMass [knots]float64
+	certify  bool
 }
 
 const nsPerDay = float64(24 * time.Hour)
+
+// knots is the size of the per-sampler table the Newton estimate starts
+// from: 9 dayMass values, a fixed cost per sampler.
+const (
+	knots    = 9
+	knotStep = nsPerDay / (knots - 1)
+)
+
+// unitRoundoff is float64's unit roundoff, 2^-53.
+const unitRoundoff = 0x1p-53
+
+// maxNewtonSteps caps the Newton estimate; bracket certifies whatever it
+// reaches.
+const maxNewtonSteps = 8
 
 // dayMass is the closed-form arrival mass of day d's first x nanoseconds
 // (before weekend scaling): the antiderivative of 1 + a·sin(2π(t/day − 1/4))
 // from the day boundary, where the cosine term vanishes.
 func (a *arrivalSampler) dayMass(x float64) float64 {
-	c := a.amplitude * nsPerDay / (2 * math.Pi)
-	return x - c*math.Cos(2*math.Pi*(x/nsPerDay-0.25))
+	return x - a.c*math.Cos(2*math.Pi*(x/nsPerDay-0.25))
 }
 
 func newArrivalSampler(duration time.Duration, amplitude, weekendFactor float64) *arrivalSampler {
@@ -73,6 +97,7 @@ func newArrivalSampler(duration time.Duration, amplitude, weekendFactor float64)
 		a.uniform = true
 		return a
 	}
+	a.c = amplitude * nsPerDay / (2 * math.Pi)
 	days := int(math.Ceil(a.duration / nsPerDay))
 	a.cum = make([]float64, days+1)
 	a.dayLens = make([]float64, days)
@@ -87,6 +112,30 @@ func newArrivalSampler(duration time.Duration, amplitude, weekendFactor float64)
 		}
 		a.dayLens[d] = dlen
 		a.cum[d+1] = a.cum[d] + w*a.dayMass(dlen)
+	}
+
+	// dayMass, evaluated in float64 for 0 <= x <= day, is within errBound of
+	// g(x) = x − c·cos(P·(x/day − 1/4)) in exact arithmetic, where c and
+	// P = 2π are the float64 constants dayMass uses. With u = 2^-53:
+	//   - x/day − 1/4 is off by at most 1.75u, so the cosine's argument
+	//     (|P·(x/day − 1/4)| <= 0.75·P) is off by at most 2.5·P·u < 15.71u
+	//     with its own rounding;
+	//   - math.Cos is taken to be within 4u of the cosine of its argument
+	//     (its documented peak relative error is 2.1e-16, about 1.9u), so
+	//     the cosine is off by at most 19.71u and c times it, rounded, by
+	//     at most 20.71·c·u;
+	//   - the subtraction from x rounds once more, by u·(day + c).
+	// That is at most u·(day + 21.71·c). bracket compares against
+	// rem ∓ 2·errBound, whose rounding adds u·(day + c + 2·errBound); half
+	// of that on top still fits under errBound = u·(2·day + 24·c). A fused
+	// multiply-add, on platforms that use one, only removes roundings.
+	a.k = a.c * (2 * math.Pi) / nsPerDay
+	a.errBound = unitRoundoff * (2*nsPerDay + 24*a.c)
+	// g's derivative is 1 + k·sin(·), so g is non-decreasing when k <= 1;
+	// the margin dwarfs k's own rounding error of a few u.
+	a.certify = a.k < 1-1e-9
+	for i := range a.knotMass {
+		a.knotMass[i] = a.dayMass(float64(i) * knotStep)
 	}
 	return a
 }
@@ -120,13 +169,21 @@ func (a *arrivalSampler) at(frac float64) time.Duration {
 			w = a.weekend
 		}
 		rem := (target - a.cum[d]) / w
-		// Bisect dayMass(x) = rem on [0, dayLens[d]].
+		// Bisect dayMass(x) = rem on [0, dayLens[d]]. A mid outside the
+		// certified bracket takes the decision the bracket proves; only
+		// the mids inside it evaluate dayMass.
 		xlo, xhi := 0.0, a.dayLens[d]
+		below, above := a.bracket(rem, xhi)
 		for i := 0; i < invertIterations; i++ {
 			mid := (xlo + xhi) / 2
-			if a.dayMass(mid) <= rem {
+			switch {
+			case mid < below:
 				xlo = mid
-			} else {
+			case mid > above:
+				xhi = mid
+			case a.dayMass(mid) <= rem:
+				xlo = mid
+			default:
 				xhi = mid
 			}
 		}
@@ -139,6 +196,67 @@ func (a *arrivalSampler) at(frac float64) time.Duration {
 		t = a.duration - 1
 	}
 	return time.Duration(t)
+}
+
+// bracket returns below and above such that dayMass, as evaluated, is
+// certainly <= rem at every x in (0, below) and certainly > rem at every x in
+// (above, dayLen). It checks two dayMass values around a Newton estimate of
+// the root: each must miss rem by more than 2·errBound. Then, g being
+// non-decreasing, for x < below
+//
+//	dayMass(x) <= g(x) + errBound <= g(below) + errBound <= dayMass(below) + 2·errBound < rem,
+//
+// and symmetrically above. A side that fails the check, or falls outside
+// (0, dayLen), is returned infinite: the bisection then evaluates every mid
+// on that side, so the decisions never depend on the estimate.
+func (a *arrivalSampler) bracket(rem, dayLen float64) (below, above float64) {
+	below, above = math.Inf(-1), math.Inf(1)
+	if !a.certify {
+		return below, above
+	}
+	x, delta := a.estimate(rem, dayLen)
+	margin := 2 * a.errBound
+	if lo := x - delta; lo > 0 && a.dayMass(lo) < rem-margin {
+		below = lo
+	}
+	if hi := x + delta; hi < dayLen && a.dayMass(hi) > rem+margin {
+		above = hi
+	}
+	return below, above
+}
+
+// estimate returns a Newton estimate x of the root of dayMass(x) = rem on
+// [0, dayLen], started from the knot table, and a half-width delta meant to
+// move dayMass more than 3·errBound from rem on either side: 4·errBound
+// over the local slope, plus twice the estimate's own error, which after a
+// Newton step h is at most curvature·h²/slope with curvature half the largest
+// second derivative of g, k·π/day.
+func (a *arrivalSampler) estimate(rem, dayLen float64) (x, delta float64) {
+	m := &a.knotMass
+	lo, hi := 0, knots-1
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if m[mid] <= rem {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	segLo, segHi := float64(lo)*knotStep, min(float64(hi)*knotStep, dayLen)
+	x = segLo + (rem-m[lo])*knotStep/(m[hi]-m[lo])
+	curvature := a.k * math.Pi / nsPerDay
+	slope, step := 1.0, 0.0
+	for i := 0; i < maxNewtonSteps; i++ {
+		x = max(segLo, min(x, segHi))
+		sin, cos := math.Sincos(2 * math.Pi * (x/nsPerDay - 0.25))
+		slope = 1 + a.k*sin
+		step = (x - a.c*cos - rem) / slope
+		x -= step
+		if curvature*step*step <= a.errBound*slope {
+			break
+		}
+	}
+	return x, (4*a.errBound + 2*curvature*step*step) / slope
 }
 
 // stream is one sub-stream (all CPU jobs or all GPU jobs) of a Source: a
@@ -229,6 +347,8 @@ type Source struct {
 
 	gpuWeights, cpuWeights      []float64
 	modelWeights, configWeights []float64
+	// models[i] is the source's copy of modelMix[i]'s model, looked up once.
+	models []*perfmodel.Model
 }
 
 // NewSource validates cfg and positions a fresh Source at the first job.
@@ -243,8 +363,14 @@ func NewSource(cfg Config) (*Source, error) {
 		cpuWeights: tenantCPUWeights(),
 	}
 	s.modelWeights = make([]float64, len(modelMix))
+	s.models = make([]*perfmodel.Model, len(modelMix))
 	for i, m := range modelMix {
 		s.modelWeights[i] = m.weight
+		model, err := perfmodel.Lookup(m.name)
+		if err != nil {
+			return nil, fmt.Errorf("trace: %w", err)
+		}
+		s.models[i] = model
 	}
 	s.configWeights = make([]float64, len(configMix))
 	for i, c := range configMix {
@@ -283,17 +409,13 @@ func (s *Source) Total() int { return s.cfg.CPUJobs + s.cfg.GPUJobs }
 func (s *Source) Next() (*job.Job, error) {
 	gpuTurn := s.gpu.left > 0 && (s.cpu.left == 0 || s.gpu.next <= s.cpu.next)
 	var j *job.Job
-	var err error
 	switch {
 	case gpuTurn:
-		j, err = s.nextGPU()
+		j = s.nextGPU()
 	case s.cpu.left > 0:
 		j = s.nextCPU()
 	default:
 		return nil, nil
-	}
-	if err != nil {
-		return nil, err
 	}
 	j.ID = job.ID(s.nextID)
 	s.nextID++
@@ -306,16 +428,12 @@ func (s *Source) Next() (*job.Job, error) {
 // nextGPU emits the GPU sub-stream's next job. Attribute draw order is fixed
 // and part of the format: model, config, batch, category/hints, tenant,
 // cores, runtime.
-func (s *Source) nextGPU() (*job.Job, error) {
+func (s *Source) nextGPU() *job.Job {
 	st := &s.gpu
 	arrival := st.next
 	cfg := s.cfg
 
-	mi := st.pick(s.modelWeights)
-	model, err := perfmodel.Lookup(modelMix[mi].name)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
+	model := s.models[st.pick(s.modelWeights)]
 	ci := st.pick(s.configWeights)
 	nodes, gpus := configMix[ci].nodes, configMix[ci].gpus
 
@@ -354,7 +472,7 @@ func (s *Source) nextGPU() (*job.Job, error) {
 	if st.left > 0 {
 		st.prime()
 	}
-	return j, nil
+	return j
 }
 
 // nextCPU emits the CPU sub-stream's next job (a bandwidth hog with

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/coda-repro/coda/internal/job"
+	"github.com/coda-repro/coda/internal/perfmodel"
 )
 
 func TestSourceMatchesGenerate(t *testing.T) {
@@ -230,5 +231,27 @@ func TestHourlyArrivalsSourceMatchesSlice(t *testing.T) {
 	}
 	if got, want := gpu.Bins(), HourlyArrivals(jobs, cfg.Duration, gpuOnly); !reflect.DeepEqual(got, want) {
 		t.Fatalf("filtered hourly bins differ:\nsource: %v\nslice:  %v", got, want)
+	}
+}
+
+// TestSourceModelsAreCopies mutates the models a source resolved and checks
+// that the catalog's next lookup is unchanged.
+func TestSourceModelsAreCopies(t *testing.T) {
+	src, err := NewSource(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := src.models[0]
+	want, err := perfmodel.Lookup(m.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.DefaultBatch, m.MaxBatch = -1, -1
+	got, err := perfmodel.Lookup(m.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != *want {
+		t.Errorf("lookup after mutating the source's copy = %+v, want %+v", *got, *want)
 	}
 }
