@@ -31,8 +31,9 @@ type benchEntry struct {
 }
 
 // macroVariants are the engine configurations the macro benchmark times:
-// the lightest scheduler (placement-dominated), the full CODA stack, and
-// CODA with the per-event invariant checker on (the O(Δ) target).
+// the lightest scheduler (placement-dominated), the full CODA stack, CODA
+// with the per-event invariant checker on (the O(Δ) target), and the DRF
+// baseline's per-tenant fill pass.
 var macroVariants = []struct {
 	scheduler  string
 	invariants bool
@@ -40,6 +41,7 @@ var macroVariants = []struct {
 	{"fifo", false},
 	{"coda", false},
 	{"coda", true},
+	{"drf", false},
 }
 
 // printMacro runs the macro-benchmark at the chosen scale, prints the
@@ -129,8 +131,10 @@ const allocTolerance = 0.05
 // placement-path regression even when event processing elsewhere masks it.
 // It also fails when a variant's event or placement-query count differs
 // from the baseline's at all: the counts are the same on every machine, so
-// any change to them is a change in what the engine decided. And it fails
-// when a variant allocates more than allocTolerance above the baseline.
+// any change to them is a change in what the engine decided. It fails when
+// a variant allocates more than allocTolerance above the baseline, and when
+// a variant has no baseline entry, so a new variant is gated from the
+// change that adds it.
 func compareBenchBaseline(path string, entries []benchEntry, tolerance float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -144,10 +148,11 @@ func compareBenchBaseline(path string, entries []benchEntry, tolerance float64) 
 	for _, b := range baseline {
 		byName[b.Name] = b
 	}
-	var moved, regressed, allocs []string
+	var missing, moved, regressed, allocs []string
 	for _, e := range entries {
 		b, ok := byName[e.Name]
 		if !ok {
+			missing = append(missing, e.Name)
 			continue
 		}
 		if e.Events != b.Events || e.PlacementQueries != b.PlacementQueries {
@@ -177,6 +182,9 @@ func compareBenchBaseline(path string, entries []benchEntry, tolerance float64) 
 			regressed = append(regressed, fmt.Sprintf("%s: %.0f -> %.0f queries/sec (%.0f%% drop)",
 				e.Name, b.QueriesPerSec, e.QueriesPerSec, (1-qratio)*100))
 		}
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("variants without a baseline entry in %s: %v", path, missing)
 	}
 	if len(moved) > 0 {
 		return fmt.Errorf("work counts moved: %v", moved)

@@ -35,7 +35,7 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", 0, "worker-pool width for experiment matrices (0 = GOMAXPROCS)")
 	runs := fs.Int("runs", 3, "seed count for the multiseed section")
 	benchJSON := fs.String("bench-json", "", "write macro-benchmark measurements to this JSON file (BENCH_<name>.json)")
-	benchBaseline := fs.String("bench-baseline", "", "compare macro-benchmark events/sec, work counts and allocations against this baseline JSON and fail on regression")
+	benchBaseline := fs.String("bench-baseline", "", "compare macro-benchmark events/sec, work counts and allocations against this baseline JSON and fail on regression or on a variant it lacks")
 	benchTolerance := fs.Float64("bench-tolerance", 0.20, "allowed fractional events/sec drop vs -bench-baseline before failing")
 	memGateBytes := fs.Float64("memgate-bytes-per-job", 256, "memgate: allowed peak-heap growth per extra job before failing")
 	if err := fs.Parse(args); err != nil {

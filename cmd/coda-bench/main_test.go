@@ -141,3 +141,21 @@ func TestCompareBenchBaselineAllocs(t *testing.T) {
 		t.Errorf("macro-coda 5%% + 1 over: error %v, want one naming macro-coda only", err)
 	}
 }
+
+// TestCompareBenchBaselineMissingEntry: a variant the baseline file does
+// not list fails the gate and is named, instead of passing unchecked.
+func TestCompareBenchBaselineMissingEntry(t *testing.T) {
+	baseline := []benchEntry{
+		{Name: "macro-fifo", Events: 35710, PlacementQueries: 44366, EventsPerSec: 100, QueriesPerSec: 100},
+	}
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := writeBenchJSON(path, baseline); err != nil {
+		t.Fatal(err)
+	}
+	run := append(append([]benchEntry(nil), baseline...),
+		benchEntry{Name: "macro-drf", Events: 35809, PlacementQueries: 160088, EventsPerSec: 100, QueriesPerSec: 100})
+	err := compareBenchBaseline(path, run, 0.2)
+	if err == nil || !strings.Contains(err.Error(), "macro-drf") || strings.Contains(err.Error(), "macro-fifo") {
+		t.Errorf("variant without a baseline entry: error %v, want one naming macro-drf only", err)
+	}
+}

@@ -25,8 +25,8 @@ const placementQueryIters = 200000
 // probe must skip a long occupied prefix (the worst case for any scan).
 func printPlacement() error {
 	header("Placement microbenchmark — hierarchical index query cost vs cluster size")
-	fmt.Printf("  %-12s %14s %14s %14s %14s\n",
-		"nodes", "first-fit hit", "first-fit miss", "best-fit hit", "count")
+	fmt.Printf("  %-12s %14s %14s %14s\n",
+		"nodes", "first-fit hit", "first-fit miss", "count")
 	firstFitNs := make(map[int]float64, len(placementNodeCounts))
 	for _, nodes := range placementNodeCounts {
 		c, err := loadedBenchCluster(nodes)
@@ -34,22 +34,19 @@ func printPlacement() error {
 			return err
 		}
 		hit := timeQuery(func() {
-			c.ScanPlaceable(4, 1, false, func(*cluster.Node) bool { return false })
+			c.ScanPlaceable(4, 1, func(*cluster.Node) bool { return false })
 		})
 		miss := timeQuery(func() {
 			// Nothing in the loaded cluster has 27 free cores and 5 free
 			// GPUs: the flat scan visited every node to learn that.
-			c.ScanPlaceable(27, 5, false, func(*cluster.Node) bool { return false })
-		})
-		best := timeQuery(func() {
-			c.ScanPlaceable(4, 1, true, func(*cluster.Node) bool { return false })
+			c.ScanPlaceable(27, 5, func(*cluster.Node) bool { return false })
 		})
 		count := timeQuery(func() {
 			c.CountPlaceable(4, 1)
 		})
 		firstFitNs[nodes] = hit
-		fmt.Printf("  %-12d %11.0f ns %11.0f ns %11.0f ns %11.0f ns\n",
-			nodes, hit, miss, best, count)
+		fmt.Printf("  %-12d %11.0f ns %11.0f ns %11.0f ns\n",
+			nodes, hit, miss, count)
 	}
 	small, large := placementNodeCounts[0], placementNodeCounts[len(placementNodeCounts)-1]
 	ratio := firstFitNs[large] / firstFitNs[small]

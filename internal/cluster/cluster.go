@@ -158,8 +158,8 @@ func (n *Node) State() NodeState { return n.state }
 func (n *Node) Up() bool { return n.state == NodeUp }
 
 // FreeCores returns the unallocated core count. A node that is not up
-// reports zero free cores, so every placement path — Fits, FindNodes and
-// the schedulers' own scans — excludes it without knowing about states.
+// reports zero free cores, so every placement path — Fits, ScanPlaceable
+// and the schedulers' own scans — excludes it without knowing about states.
 func (n *Node) FreeCores() int {
 	if n.state != NodeUp {
 		return 0
@@ -224,9 +224,8 @@ type Cluster struct {
 	nodes []*Node
 	// placements maps a job to the node IDs hosting it.
 	placements map[job.ID][]int
-	// placementQueries counts placement scans (FindNodes and the
-	// scheduler-side query helpers); the benchmark harness reads it to
-	// report placement-queries/sec.
+	// placementQueries counts the schedulers' placement scans; the
+	// benchmark harness reads it to report placement-queries/sec.
 	placementQueries int64
 	// index buckets nodes by free capacity; kept in sync by every mutator
 	// so placement queries never scan or sort.
@@ -250,6 +249,11 @@ func (c *Cluster) TouchedNodes() []int { return c.touched }
 
 // ResetTouched clears the touched-node journal, keeping its capacity.
 func (c *Cluster) ResetTouched() { c.touched = c.touched[:0] }
+
+// Touch journals node id for a change no Cluster mutator made, such as to
+// the node's bandwidth meter or its jobs' speeds, so the delta invariant
+// checker audits it too.
+func (c *Cluster) Touch(id int) { c.touched = append(c.touched, id) }
 
 // NotePlacementQuery counts one placement scan. The scheduler-side query
 // helpers call it so benchmarks can report placement-queries/sec.
@@ -492,29 +496,6 @@ func (c *Cluster) JobCores(id job.ID) int {
 	}
 	share := c.nodes[nodeIDs[0]].jobs[id]
 	return share.cores
-}
-
-// FindNodes returns the IDs of up to want nodes that each fit cores and
-// gpus, preferring the most-loaded (best-fit, to reduce fragmentation) when
-// bestFit is true, else first-fit in ID order. Returns nil if fewer than
-// want nodes qualify.
-func (c *Cluster) FindNodes(want, cores, gpus int, bestFit bool) []int {
-	c.NotePlacementQuery()
-	if want <= 0 {
-		return nil
-	}
-	if c.CountPlaceable(cores, gpus) < want {
-		return nil
-	}
-	// ScanPlaceable's best-fit order (fewest free GPUs, then fewest free
-	// cores, then lowest ID) matches the stable sort this method used to
-	// apply to ID-ordered candidates; first-fit is the same ID scan.
-	out := make([]int, 0, want)
-	c.ScanPlaceable(cores, gpus, bestFit, func(n *Node) bool {
-		out = append(out, n.ID)
-		return len(out) < want
-	})
-	return out
 }
 
 // Snapshot summarizes cluster occupancy.

@@ -221,46 +221,6 @@ func TestResizeMultiNodeAtomic(t *testing.T) {
 	}
 }
 
-func TestFindNodes(t *testing.T) {
-	c := MustNew(smallConfig())
-	// Fill node 0 entirely, node 1 partially.
-	if err := c.Allocate(1, job.Allocation{NodeIDs: []int{0}, CPUCores: 8, GPUs: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Allocate(2, job.Allocation{NodeIDs: []int{1}, CPUCores: 4, GPUs: 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("first fit skips full node", func(t *testing.T) {
-		got := c.FindNodes(1, 2, 1, false)
-		if len(got) != 1 || got[0] != 1 {
-			t.Errorf("FindNodes = %v, want [1]", got)
-		}
-	})
-	t.Run("best fit prefers loaded node", func(t *testing.T) {
-		got := c.FindNodes(1, 2, 1, true)
-		if len(got) != 1 || got[0] != 1 {
-			t.Errorf("FindNodes = %v, want [1] (fewest free GPUs)", got)
-		}
-	})
-	t.Run("multi node", func(t *testing.T) {
-		got := c.FindNodes(2, 2, 2, false)
-		if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-			t.Errorf("FindNodes = %v, want [2 3]", got)
-		}
-	})
-	t.Run("not enough nodes", func(t *testing.T) {
-		if got := c.FindNodes(4, 2, 2, false); got != nil {
-			t.Errorf("FindNodes = %v, want nil", got)
-		}
-	})
-	t.Run("zero want", func(t *testing.T) {
-		if got := c.FindNodes(0, 1, 0, false); got != nil {
-			t.Errorf("FindNodes = %v, want nil", got)
-		}
-	})
-}
-
 func TestSnapshot(t *testing.T) {
 	c := MustNew(smallConfig())
 	if err := c.Allocate(1, job.Allocation{NodeIDs: []int{0, 1}, CPUCores: 3, GPUs: 1}); err != nil {
@@ -375,7 +335,7 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		switch op := rng.Intn(3); {
 		case op == 0 || len(live) == 0:
-			nodes := c.FindNodes(1+rng.Intn(2), 1+rng.Intn(6), rng.Intn(3), rng.Intn(2) == 0)
+			nodes := firstFit(c, 1+rng.Intn(2), 1+rng.Intn(6), rng.Intn(3))
 			if nodes == nil {
 				continue
 			}
@@ -477,8 +437,8 @@ func TestNodeStateGatesPlacement(t *testing.T) {
 	if got := c.UnavailableNodes(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("UnavailableNodes = %v, want [0]", got)
 	}
-	if ids := c.FindNodes(4, 1, 0, false); ids != nil {
-		t.Errorf("FindNodes placed on a cluster with a down node: %v", ids)
+	if ids := firstFit(c, 4, 1, 0); ids != nil {
+		t.Errorf("first-fit placed on a cluster with a down node: %v", ids)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Errorf("empty down node must be legal: %v", err)

@@ -18,8 +18,8 @@ import (
 //     dominate a request is O(log G · log C) instead of a sweep over every
 //     dominating cell.
 //   - rowBits: per-GPU-row occupancy bitmaps over the capacity cells, so
-//     the best-fit and worst-fit cell walks skip empty cells in O(1) words
-//     instead of visiting each one.
+//     the worst-fit cell walk skips empty cells in O(1) words instead of
+//     visiting each one.
 //
 // None of these serialize: like the cell index they are rebuilt
 // deterministically from node state on construction and maintained
@@ -180,29 +180,6 @@ func newRowBits(rows, cols int) *rowBits {
 func (b *rowBits) set(g, c int)      { b.words[g][c>>6] |= 1 << (c & 63) }
 func (b *rowBits) clear(g, c int)    { b.words[g][c>>6] &^= 1 << (c & 63) }
 func (b *rowBits) has(g, c int) bool { return b.words[g][c>>6]&(1<<(c&63)) != 0 }
-
-// next returns the smallest marked core value >= c in row g, or -1.
-func (b *rowBits) next(g, c int) int {
-	if c < 0 {
-		c = 0
-	}
-	if c >= b.cols {
-		return -1
-	}
-	row := b.words[g]
-	w := c >> 6
-	cur := row[w] &^ (1<<(c&63) - 1)
-	for {
-		if cur != 0 {
-			return w<<6 + bits.TrailingZeros64(cur)
-		}
-		w++
-		if w >= len(row) {
-			return -1
-		}
-		cur = row[w]
-	}
-}
 
 // prev returns the largest marked core value <= c in row g, or -1.
 func (b *rowBits) prev(g, c int) int {

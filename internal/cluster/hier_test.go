@@ -23,35 +23,6 @@ func oracleFirstFit(c *Cluster, cores, gpus int) []int {
 	return out
 }
 
-// oracleBestFit lists every node that fits in packing order: fewest free
-// GPUs, then fewest free cores, then lowest ID (a stable sort over the
-// ID-ordered candidates, as the pre-index engine did).
-func oracleBestFit(c *Cluster, cores, gpus int) []int {
-	type cand struct{ id, g, c int }
-	var cands []cand
-	for _, n := range c.Nodes() {
-		if n.Fits(cores, gpus) {
-			cands = append(cands, cand{n.ID, n.FreeGPUs(), n.FreeCores()})
-		}
-	}
-	// Insertion sort keeps it honest and stable without importing sort.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0; j-- {
-			a, b := cands[j-1], cands[j]
-			if b.g < a.g || (b.g == a.g && b.c < a.c) {
-				cands[j-1], cands[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
-	out := make([]int, 0, len(cands))
-	for _, cd := range cands {
-		out = append(out, cd.id)
-	}
-	return out
-}
-
 // oracleWorstFit lists all nodes by (free GPUs desc, free cores desc, ID asc).
 func oracleWorstFit(c *Cluster) []int {
 	type cand struct{ id, g, c int }
@@ -76,12 +47,26 @@ func oracleWorstFit(c *Cluster) []int {
 	return out
 }
 
-func scanAll(c *Cluster, cores, gpus int, bestFit bool) []int {
+func scanAll(c *Cluster, cores, gpus int) []int {
 	var out []int
-	c.ScanPlaceable(cores, gpus, bestFit, func(n *Node) bool {
+	c.ScanPlaceable(cores, gpus, func(n *Node) bool {
 		out = append(out, n.ID)
 		return true
 	})
+	return out
+}
+
+// firstFit returns the first want (>= 1) nodes ScanPlaceable yields for
+// cores and gpus, nil when fewer fit.
+func firstFit(c *Cluster, want, cores, gpus int) []int {
+	out := make([]int, 0, want)
+	c.ScanPlaceable(cores, gpus, func(n *Node) bool {
+		out = append(out, n.ID)
+		return len(out) < want
+	})
+	if len(out) < want {
+		return nil
+	}
 	return out
 }
 
@@ -105,7 +90,7 @@ func mutateRandomly(t testing.TB, rng *rand.Rand, c *Cluster, cfg Config, live [
 			CPUCores: rng.Intn(cfg.CoresPerNode) + 1,
 			GPUs:     rng.Intn(cfg.GPUsPerNode + 1),
 		}
-		ids := c.FindNodes(nodes, alloc.CPUCores, alloc.GPUs, rng.Intn(2) == 0)
+		ids := firstFit(c, nodes, alloc.CPUCores, alloc.GPUs)
 		if ids == nil {
 			return live, nextID
 		}
@@ -161,7 +146,7 @@ func mutateRandomly(t testing.TB, rng *rand.Rand, c *Cluster, cfg Config, live [
 
 // TestHierarchicalOrdersMatchNaiveScans is the 1000-state golden order
 // proof: across a thousand randomly mutated cluster states, the full
-// first-fit, best-fit and worst-fit iteration orders from the hierarchical
+// first-fit and worst-fit iteration orders from the hierarchical
 // index — and both counting queries — must equal the naive flat-scan
 // oracles element for element. No scheduling decision can change if every
 // query yields identical sequences.
@@ -189,11 +174,8 @@ func TestHierarchicalOrdersMatchNaiveScans(t *testing.T) {
 		for q := 0; q < 6; q++ {
 			cores := rng.Intn(cfg.CoresPerNode+3) - 1 // includes -1 and beyond-max
 			gpus := rng.Intn(cfg.GPUsPerNode+3) - 1
-			if got, want := scanAll(c, cores, gpus, false), oracleFirstFit(c, cores, gpus); !equalIDs(got, want) {
+			if got, want := scanAll(c, cores, gpus), oracleFirstFit(c, cores, gpus); !equalIDs(got, want) {
 				t.Fatalf("seed %d: first-fit(%d,%d) = %v, oracle %v", seed, cores, gpus, got, want)
-			}
-			if got, want := scanAll(c, cores, gpus, true), oracleBestFit(c, cores, gpus); !equalIDs(got, want) {
-				t.Fatalf("seed %d: best-fit(%d,%d) = %v, oracle %v", seed, cores, gpus, got, want)
 			}
 			if got, want := c.CountPlaceable(cores, gpus), len(oracleFirstFit(c, cores, gpus)); got != want {
 				t.Fatalf("seed %d: count(%d,%d) = %d, oracle %d", seed, cores, gpus, got, want)
@@ -221,17 +203,15 @@ func TestHierarchicalOrdersMatchNaiveScans(t *testing.T) {
 // false mid-scan (the common "first k hits" shape).
 func TestScanPlaceableEarlyStop(t *testing.T) {
 	c := MustNew(Config{Nodes: 10, CoresPerNode: 8, GPUsPerNode: 2, BandwidthGBs: 100, PCIeGBs: 16})
-	for _, bestFit := range []bool{false, true} {
-		var got []int
-		c.ScanPlaceable(1, 0, bestFit, func(n *Node) bool {
-			got = append(got, n.ID)
-			return len(got) < 3
-		})
-		if len(got) != 3 {
-			t.Fatalf("bestFit=%v: early stop yielded %v", bestFit, got)
-		}
-	}
 	var got []int
+	c.ScanPlaceable(1, 0, func(n *Node) bool {
+		got = append(got, n.ID)
+		return len(got) < 3
+	})
+	if len(got) != 3 {
+		t.Fatalf("first-fit early stop yielded %v", got)
+	}
+	got = nil
 	c.ScanFreeDesc(func(n *Node) bool {
 		got = append(got, n.ID)
 		return false
@@ -343,8 +323,8 @@ func TestSegTreeNextAtLeast(t *testing.T) {
 	}
 }
 
-// TestRowBitsNextPrev exercises the bitmap scans against a linear reference
-// across word boundaries.
+// TestRowBitsNextPrev exercises the bitmap's backward scan, the one the
+// worst-fit walk uses, against a linear reference across word boundaries.
 func TestRowBitsNextPrev(t *testing.T) {
 	for _, cols := range []int{1, 5, 63, 64, 65, 129} {
 		rng := rand.New(rand.NewSource(int64(cols)))
@@ -360,16 +340,6 @@ func TestRowBitsNextPrev(t *testing.T) {
 				set[c] = true
 			}
 			q := rng.Intn(cols+4) - 2
-			wantNext := -1
-			for j := max(q, 0); j < cols; j++ {
-				if set[j] {
-					wantNext = j
-					break
-				}
-			}
-			if got := b.next(0, q); got != wantNext {
-				t.Fatalf("cols=%d next(%d) = %d, want %d", cols, q, got, wantNext)
-			}
 			wantPrev := -1
 			for j := min(q, cols-1); j >= 0; j-- {
 				if set[j] {
@@ -407,7 +377,7 @@ func BenchmarkFirstFitScan(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				found := 0
-				c.ScanPlaceable(4, 1, false, func(*Node) bool {
+				c.ScanPlaceable(4, 1, func(*Node) bool {
 					found++
 					return false
 				})

@@ -6,15 +6,15 @@ import (
 )
 
 // capacityIndex buckets node IDs by their effective free capacity so
-// placement queries can iterate candidates in packing order without
-// scanning, sorting or allocating. Nodes that are not up report zero free
-// cores and GPUs, so they live in cell (0, 0) and a state change is an
-// ordinary cell move — the index never needs to know about node states.
+// placement queries can iterate candidates without scanning, sorting or
+// allocating. Nodes that are not up report zero free cores and GPUs, so
+// they live in cell (0, 0) and a state change is an ordinary cell move —
+// the index never needs to know about node states.
 //
-// Every cell holds ascending node IDs, so iterating cells free-GPUs-first
-// reproduces exactly the order the previous implementation obtained by
-// stable-sorting an ID-ordered candidate slice on (FreeGPUs, FreeCores):
-// best-fit and worst-fit scans stay bit-identical to the pre-index engine.
+// Every cell holds ascending node IDs, so iterating cells most-free-GPUs
+// first reproduces exactly the order the previous implementation obtained
+// by sorting an ID-ordered candidate slice on (FreeGPUs, FreeCores)
+// descending: worst-fit scans stay bit-identical to the pre-index engine.
 //
 // On top of the cells sit the hierarchical structures of hier.go, all
 // maintained by the same insert/remove pair:
@@ -25,8 +25,8 @@ import (
 //     ID-ordered nodes the old linear Fits scan yielded — O(log n) per hit.
 //   - counts is a 2-D Fenwick tree over the capacity grid answering
 //     CountPlaceable in O(log G · log C).
-//   - occ marks non-empty cells per GPU row so the best-fit and worst-fit
-//     cell walks skip empty cells.
+//   - occ marks non-empty cells per GPU row so the worst-fit cell walk
+//     skips empty cells.
 //   - shapeCount is the static dominance count over total node shapes
 //     (Cores, GPUs) — capacity-independent, so it is computed once and
 //     never mutated; ReserveNodes' shape pre-check reads it instead of
@@ -262,15 +262,12 @@ func (c *Cluster) CountShaped(cores, gpus int) int {
 	return ix.shapeCount[gpus*(ix.maxCores+1)+cores]
 }
 
-// ScanPlaceable calls fn for each node that fits cores and gpus until fn
-// returns false. With bestFit the nodes come in packing order — fewest
-// free GPUs first, then fewest free cores, then lowest ID — exactly the
-// order placement previously obtained by stable-sorting candidates;
-// otherwise nodes come in ID order (first-fit), yielded by a leftmost
-// descent of the GPU tier's segment tree that never touches nodes that
-// don't fit. fn must not mutate the cluster: allocations move nodes
+// ScanPlaceable calls fn for each node that fits cores and gpus, in ID
+// order (first-fit), until fn returns false. The nodes come from a
+// leftmost descent of the GPU tier's segment tree that never touches nodes
+// that don't fit. fn must not mutate the cluster: allocations move nodes
 // between index cells mid-scan.
-func (c *Cluster) ScanPlaceable(cores, gpus int, bestFit bool, fn func(*Node) bool) {
+func (c *Cluster) ScanPlaceable(cores, gpus int, fn func(*Node) bool) {
 	if cores < 0 {
 		cores = 0
 	}
@@ -281,22 +278,10 @@ func (c *Cluster) ScanPlaceable(cores, gpus int, bestFit bool, fn func(*Node) bo
 	if cores > ix.maxCores || gpus > ix.maxGPUs {
 		return
 	}
-	if !bestFit {
-		t := ix.tiers[gpus]
-		for id := t.nextAtLeast(0, cores); id >= 0; id = t.nextAtLeast(id+1, cores) {
-			if !fn(c.nodes[id]) {
-				return
-			}
-		}
-		return
-	}
-	for g := gpus; g <= ix.maxGPUs; g++ {
-		for cc := ix.occ.next(g, cores); cc >= 0; cc = ix.occ.next(g, cc+1) {
-			for _, id := range ix.cells[ix.cellIdx(g, cc)] {
-				if !fn(c.nodes[id]) {
-					return
-				}
-			}
+	t := ix.tiers[gpus]
+	for id := t.nextAtLeast(0, cores); id >= 0; id = t.nextAtLeast(id+1, cores) {
+		if !fn(c.nodes[id]) {
+			return
 		}
 	}
 }

@@ -80,7 +80,7 @@ func TestIndexMatchesRebuildUnderRandomMutations(t *testing.T) {
 					CPUCores: rng.Intn(cfg.CoresPerNode) + 1,
 					GPUs:     rng.Intn(cfg.GPUsPerNode + 1),
 				}
-				ids := c.FindNodes(nodes, alloc.CPUCores, alloc.GPUs, rng.Intn(2) == 0)
+				ids := firstFit(c, nodes, alloc.CPUCores, alloc.GPUs)
 				if ids == nil {
 					continue
 				}

@@ -37,11 +37,6 @@ type budgetState struct {
 	CPUDraws []drawState
 }
 
-type tenantQueueState struct {
-	Tenant job.TenantID
-	Jobs   []job.Job
-}
-
 type desiredState struct {
 	Job   job.ID
 	Cores int
@@ -58,8 +53,8 @@ type multiArrayState struct {
 	OneG        []int
 	CPUAcc      fair.State
 	GPUAcc      fair.State
-	CPUQueues   []tenantQueueState
-	GPUQueues   []tenantQueueState
+	CPUQueues   []sched.TenantQueueState
+	GPUQueues   []sched.TenantQueueState
 	Desired     []desiredState
 	Running     []runState
 	Preemptions int
@@ -143,34 +138,6 @@ func sortedTimes(m map[job.ID]time.Duration) []timeByJob {
 	return out
 }
 
-func sortedQueues(queues tenantQueues) []tenantQueueState {
-	out := make([]tenantQueueState, 0, len(queues))
-	for _, tq := range queues {
-		st := tenantQueueState{Tenant: tq.tenant, Jobs: make([]job.Job, 0, tq.jobs.Len())}
-		for elem := tq.jobs.Front(); elem != nil; elem = elem.Next() {
-			if j, ok := elem.Value.(*job.Job); ok {
-				st.Jobs = append(st.Jobs, *j)
-			}
-		}
-		out = append(out, st)
-	}
-	return out
-}
-
-func restoreQueues(dst *tenantQueues, src []tenantQueueState) error {
-	for _, tq := range src {
-		if dst.get(tq.Tenant) != nil {
-			return fmt.Errorf("core: duplicate tenant %d in checkpoint queues", tq.Tenant)
-		}
-		q := dst.queueFor(tq.Tenant)
-		for i := range tq.Jobs {
-			j := tq.Jobs[i]
-			q.PushBack(&j)
-		}
-	}
-	return nil
-}
-
 // CheckpointState implements sched.Checkpointer.
 func (s *Scheduler) CheckpointState() ([]byte, error) {
 	var hist bytes.Buffer
@@ -191,8 +158,8 @@ func (s *Scheduler) CheckpointState() ([]byte, error) {
 		OneG:        append([]int(nil), m.oneG...),
 		CPUAcc:      m.cpuAcc.CheckpointState(),
 		GPUAcc:      m.gpuAcc.CheckpointState(),
-		CPUQueues:   sortedQueues(m.cpuQueues),
-		GPUQueues:   sortedQueues(m.gpuQueues),
+		CPUQueues:   m.cpuQueues.CheckpointState(),
+		GPUQueues:   m.gpuQueues.CheckpointState(),
 		Preemptions: m.preemptions,
 	}
 	for i, b := range m.budgets {
@@ -316,12 +283,10 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 	if err := m.gpuAcc.RestoreCheckpointState(st.Arrays.GPUAcc); err != nil {
 		return fmt.Errorf("coda: restore gpu accountant: %w", err)
 	}
-	if err := restoreQueues(&m.cpuQueues, st.Arrays.CPUQueues); err != nil {
-		return err
-	}
-	if err := restoreQueues(&m.gpuQueues, st.Arrays.GPUQueues); err != nil {
-		return err
-	}
+	// Restored in list order; the final audit rejects tenant queues that are
+	// not strictly ascending, a repeated tenant included.
+	m.cpuQueues.RestoreCheckpointState(st.Arrays.CPUQueues)
+	m.gpuQueues.RestoreCheckpointState(st.Arrays.GPUQueues)
 	for _, d := range st.Arrays.Desired {
 		m.desired[d.Job] = d.Cores
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -9,48 +10,10 @@ import (
 	"time"
 
 	"github.com/coda-repro/coda/internal/job"
+	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 	"github.com/coda-repro/coda/internal/trace"
 )
-
-// TestPendingTenantsSorted pins the candidate list handed to DRF: tenants
-// with a non-empty queue, sorted by tenant ID whatever order they first
-// enqueued in, and the same list after the queues make a checkpoint round
-// trip.
-func TestPendingTenantsSorted(t *testing.T) {
-	tenants := []job.TenantID{17, 3, 42, 8, 1, 99, 25, 4, 60, 12}
-	var queues tenantQueues
-	var want []job.TenantID
-	for i, id := range tenants {
-		q := queues.queueFor(id)
-		if i%3 != 2 { // leave every third queue empty
-			q.PushBack(&job.Job{ID: job.ID(i), Tenant: id})
-			want = append(want, id)
-		}
-	}
-	slices.Sort(want)
-
-	var m MultiArray
-	// Copy: pendingTenants returns a reused scratch slice.
-	got := slices.Clone(m.pendingTenants(queues))
-	if !slices.Equal(got, want) {
-		t.Fatalf("pendingTenants returned %v, want %v", got, want)
-	}
-	if !slices.IsSorted(got) {
-		t.Errorf("pendingTenants not sorted: %v", got)
-	}
-
-	var restored tenantQueues
-	if err := restoreQueues(&restored, sortedQueues(queues)); err != nil {
-		t.Fatal(err)
-	}
-	if len(restored) != len(tenants) {
-		t.Errorf("round trip kept %d tenant queues, want %d (empty queues included)", len(restored), len(tenants))
-	}
-	if again := m.pendingTenants(restored); !slices.Equal(again, want) {
-		t.Errorf("after a checkpoint round trip pendingTenants returned %v, want %v", again, want)
-	}
-}
 
 // placementSequence flattens a run's observable placement order: every
 // started job listed by (first start time, job ID).
@@ -106,29 +69,14 @@ func TestPlacementSequenceDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkPendingTenants1kTenants measures the candidate walk over 1000
-// tenant queues (far beyond the paper's cluster scale).
-func BenchmarkPendingTenants1kTenants(b *testing.B) {
-	var queues tenantQueues
-	for i := 0; i < 1000; i++ {
-		// Spread the IDs so insertion order and sorted order disagree.
-		queues.queueFor(job.TenantID(i * 7919 % 100003)).PushBack(&job.Job{ID: job.ID(i)})
-	}
-	var m MultiArray
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := m.pendingTenants(queues); len(got) != 1000 {
-			b.Fatalf("got %d tenants", len(got))
-		}
-	}
-}
-
 // TestCheckInvariantsCatchesTenantQueueOrder corrupts the sorted tenant
-// queues the way a broken insert would: an out-of-order entry and a
-// duplicated tenant must each fail the multi-array audit.
+// queues the way a broken insert would, through hand-edited checkpoints
+// whose restore ends in CODA's audit: an out-of-order CPU entry and a
+// repeated GPU tenant must each fail it.
 func TestCheckInvariantsCatchesTenantQueueOrder(t *testing.T) {
-	m := newCoda(t, DefaultConfig(), testOptions()).Arrays()
+	cfg, opts := DefaultConfig(), testOptions()
+	s := newCoda(t, cfg, opts)
+	m := s.Arrays()
 	for i, tenant := range []job.TenantID{7, 2, 5} {
 		m.EnqueueCPU(&job.Job{ID: job.ID(i + 1), Tenant: tenant, Kind: job.KindCPU})
 		m.EnqueueGPU(&job.Job{ID: job.ID(i + 10), Tenant: tenant, Kind: job.KindGPUTraining}, 2)
@@ -136,15 +84,37 @@ func TestCheckInvariantsCatchesTenantQueueOrder(t *testing.T) {
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("well-formed queues fail the audit: %v", err)
 	}
-
-	m.cpuQueues[0], m.cpuQueues[1] = m.cpuQueues[1], m.cpuQueues[0]
-	if err := m.CheckInvariants(); err == nil {
-		t.Error("out-of-order CPU tenant queues pass the audit")
+	blob, err := s.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.cpuQueues[0], m.cpuQueues[1] = m.cpuQueues[1], m.cpuQueues[0]
-
-	m.gpuQueues = append(m.gpuQueues, m.gpuQueues[len(m.gpuQueues)-1])
-	if err := m.CheckInvariants(); err == nil {
-		t.Error("a duplicated GPU tenant queue passes the audit")
+	var st schedulerState
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	cpu, gpu := st.Arrays.CPUQueues, st.Arrays.GPUQueues
+	for _, tc := range []struct {
+		name     string
+		cpu, gpu []sched.TenantQueueState
+		want     string // "" when restore must succeed
+	}{
+		{"as written", cpu, gpu, ""},
+		{"out-of-order CPU tenants", []sched.TenantQueueState{cpu[1], cpu[0], cpu[2]}, gpu,
+			"tenant queue 2 follows tenant queue 5"},
+		{"repeated GPU tenant", cpu, append(slices.Clone(gpu), gpu[2]),
+			"tenant queue 7 follows tenant queue 7"},
+	} {
+		st.Arrays.CPUQueues, st.Arrays.GPUQueues = tc.cpu, tc.gpu
+		crafted, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = newCoda(t, cfg, opts).RestoreCheckpoint(crafted)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: restore failed: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: restore error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

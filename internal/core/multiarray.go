@@ -1,11 +1,8 @@
 package core
 
 import (
-	"cmp"
-	"container/list"
 	"errors"
 	"fmt"
-	"slices"
 
 	"github.com/coda-repro/coda/internal/cluster"
 	"github.com/coda-repro/coda/internal/fair"
@@ -69,8 +66,8 @@ type MultiArray struct {
 	oneG      []int
 	cpuAcc    *fair.Accountant
 	gpuAcc    *fair.Accountant
-	cpuQueues tenantQueues
-	gpuQueues tenantQueues
+	cpuQueues sched.TenantQueues
+	gpuQueues sched.TenantQueues
 	// desired is the allocator-chosen core count for pending GPU jobs.
 	desired map[job.ID]int
 	running map[job.ID]*runInfo
@@ -83,11 +80,9 @@ type MultiArray struct {
 	// only inserts into running besides restore.
 	startLog []job.ID
 
-	// Per-pass scratch reused across drains (a scheduler is single-threaded).
-	blocked    map[job.TenantID]bool
-	tenants    []job.TenantID
-	candidates []job.TenantID
-	cands      []gpuCandidate
+	// cands is pickNodes' scratch, reused across drains (a scheduler is
+	// single-threaded).
+	cands []gpuCandidate
 	// pickVisits counts the nodes pickNodes' walks have visited, a
 	// deterministic work counter.
 	pickVisits int64
@@ -98,44 +93,6 @@ type MultiArray struct {
 type gpuCandidate struct {
 	nid, freeGPUs int
 	own           bool
-}
-
-// tenantQueue is one tenant's FIFO of pending jobs.
-type tenantQueue struct {
-	tenant job.TenantID
-	jobs   *list.List
-}
-
-// tenantQueues holds an array's per-tenant FIFOs sorted by tenant ID. A
-// tenant's entry is inserted on its first enqueue and kept, empty or not,
-// so every walk is in tenant order without collecting or sorting, and a
-// lookup is a binary search.
-type tenantQueues []tenantQueue
-
-// search returns where tenant t's entry is or would be inserted, and
-// whether it is there.
-func (qs tenantQueues) search(t job.TenantID) (int, bool) {
-	return slices.BinarySearchFunc(qs, t, func(q tenantQueue, t job.TenantID) int {
-		return cmp.Compare(q.tenant, t)
-	})
-}
-
-// get returns tenant t's queue, nil if t never enqueued.
-func (qs tenantQueues) get(t job.TenantID) *list.List {
-	if i, ok := qs.search(t); ok {
-		return qs[i].jobs
-	}
-	return nil
-}
-
-// queueFor returns tenant t's queue, inserting an empty one in tenant
-// order on first use.
-func (qs *tenantQueues) queueFor(t job.TenantID) *list.List {
-	i, ok := qs.search(t)
-	if !ok {
-		*qs = slices.Insert(*qs, i, tenantQueue{tenant: t, jobs: list.New()})
-	}
-	return (*qs)[i].jobs
 }
 
 // NewMultiArray builds the scheduler for a cluster of nodes × coresPerNode
@@ -226,18 +183,14 @@ func (m *MultiArray) EnqueueGPU(j *job.Job, desiredCores int) {
 		desiredCores = 1
 	}
 	m.desired[j.ID] = desiredCores
-	m.gpuQueues.queueFor(j.Tenant).PushBack(j)
+	m.gpuQueues.PushBack(j)
 }
 
 // EnqueueCPU adds a CPU job to the CPU array.
-func (m *MultiArray) EnqueueCPU(j *job.Job) {
-	m.cpuQueues.queueFor(j.Tenant).PushBack(j)
-}
+func (m *MultiArray) EnqueueCPU(j *job.Job) { m.cpuQueues.PushBack(j) }
 
 // RequeueCPUFront puts a preempted CPU job back at its array head (§V-C).
-func (m *MultiArray) RequeueCPUFront(j *job.Job) {
-	m.cpuQueues.queueFor(j.Tenant).PushFront(j)
-}
+func (m *MultiArray) RequeueCPUFront(j *job.Job) { m.cpuQueues.PushFront(j) }
 
 // RequeueGPUFront puts a fault-killed training job back at its array head
 // with the given desired core count: a job that already waited once does
@@ -247,7 +200,7 @@ func (m *MultiArray) RequeueGPUFront(j *job.Job, desiredCores int) {
 		desiredCores = 1
 	}
 	m.desired[j.ID] = desiredCores
-	m.gpuQueues.queueFor(j.Tenant).PushFront(j)
+	m.gpuQueues.PushFront(j)
 }
 
 // OnKilled releases a fault-killed job's bookkeeping. The cleanup is the
@@ -260,22 +213,15 @@ func (m *MultiArray) OnKilled(j *job.Job) { m.OnCompleted(j) }
 // only the queue entry and the desired-core seed go. Running jobs are not
 // touched — cancel those through the OnKilled path.
 func (m *MultiArray) RemoveQueued(j *job.Job) bool {
-	queues := m.cpuQueues
+	queues := &m.cpuQueues
 	if j.IsGPU() {
-		queues = m.gpuQueues
+		queues = &m.gpuQueues
 	}
-	q := queues.get(j.Tenant)
-	if q == nil {
+	if !queues.Remove(j) {
 		return false
 	}
-	for elem := q.Front(); elem != nil; elem = elem.Next() {
-		if qj, ok := elem.Value.(*job.Job); ok && qj.ID == j.ID {
-			q.Remove(elem)
-			delete(m.desired, j.ID)
-			return true
-		}
-	}
-	return false
+	delete(m.desired, j.ID)
+	return true
 }
 
 // OnCompleted releases a finished job's bookkeeping.
@@ -353,112 +299,41 @@ func (m *MultiArray) resizeBudgets(id job.ID, nodes []int, cores int) {
 	}
 }
 
-// pendingTenants lists tenants with non-empty queues, sorted by tenant ID,
-// into the reusable m.tenants scratch (valid until the next call). The
-// candidate list feeds DRF's PoorestTenant, and tenantQueues keeps its
-// entries in tenant order, so the order is seed-stable by construction.
-func (m *MultiArray) pendingTenants(queues tenantQueues) []job.TenantID {
-	out := m.tenants[:0]
-	for _, q := range queues {
-		if q.jobs.Len() > 0 {
-			out = append(out, q.tenant)
-		}
-	}
-	m.tenants = out
-	return out
-}
-
 // GPUJobsPending reports whether any training job waits.
-func (m *MultiArray) GPUJobsPending() bool {
-	for _, q := range m.gpuQueues {
-		if q.jobs.Len() > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (m *MultiArray) GPUJobsPending() bool { return m.gpuQueues.Len() > 0 }
 
 // Drain runs both arrays' scheduling passes: GPU jobs first (they hold the
-// scarce resource and may preempt borrowed cores), then CPU jobs. The jobs
+// scarce resource and may preempt borrowed cores), then CPU jobs. Each
+// array fills its tenants in DRF order, and a tenant tries its queue's
+// head only. CPU jobs may always borrow idle reserve cores; arriving GPU
+// jobs reclaim them by preemption ("If CPU jobs burst and the GPU resource
+// array is relatively idle, the multi-array scheduler allows CPU jobs to
+// preempt the reserved cores... When a GPU job arrives and needs the
+// preempted CPU cores, CODA aborts the running CPU job", §V-C). The jobs
 // it starts are in m.startLog until the next Drain.
 func (m *MultiArray) Drain() {
 	m.startLog = m.startLog[:0]
-	m.drainGPU()
-	m.drainCPU()
+	m.gpuQueues.Fill(m.gpuAcc, m.tryGPUHead)
+	m.cpuQueues.Fill(m.cpuAcc, m.tryCPUHead)
 }
 
-// drainGPU progressively fills the GPU arrays in DRF order.
-func (m *MultiArray) drainGPU() {
-	if m.blocked == nil {
-		m.blocked = make(map[job.TenantID]bool)
+// tryGPUHead starts the training job at q's head, reporting whether it
+// did. A start may requeue preempted CPU jobs into the CPU array.
+func (m *MultiArray) tryGPUHead(q *sched.JobQueue) bool {
+	if !m.startGPU(q.At(0)) {
+		return false
 	}
-	blocked := m.blocked
-	clear(blocked)
-	for {
-		candidates := m.candidates[:0]
-		for _, t := range m.pendingTenants(m.gpuQueues) {
-			if !blocked[t] {
-				candidates = append(candidates, t)
-			}
-		}
-		m.candidates = candidates
-		tenant, ok := m.gpuAcc.PoorestTenant(candidates)
-		if !ok {
-			return
-		}
-		q := m.gpuQueues.get(tenant)
-		elem := q.Front()
-		j, okJob := elem.Value.(*job.Job)
-		if !okJob {
-			q.Remove(elem)
-			continue
-		}
-		if m.startGPU(j) {
-			q.Remove(elem)
-			continue
-		}
-		blocked[tenant] = true
-	}
+	q.Remove(0)
+	return true
 }
 
-// drainCPU progressively fills the CPU array in DRF order. CPU jobs may
-// always borrow idle reserve cores; arriving GPU jobs reclaim them by
-// preemption ("If CPU jobs burst and the GPU resource array is relatively
-// idle, the multi-array scheduler allows CPU jobs to preempt the reserved
-// cores... When a GPU job arrives and needs the preempted CPU cores, CODA
-// aborts the running CPU job", §V-C).
-func (m *MultiArray) drainCPU() {
-	allowBorrow := true
-	if m.blocked == nil {
-		m.blocked = make(map[job.TenantID]bool)
+// tryCPUHead starts the CPU job at q's head, reporting whether it did.
+func (m *MultiArray) tryCPUHead(q *sched.JobQueue) bool {
+	if !m.startCPU(q.At(0), true) {
+		return false
 	}
-	blocked := m.blocked
-	clear(blocked)
-	for {
-		candidates := m.candidates[:0]
-		for _, t := range m.pendingTenants(m.cpuQueues) {
-			if !blocked[t] {
-				candidates = append(candidates, t)
-			}
-		}
-		m.candidates = candidates
-		tenant, ok := m.cpuAcc.PoorestTenant(candidates)
-		if !ok {
-			return
-		}
-		q := m.cpuQueues.get(tenant)
-		elem := q.Front()
-		j, okJob := elem.Value.(*job.Job)
-		if !okJob {
-			q.Remove(elem)
-			continue
-		}
-		if m.startCPU(j, allowBorrow) {
-			q.Remove(elem)
-			continue
-		}
-		blocked[tenant] = true
-	}
+	q.Remove(0)
+	return true
 }
 
 // startGPU attempts to place and start a training job with its
@@ -560,7 +435,7 @@ func (m *MultiArray) pickNodes(large bool, k, gpus, cores int, withPreempt bool)
 	best := m.cands[:0]
 	feasible := 0
 	fourGLen := len(m.fourG)
-	c.ScanPlaceable(0, gpus, false, func(n *cluster.Node) bool {
+	c.ScanPlaceable(0, gpus, func(n *cluster.Node) bool {
 		nid := n.ID
 		if nid >= m.gpuNodes {
 			return false // CPU-only nodes follow the GPU nodes
@@ -700,15 +575,7 @@ func (m *MultiArray) startCPU(j *job.Job, allowBorrow bool) bool {
 }
 
 // QueueLens reports pending counts (gpu, cpu) for tests and metrics.
-func (m *MultiArray) QueueLens() (gpu, cpu int) {
-	for _, q := range m.gpuQueues {
-		gpu += q.jobs.Len()
-	}
-	for _, q := range m.cpuQueues {
-		cpu += q.jobs.Len()
-	}
-	return gpu, cpu
-}
+func (m *MultiArray) QueueLens() (gpu, cpu int) { return m.gpuQueues.Len(), m.cpuQueues.Len() }
 
 // Rebalance adapts the per-node reserve to historical statistics: the GPU
 // array reserves roughly the mean tuned core demand per GPU times the node
@@ -783,21 +650,15 @@ func (m *MultiArray) CheckInvariants() error {
 	if err := checkSplit(m.fourG, m.oneG, m.gpuNodes); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	for _, queues := range [...]tenantQueues{m.cpuQueues, m.gpuQueues} {
-		for i, tq := range queues {
-			if i > 0 && tq.tenant <= queues[i-1].tenant {
-				return fmt.Errorf("core: tenant queue %d follows tenant queue %d; want strictly ascending tenants",
-					tq.tenant, queues[i-1].tenant)
-			}
-			for elem := tq.jobs.Front(); elem != nil; elem = elem.Next() {
-				j, ok := elem.Value.(*job.Job)
-				if !ok {
-					return fmt.Errorf("tenant %d: queue holds a non-job entry", tq.tenant)
-				}
-				if _, isRunning := m.running[j.ID]; isRunning {
-					return fmt.Errorf("job %d is running and queued simultaneously", j.ID)
-				}
-			}
+	notRunning := func(j *job.Job) error {
+		if _, isRunning := m.running[j.ID]; isRunning {
+			return fmt.Errorf("job %d is running and queued simultaneously", j.ID)
+		}
+		return nil
+	}
+	for _, queues := range [...]*sched.TenantQueues{&m.cpuQueues, &m.gpuQueues} {
+		if err := queues.CheckInvariants(notRunning); err != nil {
+			return fmt.Errorf("core: %w", err)
 		}
 	}
 	return nil

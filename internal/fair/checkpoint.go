@@ -26,27 +26,21 @@ type JobCharge struct {
 	Res    Resources
 }
 
-// TenantWeight is one tenant's fair-share weight.
-type TenantWeight struct {
-	Tenant job.TenantID
-	Weight float64
-}
-
 // State is the serializable accountant state. Totals and mode are
 // construction parameters and are re-supplied by the caller on restore.
+// Checkpoints written before share weights were removed also carry a
+// Weights list, always empty, which decoding ignores.
 type State struct {
-	Used    []TenantUsage
-	PerJob  []JobCharge
-	Weights []TenantWeight
+	Used   []TenantUsage
+	PerJob []JobCharge
 }
 
 // CheckpointState captures the accountant's mutable state, sorted for
 // deterministic output.
 func (a *Accountant) CheckpointState() State {
 	st := State{
-		Used:    make([]TenantUsage, 0, len(a.used)),
-		PerJob:  make([]JobCharge, 0, len(a.perJob)),
-		Weights: make([]TenantWeight, 0, len(a.weights)),
+		Used:   make([]TenantUsage, 0, len(a.used)),
+		PerJob: make([]JobCharge, 0, len(a.perJob)),
 	}
 	//coda:ordered-ok entries are sorted below before serialization
 	for t, r := range a.used {
@@ -58,11 +52,6 @@ func (a *Accountant) CheckpointState() State {
 		st.PerJob = append(st.PerJob, JobCharge{Job: id, Tenant: c.tenant, Res: c.res})
 	}
 	sort.Slice(st.PerJob, func(i, j int) bool { return st.PerJob[i].Job < st.PerJob[j].Job })
-	//coda:ordered-ok entries are sorted below before serialization
-	for t, w := range a.weights {
-		st.Weights = append(st.Weights, TenantWeight{Tenant: t, Weight: w})
-	}
-	sort.Slice(st.Weights, func(i, j int) bool { return st.Weights[i].Tenant < st.Weights[j].Tenant })
 	return st
 }
 
@@ -90,15 +79,7 @@ func (a *Accountant) RestoreCheckpointState(st State) error {
 		}
 		perJob[c.Job] = charge{tenant: c.Tenant, res: c.Res}
 	}
-	weights := make(map[job.TenantID]float64, len(st.Weights))
-	for _, w := range st.Weights {
-		if w.Weight <= 0 {
-			return fmt.Errorf("fair: tenant %d has non-positive weight %g in checkpoint", w.Tenant, w.Weight)
-		}
-		weights[w.Tenant] = w.Weight
-	}
 	a.used = used
 	a.perJob = perJob
-	a.weights = weights
 	return a.CheckInvariants()
 }

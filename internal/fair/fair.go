@@ -42,11 +42,8 @@ func (r Resources) IsZero() bool { return r.CPU == 0 && r.GPU == 0 }
 type Dominant int
 
 const (
-	// DominantAuto uses classic DRF: whichever dimension has the larger
-	// share of the cluster total.
-	DominantAuto Dominant = iota + 1
 	// DominantCPU always uses the CPU share (CODA's CPU job array).
-	DominantCPU
+	DominantCPU Dominant = iota + 1
 	// DominantGPU always uses the GPU share (the paper's DRF baseline and
 	// CODA's GPU job arrays consider GPU the dominant resource, §VI-A).
 	DominantGPU
@@ -55,8 +52,6 @@ const (
 // String implements fmt.Stringer.
 func (d Dominant) String() string {
 	switch d {
-	case DominantAuto:
-		return "auto"
 	case DominantCPU:
 		return "cpu"
 	case DominantGPU:
@@ -69,11 +64,10 @@ func (d Dominant) String() string {
 // Accountant tracks per-tenant resource usage and answers dominant-share
 // queries. The zero value is unusable; build with NewAccountant.
 type Accountant struct {
-	total   Resources
-	mode    Dominant
-	used    map[job.TenantID]Resources
-	perJob  map[job.ID]charge
-	weights map[job.TenantID]float64 // share weights; default 1
+	total  Resources
+	mode   Dominant
+	used   map[job.TenantID]Resources
+	perJob map[job.ID]charge
 }
 
 // charge remembers what a job was billed so Refund is exact.
@@ -91,7 +85,7 @@ func NewAccountant(total Resources, mode Dominant) (*Accountant, error) {
 		return nil, fmt.Errorf("fair: total GPU must be non-negative, got %g", total.GPU)
 	}
 	switch mode {
-	case DominantAuto, DominantCPU, DominantGPU:
+	case DominantCPU, DominantGPU:
 	default:
 		return nil, fmt.Errorf("fair: unknown dominant mode %d", int(mode))
 	}
@@ -100,29 +94,11 @@ func NewAccountant(total Resources, mode Dominant) (*Accountant, error) {
 		return nil, fmt.Errorf("fair: dominant GPU mode needs GPUs in the total")
 	}
 	return &Accountant{
-		total:   total,
-		mode:    mode,
-		used:    make(map[job.TenantID]Resources),
-		perJob:  make(map[job.ID]charge),
-		weights: make(map[job.TenantID]float64),
+		total:  total,
+		mode:   mode,
+		used:   make(map[job.TenantID]Resources),
+		perJob: make(map[job.ID]charge),
 	}, nil
-}
-
-// SetWeight sets a tenant's fair-share weight (default 1). A tenant with
-// weight 2 may hold twice the dominant share before being deprioritized.
-func (a *Accountant) SetWeight(t job.TenantID, w float64) error {
-	if w <= 0 {
-		return fmt.Errorf("fair: weight must be positive, got %g", w)
-	}
-	a.weights[t] = w
-	return nil
-}
-
-func (a *Accountant) weight(t job.TenantID) float64 {
-	if w, ok := a.weights[t]; ok {
-		return w
-	}
-	return 1
 }
 
 // Charge bills res used by job id to tenant t.
@@ -171,24 +147,15 @@ func (a *Accountant) Adjust(id job.ID, newRes Resources) error {
 // Usage returns tenant t's current usage vector.
 func (a *Accountant) Usage(t job.TenantID) Resources { return a.used[t] }
 
-// DominantShare returns tenant t's weighted dominant share in [0, 1].
+// DominantShare returns tenant t's dominant share in [0, 1]: its usage of
+// the mode's resource over the cluster total of it. The constructor
+// guarantees that total is positive.
 func (a *Accountant) DominantShare(t job.TenantID) float64 {
 	u := a.used[t]
-	cpuShare := u.CPU / a.total.CPU
-	gpuShare := 0.0
-	if a.total.GPU > 0 {
-		gpuShare = u.GPU / a.total.GPU
+	if a.mode == DominantGPU {
+		return u.GPU / a.total.GPU
 	}
-	var share float64
-	switch a.mode {
-	case DominantCPU:
-		share = cpuShare
-	case DominantGPU:
-		share = gpuShare
-	default:
-		share = math.Max(cpuShare, gpuShare)
-	}
-	return share / a.weight(t)
+	return u.CPU / a.total.CPU
 }
 
 // PoorestTenant returns the tenant with the lowest dominant share among the

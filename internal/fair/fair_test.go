@@ -54,10 +54,9 @@ func TestResourcesArithmetic(t *testing.T) {
 
 func TestDominantString(t *testing.T) {
 	tests := map[Dominant]string{
-		DominantAuto: "auto",
-		DominantCPU:  "cpu",
-		DominantGPU:  "gpu",
-		Dominant(9):  "dominant(9)",
+		DominantCPU: "cpu",
+		DominantGPU: "gpu",
+		Dominant(9): "dominant(9)",
 	}
 	for d, want := range tests {
 		if got := d.String(); got != want {
@@ -73,10 +72,10 @@ func TestNewAccountantValidation(t *testing.T) {
 		mode    Dominant
 		wantErr bool
 	}{
-		{"ok auto", Resources{CPU: 10, GPU: 2}, DominantAuto, false},
+		{"ok gpu", Resources{CPU: 10, GPU: 2}, DominantGPU, false},
 		{"ok cpu-only cluster", Resources{CPU: 10}, DominantCPU, false},
-		{"zero cpu", Resources{GPU: 2}, DominantAuto, true},
-		{"negative gpu", Resources{CPU: 10, GPU: -1}, DominantAuto, true},
+		{"zero cpu", Resources{GPU: 2}, DominantGPU, true},
+		{"negative gpu", Resources{CPU: 10, GPU: -1}, DominantCPU, true},
 		{"bad mode", Resources{CPU: 10}, Dominant(0), true},
 		{"gpu mode without gpus", Resources{CPU: 10}, DominantGPU, true},
 	}
@@ -91,7 +90,7 @@ func TestNewAccountantValidation(t *testing.T) {
 }
 
 func TestChargeRefund(t *testing.T) {
-	a := newTestAccountant(t, DominantAuto)
+	a := newTestAccountant(t, DominantGPU)
 	if err := a.Charge(1, 7, Resources{CPU: 20, GPU: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,6 @@ func TestDominantShareModes(t *testing.T) {
 		mode Dominant
 		want float64
 	}{
-		{DominantAuto, 0.2},
 		{DominantCPU, 0.2},
 		{DominantGPU, 0.1},
 	}
@@ -138,38 +136,6 @@ func TestDominantShareModes(t *testing.T) {
 		if got := a.DominantShare(3); math.Abs(got-tt.want) > 1e-12 {
 			t.Errorf("mode %v: DominantShare = %g, want %g", tt.mode, got, tt.want)
 		}
-	}
-}
-
-func TestDominantShareAutoPicksMax(t *testing.T) {
-	a := newTestAccountant(t, DominantAuto)
-	// gpu share 0.5 > cpu share 0.05
-	if err := a.Charge(1, 2, Resources{CPU: 5, GPU: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.DominantShare(2); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("DominantShare = %g, want 0.5", got)
-	}
-}
-
-func TestWeights(t *testing.T) {
-	a := newTestAccountant(t, DominantCPU)
-	if err := a.SetWeight(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetWeight(1, 0); err == nil {
-		t.Error("zero weight should fail")
-	}
-	if err := a.Charge(1, 1, Resources{CPU: 40}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Charge(2, 2, Resources{CPU: 30}); err != nil {
-		t.Fatal(err)
-	}
-	// Tenant 1: 0.4/2 = 0.2 weighted; tenant 2: 0.3. Tenant 1 is poorer.
-	got, ok := a.PoorestTenant([]job.TenantID{1, 2})
-	if !ok || got != 1 {
-		t.Errorf("PoorestTenant = %d, %v; want 1, true", got, ok)
 	}
 }
 
@@ -197,11 +163,11 @@ func TestRankDoesNotMutateInput(t *testing.T) {
 }
 
 // TestPoorestTenantMatchesRank checks the min-scan against the full
-// ranking over random usages, weights and candidate orders, with exact
-// share ties forced in: equal charges, a doubled charge under a doubled
-// weight, and tenants with no usage at all.
+// ranking over random usages and candidate orders, with exact share ties
+// forced in: equal charges, the same dominant charge next to a different
+// charge of the other resource, and tenants with no usage at all.
 func TestPoorestTenantMatchesRank(t *testing.T) {
-	modes := []Dominant{DominantAuto, DominantCPU, DominantGPU}
+	modes := []Dominant{DominantCPU, DominantGPU}
 	ties := 0
 	for seed := int64(0); seed < 2000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -222,10 +188,11 @@ func TestPoorestTenantMatchesRank(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // same charge as the previous tenant
 				res = prev
-			case 1: // twice the previous charge at twice the weight
-				res = Resources{CPU: 2 * prev.CPU, GPU: 2 * prev.GPU}
-				if err := a.SetWeight(tenant, 2); err != nil {
-					t.Fatal(err)
+			case 1: // the previous charge with the other resource changed
+				if a.mode == DominantCPU {
+					res = Resources{CPU: prev.CPU, GPU: prev.GPU + 1}
+				} else {
+					res = Resources{CPU: prev.CPU + 1, GPU: prev.GPU}
 				}
 			case 2: // no usage
 				continue
@@ -235,11 +202,6 @@ func TestPoorestTenantMatchesRank(t *testing.T) {
 				t.Fatal(err)
 			}
 			id++
-			if rng.Intn(3) == 0 {
-				if err := a.SetWeight(tenant, 0.5+rng.Float64()*2); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
 		want := a.Rank(cands)[0]
 		got, ok := a.PoorestTenant(cands)
@@ -259,14 +221,14 @@ func TestPoorestTenantMatchesRank(t *testing.T) {
 }
 
 func TestPoorestTenantEmpty(t *testing.T) {
-	a := newTestAccountant(t, DominantAuto)
+	a := newTestAccountant(t, DominantGPU)
 	if _, ok := a.PoorestTenant(nil); ok {
 		t.Error("PoorestTenant(nil) should report !ok")
 	}
 }
 
 func TestAdjust(t *testing.T) {
-	a := newTestAccountant(t, DominantAuto)
+	a := newTestAccountant(t, DominantGPU)
 	if err := a.Adjust(1, Resources{CPU: 5}); err == nil {
 		t.Error("Adjust before charge should fail")
 	}
@@ -293,11 +255,12 @@ func TestAdjust(t *testing.T) {
 	}
 }
 
-// TestDRFProgressiveFilling reproduces the canonical DRF example from the
-// paper's citation [4]: tenants with asymmetric demands converge so that
-// dominant shares equalize.
+// TestDRFProgressiveFilling runs progressive filling with GPU as the
+// dominant resource, as the DRF baseline and CODA's GPU arrays do, on the
+// demands of the canonical DRF example from the paper's citation [4]:
+// tenants with asymmetric demands converge so that GPU shares equalize.
 func TestDRFProgressiveFilling(t *testing.T) {
-	a, err := NewAccountant(Resources{CPU: 90, GPU: 18}, DominantAuto)
+	a, err := NewAccountant(Resources{CPU: 90, GPU: 18}, DominantGPU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +297,7 @@ func TestDRFProgressiveFilling(t *testing.T) {
 // the same jobs leaves every tenant at zero usage.
 func TestChargeRefundProperty(t *testing.T) {
 	f := func(cpus []uint8) bool {
-		a, err := NewAccountant(Resources{CPU: 1000, GPU: 100}, DominantAuto)
+		a, err := NewAccountant(Resources{CPU: 1000, GPU: 100}, DominantGPU)
 		if err != nil {
 			return false
 		}

@@ -1,10 +1,8 @@
 package sched
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"github.com/coda-repro/coda/internal/fair"
 	"github.com/coda-repro/coda/internal/job"
@@ -29,25 +27,6 @@ var (
 	_ Checkpointer = (*DRF)(nil)
 	_ Checkpointer = (*Static)(nil)
 )
-
-// queueJobs copies a queue's jobs in order.
-func queueJobs(q *list.List) []job.Job {
-	out := make([]job.Job, 0, q.Len())
-	for elem := q.Front(); elem != nil; elem = elem.Next() {
-		if j, ok := elem.Value.(*job.Job); ok {
-			out = append(out, *j)
-		}
-	}
-	return out
-}
-
-// fillQueue rebuilds a queue from serialized jobs.
-func fillQueue(q *list.List, jobs []job.Job) {
-	for i := range jobs {
-		j := jobs[i]
-		q.PushBack(&j)
-	}
-}
 
 type fifoState struct {
 	Jobs         []job.Job
@@ -83,49 +62,40 @@ func (f *FIFO) RestoreCheckpoint(data []byte) error {
 	return nil
 }
 
-type drfTenantQueue struct {
-	Tenant job.TenantID
-	Jobs   []job.Job
-}
-
 type drfState struct {
-	Queues       []drfTenantQueue
+	Queues       []TenantQueueState
 	Accountant   fair.State
 	ReserveDepth int
 }
 
 // CheckpointState implements Checkpointer.
 func (d *DRF) CheckpointState() ([]byte, error) {
-	st := drfState{Accountant: d.accountant.CheckpointState(), ReserveDepth: d.ReserveDepth}
-	//coda:ordered-ok entries are sorted below before serialization
-	for t, q := range d.queues {
-		st.Queues = append(st.Queues, drfTenantQueue{Tenant: t, Jobs: queueJobs(q)})
-	}
-	sort.Slice(st.Queues, func(i, j int) bool { return st.Queues[i].Tenant < st.Queues[j].Tenant })
-	return json.Marshal(st)
+	return json.Marshal(drfState{
+		Queues:       d.queues.CheckpointState(),
+		Accountant:   d.accountant.CheckpointState(),
+		ReserveDepth: d.ReserveDepth,
+	})
 }
 
-// RestoreCheckpoint implements Checkpointer.
+// RestoreCheckpoint implements Checkpointer. The closing audit rejects
+// tenant queues that are not in strictly ascending tenant order, a
+// repeated tenant included.
 func (d *DRF) RestoreCheckpoint(data []byte) error {
 	var st drfState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("drf: restore: %w", err)
 	}
-	if len(d.queues) != 0 {
+	if d.queues.Len() != 0 {
 		return fmt.Errorf("drf: restore into a non-empty scheduler")
 	}
-	for _, tq := range st.Queues {
-		if _, dup := d.queues[tq.Tenant]; dup {
-			return fmt.Errorf("drf: duplicate tenant %d in checkpoint", tq.Tenant)
-		}
-		q := list.New()
-		fillQueue(q, tq.Jobs)
-		d.queues[tq.Tenant] = q
-	}
+	d.queues.RestoreCheckpointState(st.Queues)
 	if err := d.accountant.RestoreCheckpointState(st.Accountant); err != nil {
 		return fmt.Errorf("drf: restore: %w", err)
 	}
 	d.ReserveDepth = st.ReserveDepth
+	if err := d.CheckInvariants(); err != nil {
+		return fmt.Errorf("drf: restored state fails invariants: %w", err)
+	}
 	return nil
 }
 
@@ -136,7 +106,7 @@ type staticState struct {
 // CheckpointState implements Checkpointer. coresPerGPU is derived from the
 // construction parameters and is not serialized.
 func (s *Static) CheckpointState() ([]byte, error) {
-	return json.Marshal(staticState{Jobs: queueJobs(s.queue)})
+	return json.Marshal(staticState{Jobs: s.queue.copies()})
 }
 
 // RestoreCheckpoint implements Checkpointer.
@@ -148,6 +118,6 @@ func (s *Static) RestoreCheckpoint(data []byte) error {
 	if s.queue.Len() != 0 {
 		return fmt.Errorf("static: restore into a non-empty scheduler")
 	}
-	fillQueue(s.queue, st.Jobs)
+	s.queue.pushCopies(st.Jobs)
 	return nil
 }

@@ -1,8 +1,7 @@
 package sched
 
 import (
-	"container/list"
-	"sort"
+	"fmt"
 
 	"github.com/coda-repro/coda/internal/fair"
 	"github.com/coda-repro/coda/internal/job"
@@ -17,22 +16,21 @@ import (
 type DRF struct {
 	env        Env
 	accountant *fair.Accountant
-	queues     map[job.TenantID]*list.List
+	queues     TenantQueues
 	// ReserveDepth mirrors FIFO's backfill-style reservations: each
 	// blocked tenant's earliest unplaceable GPU job holds nodes.
 	ReserveDepth int
 
-	// Per-pass scratch reused across drains so a pass allocates nothing:
-	// reserved/failed mirror FIFO's, blocked marks tenants set aside this
-	// pass, and the two slices back pendingTenants and the candidate list.
-	reserved   ExcludeSet
-	failed     failedSet
-	blocked    map[job.TenantID]bool
-	tenants    []job.TenantID
-	candidates []job.TenantID
+	// reserved and failed are per-pass scratch, as FIFO's, reused across
+	// drains so a pass allocates nothing.
+	reserved ExcludeSet
+	failed   failedSet
 }
 
-var _ Scheduler = (*DRF)(nil)
+var (
+	_ Scheduler = (*DRF)(nil)
+	_ Canceller = (*DRF)(nil)
+)
 
 // NewDRF builds the DRF baseline for a cluster with the given totals.
 func NewDRF(totalCPU, totalGPU int) (*DRF, error) {
@@ -43,12 +41,7 @@ func NewDRF(totalCPU, totalGPU int) (*DRF, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DRF{
-		accountant:   acc,
-		queues:       make(map[job.TenantID]*list.List),
-		ReserveDepth: 0,
-		blocked:      make(map[job.TenantID]bool),
-	}, nil
+	return &DRF{accountant: acc}, nil
 }
 
 // Name implements Scheduler.
@@ -59,12 +52,7 @@ func (d *DRF) Bind(env Env) { d.env = env }
 
 // Submit implements Scheduler.
 func (d *DRF) Submit(j *job.Job) {
-	q, ok := d.queues[j.Tenant]
-	if !ok {
-		q = list.New()
-		d.queues[j.Tenant] = q
-	}
-	q.PushBack(j)
+	d.queues.PushBack(j)
 	d.drain()
 }
 
@@ -82,88 +70,62 @@ func (d *DRF) OnJobKilled(j *job.Job) {
 	d.drain()
 }
 
+// OnJobCancelled implements Canceller: the queued job is removed and a pass
+// runs, as FIFO's does, because nodes the job would have reserved may now
+// start other tenants' jobs.
+func (d *DRF) OnJobCancelled(j *job.Job) {
+	d.queues.Remove(j)
+	d.drain()
+}
+
 // Tick implements Scheduler.
 func (d *DRF) Tick() { d.drain() }
 
-// pendingTenants returns tenants with non-empty queues, sorted by tenant ID
-// so the candidate order handed to PoorestTenant is seed-stable rather than
-// Go's randomized map order (same determinism contract as CODA's
-// multi-array pendingTenants).
-func (d *DRF) pendingTenants() []job.TenantID {
-	tenants := d.tenants[:0]
-	//coda:ordered-ok collected tenant IDs are sorted before return
-	for t, q := range d.queues {
-		if q.Len() > 0 {
-			tenants = append(tenants, t)
-		}
-	}
-	sort.Slice(tenants, func(i, j int) bool { return tenants[i] < tenants[j] })
-	d.tenants = tenants
-	return tenants
-}
-
-// drain performs progressive filling: repeatedly give the poorest tenant a
-// chance to start its earliest job that fits; a tenant with nothing
-// placeable is set aside for this pass. Like the production SLURM setup,
-// an unplaceable job does not block later arrivals of the same tenant
-// (§VI-C shows CPU jobs starting within seconds under both baselines).
+// drain performs progressive filling: the poorest tenant starts its
+// earliest job that fits, and a tenant with nothing placeable is set aside
+// for this pass. Like the production SLURM setup, an unplaceable job does
+// not block later arrivals of the same tenant (§VI-C shows CPU jobs
+// starting within seconds under both baselines).
 func (d *DRF) drain() {
-	if d.blocked == nil {
-		d.blocked = make(map[job.TenantID]bool)
-	}
-	clear(d.blocked)
 	d.reserved.Reset()
 	reservations := 0
-	for {
-		d.candidates = d.candidates[:0]
-		for _, t := range d.pendingTenants() {
-			if !d.blocked[t] {
-				d.candidates = append(d.candidates, t)
-			}
+	d.queues.Fill(d.accountant, func(q *JobQueue) bool {
+		if d.startFirstFitting(q) {
+			return true
 		}
-		tenant, ok := d.accountant.PoorestTenant(d.candidates)
-		if !ok {
-			return
-		}
-		if !d.startFirstFitting(tenant, &d.reserved) {
-			d.blocked[tenant] = true
-			// Backfill-style hold for the blocked tenant's earliest GPU job.
-			if reservations < d.ReserveDepth {
-				if head := d.firstGPUJob(tenant); head != nil {
-					for _, nid := range ReserveNodes(d.env.Cluster(), head.Request, &d.reserved) {
-						d.reserved.Add(nid)
-					}
-					reservations++
+		// Backfill-style hold for the blocked tenant's earliest GPU job.
+		if reservations < d.ReserveDepth {
+			if head := firstGPUJob(q); head != nil {
+				for _, nid := range ReserveNodes(d.env.Cluster(), head.Request, &d.reserved) {
+					d.reserved.Add(nid)
 				}
+				reservations++
 			}
 		}
-	}
+		return false
+	})
 }
 
-// firstGPUJob returns the tenant's earliest pending GPU job, nil if none.
-func (d *DRF) firstGPUJob(tenant job.TenantID) *job.Job {
-	for elem := d.queues[tenant].Front(); elem != nil; elem = elem.Next() {
-		if j, ok := elem.Value.(*job.Job); ok && j.IsGPU() {
+// firstGPUJob returns the earliest GPU job in q, nil if none.
+func firstGPUJob(q *JobQueue) *job.Job {
+	for i := 0; i < q.Len(); i++ {
+		if j := q.At(i); j.IsGPU() {
 			return j
 		}
 	}
 	return nil
 }
 
-// startFirstFitting starts tenant's earliest placeable job; false if none.
-func (d *DRF) startFirstFitting(tenant job.TenantID, reserved *ExcludeSet) bool {
-	q := d.queues[tenant]
+// startFirstFitting starts the earliest job in q that fits outside the
+// reserved nodes; false if none.
+func (d *DRF) startFirstFitting(q *JobQueue) bool {
 	d.failed.reset()
-	for elem := q.Front(); elem != nil; elem = elem.Next() {
-		j, okJob := elem.Value.(*job.Job)
-		if !okJob {
-			q.Remove(elem)
-			return true // retry the tenant with a clean queue
-		}
+	for i := 0; i < q.Len(); i++ {
+		j := q.At(i)
 		if d.failed.covered(j.Request) {
 			continue
 		}
-		alloc, found := PlaceRequestExcluding(d.env.Cluster(), j.Request, false, reserved)
+		alloc, found := PlaceRequestExcluding(d.env.Cluster(), j.Request, &d.reserved)
 		if !found {
 			d.failed.add(j.Request)
 			continue
@@ -176,17 +138,21 @@ func (d *DRF) startFirstFitting(tenant job.TenantID, reserved *ExcludeSet) bool 
 			CPU: float64(alloc.TotalCPUCores()),
 			GPU: float64(alloc.TotalGPUs()),
 		})
-		q.Remove(elem)
+		q.Remove(i)
 		return true
 	}
 	return false
 }
 
 // QueueLen reports the total pending job count.
-func (d *DRF) QueueLen() int {
-	total := 0
-	for _, q := range d.queues {
-		total += q.Len()
+func (d *DRF) QueueLen() int { return d.queues.Len() }
+
+// CheckInvariants verifies that the tenant queues are in strictly
+// ascending tenant order and that the accountant's per-job ledger sums to
+// its per-tenant usage.
+func (d *DRF) CheckInvariants() error {
+	if err := d.queues.CheckInvariants(nil); err != nil {
+		return fmt.Errorf("drf: %w", err)
 	}
-	return total
+	return d.accountant.CheckInvariants()
 }

@@ -234,7 +234,7 @@ func (f *FIFO) drain() {
 			continue
 		}
 		j := sq.at(ref.skip).j
-		if alloc, found := PlaceRequestExcluding(f.env.Cluster(), sq.key, false, &f.reserved); found {
+		if alloc, found := PlaceRequestExcluding(f.env.Cluster(), sq.key, &f.reserved); found {
 			if err := f.env.StartJob(j.ID, alloc); err == nil {
 				f.removeEntry(sq, ref.skip)
 				if sq.length() > ref.skip {

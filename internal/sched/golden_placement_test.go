@@ -17,9 +17,8 @@ import (
 // what keep same-seed runs reproducible across engine versions.
 
 // referencePlace is the pre-index PlaceRequestExcluding: collect candidates
-// in ID order, stable-sort on (FreeGPUs, FreeCores) for best-fit, take the
-// first req.Nodes.
-func referencePlace(c *cluster.Cluster, req job.Request, bestFit bool, excluded *ExcludeSet) (job.Allocation, bool) {
+// in ID order and take the first req.Nodes.
+func referencePlace(c *cluster.Cluster, req job.Request, excluded *ExcludeSet) (job.Allocation, bool) {
 	gpus := req.GPUsPerNode()
 	var candidates []*cluster.Node
 	for _, n := range c.Nodes() {
@@ -30,15 +29,6 @@ func referencePlace(c *cluster.Cluster, req job.Request, bestFit bool, excluded 
 	}
 	if len(candidates) < req.Nodes {
 		return job.Allocation{}, false
-	}
-	if bestFit {
-		sort.SliceStable(candidates, func(i, j int) bool {
-			a, b := candidates[i], candidates[j]
-			if a.FreeGPUs() != b.FreeGPUs() {
-				return a.FreeGPUs() < b.FreeGPUs()
-			}
-			return a.FreeCores() < b.FreeCores()
-		})
 	}
 	nodes := make([]int, 0, req.Nodes)
 	for _, n := range candidates[:req.Nodes] {
@@ -104,12 +94,11 @@ func randomClusterState(t *testing.T, rng *rand.Rand) *cluster.Cluster {
 		if cfg.GPUsPerNode > 0 && rng.Intn(2) == 0 {
 			gpus = rng.Intn(cfg.GPUsPerNode) + 1
 		}
-		nodes := c.FindNodes(want, cores, gpus, rng.Intn(2) == 0)
-		if nodes == nil {
+		alloc, ok := PlaceRequest(c, job.Request{CPUCores: cores, GPUs: gpus * want, Nodes: want})
+		if !ok {
 			continue
 		}
-		err := c.Allocate(id, job.Allocation{NodeIDs: nodes, CPUCores: cores, GPUs: gpus})
-		if err != nil {
+		if err := c.Allocate(id, alloc); err != nil {
 			t.Fatal(err)
 		}
 		id++
@@ -156,16 +145,14 @@ func TestPlacementMatchesLinearScanGolden(t *testing.T) {
 			for e := 0; e < rng.Intn(4); e++ {
 				excluded.Add(rng.Intn(c.Size()))
 			}
-			bestFit := rng.Intn(2) == 0
-
-			wantAlloc, wantOK := referencePlace(c, req, bestFit, &excluded)
-			gotAlloc, gotOK := PlaceRequestExcluding(c, req, bestFit, &excluded)
+			wantAlloc, wantOK := referencePlace(c, req, &excluded)
+			gotAlloc, gotOK := PlaceRequestExcluding(c, req, &excluded)
 			if wantOK != gotOK {
 				t.Fatalf("seed %d query %d: place ok=%v, reference ok=%v (req %+v)", seed, q, gotOK, wantOK, req)
 			}
 			if wantOK && !equalInts(gotAlloc.NodeIDs, wantAlloc.NodeIDs) {
-				t.Fatalf("seed %d query %d: place picked %v, reference %v (req %+v, bestFit %v)",
-					seed, q, gotAlloc.NodeIDs, wantAlloc.NodeIDs, req, bestFit)
+				t.Fatalf("seed %d query %d: place picked %v, reference %v (req %+v)",
+					seed, q, gotAlloc.NodeIDs, wantAlloc.NodeIDs, req)
 			}
 
 			wantRes := referenceReserve(c, req, &excluded)

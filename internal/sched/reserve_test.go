@@ -20,29 +20,17 @@ func TestPlaceRequestExcluding(t *testing.T) {
 	c := cluster.MustNew(smallCluster()) // 2 nodes, 8 cores, 2 GPUs each
 	req := job.Request{CPUCores: 2, GPUs: 1, Nodes: 1}
 
-	alloc, ok := PlaceRequestExcluding(c, req, false, exclude(0))
+	alloc, ok := PlaceRequestExcluding(c, req, exclude(0))
 	if !ok || alloc.NodeIDs[0] != 1 {
 		t.Errorf("excluded node used: %+v, %v", alloc, ok)
 	}
-	if _, ok := PlaceRequestExcluding(c, req, false, exclude(0, 1)); ok {
+	if _, ok := PlaceRequestExcluding(c, req, exclude(0, 1)); ok {
 		t.Error("all nodes excluded should fail")
 	}
 	// nil exclusion behaves like PlaceRequest.
-	alloc, ok = PlaceRequestExcluding(c, req, false, nil)
+	alloc, ok = PlaceRequestExcluding(c, req, nil)
 	if !ok || alloc.NodeIDs[0] != 0 {
 		t.Errorf("first fit = %+v, %v", alloc, ok)
-	}
-}
-
-func TestPlaceRequestExcludingBestFit(t *testing.T) {
-	c := cluster.MustNew(smallCluster())
-	// Load node 1 so it has fewer free GPUs.
-	if err := c.Allocate(1, job.Allocation{NodeIDs: []int{1}, CPUCores: 2, GPUs: 1}); err != nil {
-		t.Fatal(err)
-	}
-	alloc, ok := PlaceRequestExcluding(c, job.Request{CPUCores: 1, GPUs: 1, Nodes: 1}, true, nil)
-	if !ok || alloc.NodeIDs[0] != 1 {
-		t.Errorf("best fit should pack node 1: %+v, %v", alloc, ok)
 	}
 }
 

@@ -76,12 +76,11 @@ type Canceller interface {
 	OnJobCancelled(j *job.Job)
 }
 
-// PlaceRequest finds nodes for a resource request: req.Nodes nodes that
-// each fit req.CPUCores cores (per node) and the per-node GPU share.
-// bestFit packs loaded nodes first to limit fragmentation. The returned
-// allocation is not yet applied.
-func PlaceRequest(c *cluster.Cluster, req job.Request, bestFit bool) (job.Allocation, bool) {
-	return PlaceRequestExcluding(c, req, bestFit, nil)
+// PlaceRequest finds nodes for a resource request, first-fit: the
+// lowest-ID req.Nodes nodes that each fit req.CPUCores cores (per node)
+// and the per-node GPU share. The returned allocation is not yet applied.
+func PlaceRequest(c *cluster.Cluster, req job.Request) (job.Allocation, bool) {
+	return PlaceRequestExcluding(c, req, nil)
 }
 
 // ExcludeSet is a reusable sorted set of node IDs excluded from placement
@@ -134,12 +133,8 @@ func (s *ExcludeSet) IDs() []int {
 // PlaceRequestExcluding is PlaceRequest with a set of excluded node IDs
 // (nodes reserved for other queued jobs). It answers through the cluster's
 // free-capacity index: a failed probe allocates nothing, and a successful
-// one allocates only the returned NodeIDs slice. Best-fit candidates come
-// from the index in packing order — the same order the old linear scan
-// produced by stable-sorting ID-ordered candidates on (FreeGPUs,
-// FreeCores) — so placement sequences are bit-identical to the
-// pre-index engine.
-func PlaceRequestExcluding(c *cluster.Cluster, req job.Request, bestFit bool, excluded *ExcludeSet) (job.Allocation, bool) {
+// one allocates only the returned NodeIDs slice.
+func PlaceRequestExcluding(c *cluster.Cluster, req job.Request, excluded *ExcludeSet) (job.Allocation, bool) {
 	c.NotePlacementQuery()
 	gpus := req.GPUsPerNode()
 	count := c.CountPlaceable(req.CPUCores, gpus)
@@ -153,7 +148,7 @@ func PlaceRequestExcluding(c *cluster.Cluster, req job.Request, bestFit bool, ex
 	}
 	nodes := make([]int, 0, req.Nodes)
 	if req.Nodes > 0 {
-		c.ScanPlaceable(req.CPUCores, gpus, bestFit, func(n *cluster.Node) bool {
+		c.ScanPlaceable(req.CPUCores, gpus, func(n *cluster.Node) bool {
 			if excluded.Contains(n.ID) {
 				return true
 			}

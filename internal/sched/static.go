@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"container/list"
-
-	"github.com/coda-repro/coda/internal/job"
-)
+import "github.com/coda-repro/coda/internal/job"
 
 // Static is the static-partition policy the paper's introduction
 // criticizes (§I, citing Jeon et al.'s production setup): every GPU is
@@ -15,10 +11,9 @@ import (
 // needs; CPU jobs only use cores on nodes whose GPUs are idle (their
 // slices are bound to the GPUs).
 type Static struct {
-	env          Env
-	coresPerGPU  int
-	queue        *list.List // of *job.Job, arrival order
-	reserveDepth int
+	env         Env
+	coresPerGPU int
+	queue       JobQueue // arrival order
 	// failed is per-pass scratch reused across drains.
 	failed failedSet
 }
@@ -34,7 +29,7 @@ func NewStatic(coresPerNode, gpusPerNode int) *Static {
 			coresPerGPU = 1
 		}
 	}
-	return &Static{coresPerGPU: coresPerGPU, queue: list.New()}
+	return &Static{coresPerGPU: coresPerGPU}
 }
 
 // Name implements Scheduler.
@@ -73,27 +68,20 @@ func (s *Static) effectiveRequest(j *job.Job) job.Request {
 // drain starts jobs first-fit in arrival order under the static split.
 func (s *Static) drain() {
 	s.failed.reset()
-	for elem := s.queue.Front(); elem != nil; {
-		next := elem.Next()
-		j, ok := elem.Value.(*job.Job)
-		if !ok {
-			s.queue.Remove(elem)
-			elem = next
-			continue
-		}
+	for i := 0; i < s.queue.Len(); i++ {
+		j := s.queue.At(i)
 		req := s.effectiveRequest(j)
 		if s.failed.covered(req) {
-			elem = next
 			continue
 		}
-		if alloc, found := PlaceRequest(s.env.Cluster(), req, false); found {
+		if alloc, found := PlaceRequest(s.env.Cluster(), req); found {
 			if err := s.env.StartJob(j.ID, alloc); err == nil {
-				s.queue.Remove(elem)
+				s.queue.Remove(i)
+				i-- // the next job moved into slot i
 			}
 		} else {
 			s.failed.add(req)
 		}
-		elem = next
 	}
 }
 

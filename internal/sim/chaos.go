@@ -55,9 +55,11 @@ func (s *Simulator) handleFault(f chaos.Fault) {
 	case chaos.KindStragglerStart:
 		s.slowFactors[f.Node] = append(s.slowFactors[f.Node], f.Factor)
 		s.results.Faults.Stragglers++
+		s.cluster.Touch(f.Node)
 		s.refreshNodes([]int{f.Node})
 	case chaos.KindStragglerEnd:
 		s.dropSlowFactor(f.Node, f.Factor)
+		s.cluster.Touch(f.Node)
 		s.refreshNodes([]int{f.Node})
 	case chaos.KindControllerKill:
 		// Kills replay deterministically from a checkpoint, so count ordinals:

@@ -209,7 +209,8 @@ func (s *Simulator) PreemptJob(id job.ID) (*job.Job, error) {
 }
 
 // ThrottleJob implements sched.Env: MBA-style bandwidth capping of a CPU
-// job on every node it occupies.
+// job on every node it occupies. No cluster mutator runs, so it journals
+// the nodes itself: their meters and their jobs' speeds change.
 func (s *Simulator) ThrottleJob(id job.ID, capGBs float64) error {
 	r, ok := s.running[id]
 	if !ok {
@@ -223,6 +224,7 @@ func (s *Simulator) ThrottleJob(id job.ID, capGBs float64) error {
 		if err := meter.Throttle(id, capGBs); err != nil {
 			return err
 		}
+		s.cluster.Touch(nid)
 	}
 	if r.model == nil {
 		s.evalSpeed(r)
@@ -232,7 +234,8 @@ func (s *Simulator) ThrottleJob(id job.ID, capGBs float64) error {
 	return nil
 }
 
-// UnthrottleJob implements sched.Env.
+// UnthrottleJob implements sched.Env. Like ThrottleJob, it journals the
+// job's nodes.
 func (s *Simulator) UnthrottleJob(id job.ID) error {
 	r, ok := s.running[id]
 	if !ok {
@@ -246,6 +249,7 @@ func (s *Simulator) UnthrottleJob(id job.ID) error {
 		if err := meter.Unthrottle(id); err != nil {
 			return err
 		}
+		s.cluster.Touch(nid)
 	}
 	if r.model == nil {
 		s.evalSpeed(r)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/coda-repro/coda/internal/chaos"
+	"github.com/coda-repro/coda/internal/checkpoint"
 	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/sched"
 )
@@ -243,17 +244,13 @@ func TestServiceCrashSendsJobToRetry(t *testing.T) {
 }
 
 // TestServiceCancelQueuedNeedsCanceller pins the deterministic rejection when
-// the backing scheduler cannot remove queued jobs: DRF does not implement
-// sched.Canceller, so cancelling a pending job must fail without mutating it.
+// the backing scheduler cannot remove queued jobs: the static partition
+// does not implement sched.Canceller, so cancelling a pending job must fail
+// without mutating it.
 func TestServiceCancelQueuedNeedsCanceller(t *testing.T) {
 	opts := serviceOptions()
 	opts.Cluster.Nodes = 1
-	d, err := sched.NewDRF(opts.Cluster.TotalNodes()*opts.Cluster.CoresPerNode,
-		opts.Cluster.TotalNodes()*opts.Cluster.GPUsPerNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newService(t, opts, d)
+	s := newService(t, opts, sched.NewStatic(opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode))
 
 	mustInject(t, s, cpuJob(1, 0, 28, 10*time.Hour))
 	mustInject(t, s, cpuJob(2, 0, 28, time.Hour))
@@ -262,10 +259,80 @@ func TestServiceCancelQueuedNeedsCanceller(t *testing.T) {
 		t.Fatalf("JobPhase(2) = %q, want %q", got, PhasePending)
 	}
 	if err := s.CancelJob(2); err == nil || !strings.Contains(err.Error(), "cannot cancel queued jobs") {
-		t.Fatalf("CancelJob under DRF: err = %v, want cannot-cancel rejection", err)
+		t.Fatalf("CancelJob under the static partition: err = %v, want cannot-cancel rejection", err)
 	}
 	if got := s.JobPhase(2); got != PhasePending {
 		t.Errorf("JobPhase(2) after rejected cancel = %q, want still %q", got, PhasePending)
+	}
+}
+
+// TestServiceCancelQueuedDRF cancels a queued job under DRF, which drops it
+// from its tenant's queue and runs a pass, and then round-trips a
+// checkpoint: the resumed run must finish byte-identical to the
+// uninterrupted one, and the cancelled job must never start.
+func TestServiceCancelQueuedDRF(t *testing.T) {
+	opts := serviceOptions()
+	opts.Cluster.Nodes = 1
+	newDRF := func() sched.Scheduler {
+		d, err := sched.NewDRF(opts.Cluster.TotalNodes()*opts.Cluster.CoresPerNode,
+			opts.Cluster.TotalNodes()*opts.Cluster.GPUsPerNode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	s := newService(t, opts, newDRF())
+
+	mustInject(t, s, cpuJob(1, 0, 28, 10*time.Hour))
+	mustInject(t, s, cpuJob(2, 0, 28, time.Hour))
+	other := cpuJob(3, 0, 28, time.Hour)
+	other.Tenant = 4
+	mustInject(t, s, other)
+	mustRunUntil(t, s, time.Minute)
+	if got := s.JobPhase(2); got != PhasePending {
+		t.Fatalf("JobPhase(2) = %q, want %q", got, PhasePending)
+	}
+	if err := s.CancelJob(2); err != nil {
+		t.Fatalf("CancelJob(queued 2) under DRF: %v", err)
+	}
+	if got := s.JobPhase(2); got != PhaseCancelled {
+		t.Errorf("JobPhase(2) after cancel = %q, want %q", got, PhaseCancelled)
+	}
+
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := checkpoint.Encode(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Checkpoint
+	if err := checkpoint.Decode(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Resume(&decoded, newDRF(), nil)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	mustRunUntil(t, s, 12*time.Hour)
+	mustRunUntil(t, resumed, 12*time.Hour)
+	want, err := s.Finish()
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	got, err := resumed.Finish()
+	if err != nil {
+		t.Fatalf("resumed Finish: %v", err)
+	}
+	if w, g := DumpResult(want), DumpResult(got); g != w {
+		t.Fatalf("resumed run diverged at %s", FirstDiff(w, g))
+	}
+	if js := got.Jobs[2]; js.Started {
+		t.Errorf("cancelled job 2 started: %+v", js)
+	}
+	if js := got.Jobs[3]; !js.Started {
+		t.Errorf("job 3, queued behind the cancelled one's tenant, never started: %+v", js)
 	}
 }
 

@@ -75,6 +75,58 @@ func TestAuditsCatchStaleSpeedCache(t *testing.T) {
 	}
 }
 
+// TestDeltaAuditCoversThrottlesAndStragglers clears the journals,
+// throttles (or unthrottles) the hog next to a training job or starts (or
+// ends) a straggler on their node, and corrupts the training job's cached
+// raw speed, which the event re-evaluated: the delta audit that follows
+// the event must reject it.
+func TestDeltaAuditCoversThrottlesAndStragglers(t *testing.T) {
+	straggler := chaos.Fault{Kind: chaos.KindStragglerStart, Node: 0, Factor: 0.5}
+	for _, tc := range []struct {
+		name string
+		act  func(s *Simulator) error
+	}{
+		{"throttle", func(s *Simulator) error { return s.ThrottleJob(3, 10) }},
+		{"unthrottle", func(s *Simulator) error {
+			if err := s.ThrottleJob(3, 10); err != nil {
+				return err
+			}
+			s.cluster.ResetTouched()
+			s.touchedJobs = s.touchedJobs[:0]
+			return s.UnthrottleJob(3)
+		}},
+		{"straggler start", func(s *Simulator) error {
+			s.handleFault(straggler)
+			return nil
+		}},
+		{"straggler end", func(s *Simulator) error {
+			s.handleFault(straggler)
+			s.cluster.ResetTouched()
+			end := straggler
+			end.Kind = chaos.KindStragglerEnd
+			s.handleFault(end)
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mixedServiceSim(t)
+			s.cluster.ResetTouched()
+			s.touchedJobs = s.touchedJobs[:0]
+			if err := tc.act(s); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.checkInvariantsDelta(); err != nil {
+				t.Fatalf("healthy state fails the delta audit: %v", err)
+			}
+			r := s.running[2]
+			r.rawSpeed = math.Nextafter(r.rawSpeed, 2)
+			if err := s.checkInvariantsDelta(); err == nil {
+				t.Error("delta audit after the event missed the training job's stale speed")
+			}
+		})
+	}
+}
+
 // speedCacheEntry is one running job's speed cache, the float as its bits.
 type speedCacheEntry struct {
 	id       job.ID
