@@ -50,8 +50,8 @@ func TestNewDefault(t *testing.T) {
 	if got := c.TotalGPUs(); got != DefaultNodes*DefaultGPUsPerNode {
 		t.Errorf("TotalGPUs() = %d, want %d", got, DefaultNodes*DefaultGPUsPerNode)
 	}
-	if got := c.TotalCores(); got != DefaultNodes*DefaultCoresPerNode {
-		t.Errorf("TotalCores() = %d, want %d", got, DefaultNodes*DefaultCoresPerNode)
+	if got := c.Snapshot().TotalCores; got != DefaultNodes*DefaultCoresPerNode {
+		t.Errorf("Snapshot().TotalCores = %d, want %d", got, DefaultNodes*DefaultCoresPerNode)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestAllocateRelease(t *testing.T) {
 	if n.FreeCores() != 4 || n.FreeGPUs() != 1 {
 		t.Errorf("after alloc: free = %d cores %d gpus, want 4, 1", n.FreeCores(), n.FreeGPUs())
 	}
-	if got := c.JobCores(1); got != 4 {
-		t.Errorf("JobCores = %d, want 4", got)
+	if got := n.jobs[1].cores; got != 4 {
+		t.Errorf("job 1 holds %d cores on node 0, want 4", got)
 	}
 	nodes, ok := c.Placement(1)
 	if !ok || len(nodes) != 1 || nodes[0] != 0 {
@@ -110,8 +110,8 @@ func TestAllocateMultiNode(t *testing.T) {
 			t.Errorf("node %d: used = %d cores %d gpus, want 2, 2", nid, n.UsedCores(), n.UsedGPUs())
 		}
 	}
-	if got := c.UsedGPUs(); got != 4 {
-		t.Errorf("UsedGPUs = %d, want 4", got)
+	if got := c.Snapshot().UsedGPUs; got != 4 {
+		t.Errorf("Snapshot().UsedGPUs = %d, want 4", got)
 	}
 }
 
@@ -147,8 +147,8 @@ func TestAllocateErrors(t *testing.T) {
 	if err := c.Allocate(2, job.Allocation{NodeIDs: []int{0, 99}, CPUCores: 1}); err == nil {
 		t.Fatal("expected failure")
 	}
-	if c.UsedCores() != 0 {
-		t.Errorf("failed allocation leaked %d cores", c.UsedCores())
+	if used := c.Snapshot().UsedCores; used != 0 {
+		t.Errorf("failed allocation leaked %d cores", used)
 	}
 }
 
@@ -178,13 +178,13 @@ func TestResize(t *testing.T) {
 	if err := c.Resize(1, 6); err != nil {
 		t.Fatalf("Resize grow: %v", err)
 	}
-	if got := c.JobCores(1); got != 6 {
-		t.Errorf("JobCores = %d, want 6", got)
+	n, _ := c.Node(0)
+	if got := n.jobs[1].cores; got != 6 {
+		t.Errorf("job 1 holds %d cores after growing, want 6", got)
 	}
 	if err := c.Resize(1, 1); err != nil {
 		t.Fatalf("Resize shrink: %v", err)
 	}
-	n, _ := c.Node(0)
 	if n.FreeCores() != 7 {
 		t.Errorf("FreeCores = %d, want 7", n.FreeCores())
 	}
@@ -411,7 +411,7 @@ func TestNodeStateGatesPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, _ := c.Node(0)
-	if n.Up() || n.State() != NodeDraining {
+	if n.State() != NodeDraining {
 		t.Fatalf("node state = %v, want draining", n.State())
 	}
 	if n.FreeCores() != 0 || n.FreeGPUs() != 0 {
@@ -434,8 +434,10 @@ func TestNodeStateGatesPlacement(t *testing.T) {
 	if err := c.SetNodeState(0, NodeDown); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.UnavailableNodes(); len(got) != 1 || got[0] != 0 {
-		t.Errorf("UnavailableNodes = %v, want [0]", got)
+	for _, m := range c.Nodes() {
+		if up := m.State() == NodeUp; up == (m.ID == 0) {
+			t.Errorf("node %d is %v with only node 0 taken down", m.ID, m.State())
+		}
 	}
 	if ids := firstFit(c, 4, 1, 0); ids != nil {
 		t.Errorf("first-fit placed on a cluster with a down node: %v", ids)

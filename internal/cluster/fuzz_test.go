@@ -9,11 +9,11 @@ import (
 
 // FuzzPlacementIndex differentially fuzzes the hierarchical placement
 // index: the input bytes choose a cluster shape and drive a mutation
-// script (allocate, release, resize, node state flips), after which every
-// query shape — first-fit order, worst-fit order,
-// CountPlaceable, CountShaped — must match a naive scan over Node.Fits,
-// and the structural auditors must pass. Any divergence means the
-// incremental maintenance in a mutator corrupted a layer.
+// script (allocate, release, resize, node state flips), after which both
+// query shapes — first-fit order and CountPlaceable — must match a naive
+// scan over Node.Fits, and the structural auditors must pass. Any
+// divergence means the incremental maintenance in a mutator corrupted a
+// layer.
 func FuzzPlacementIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 8, 2})
@@ -125,19 +125,7 @@ func FuzzPlacementIndex(f *testing.F) {
 				if got, want := c.CountPlaceable(cores, gpus), len(oracleFirstFit(c, cores, gpus)); got != want {
 					t.Fatalf("count(%d,%d) = %d, oracle %d", cores, gpus, got, want)
 				}
-				wantShaped := 0
-				for _, n := range c.Nodes() {
-					if n.Cores >= cores && n.GPUs >= gpus {
-						wantShaped++
-					}
-				}
-				if got := c.CountShaped(cores, gpus); got != wantShaped {
-					t.Fatalf("shaped(%d,%d) = %d, oracle %d", cores, gpus, got, wantShaped)
-				}
 			}
-		}
-		if got, want := scanFreeDescAll(c), oracleWorstFit(c); !equalIDs(got, want) {
-			t.Fatalf("worst-fit = %v, oracle %v", got, want)
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)

@@ -1,13 +1,10 @@
 package cluster
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // This file holds the hierarchical placement structures that answer the
-// three placement query shapes in sub-linear time while reproducing the
-// iteration orders of the flat scans they replaced bit for bit:
+// two placement query shapes in sub-linear time while reproducing the
+// results of the flat scans they replaced bit for bit:
 //
 //   - segTree: one segment tree over node IDs per GPU tier, storing
 //     subtree-max free cores. First-fit becomes a leftmost descent that
@@ -16,17 +13,14 @@ import (
 //   - fenwick2D: a 2-D Fenwick (binary-indexed) tree over the
 //     (freeGPUs, freeCores) capacity grid, so counting the nodes that
 //     dominate a request is O(log G · log C) instead of a sweep over every
-//     dominating cell.
-//   - rowBits: per-GPU-row occupancy bitmaps over the capacity cells, so
-//     the worst-fit cell walk skips empty cells in O(1) words instead of
-//     visiting each one.
+//     node.
 //
-// None of these serialize: like the cell index they are rebuilt
-// deterministically from node state on construction and maintained
-// incrementally by every mutator, and checkpoint restore replays
-// placements through the ordinary mutators. The invariant auditors verify
-// them against node state — per touched node in O(G log n) for the delta
-// check, structurally in the full audit.
+// Neither serializes: both are rebuilt deterministically from node state
+// on construction and maintained incrementally by every mutator, and
+// checkpoint restore replays placements through the ordinary mutators.
+// The invariant auditors verify them against node state — per touched
+// node in O(G log n) for the delta check, against a free-capacity
+// histogram and structurally in the full audit.
 
 // segTree is an iterative max segment tree over node IDs. Leaves hold the
 // node's free cores within one GPU tier, or -1 when the node has fewer
@@ -126,7 +120,7 @@ func (t *segTree) audit() error {
 	return nil
 }
 
-// fenwick2D counts index entries per (freeGPUs, freeCores) capacity cell
+// fenwick2D counts nodes per (freeGPUs, freeCores) capacity cell
 // with O(log G · log C) dominance queries. Coordinates are stored reversed
 // (high capacity maps to low index), so "how many nodes have at least g
 // GPUs and c cores free" is an ordinary 2-D prefix sum.
@@ -149,7 +143,7 @@ func (f *fenwick2D) add(gpus, cores, delta int) {
 	}
 }
 
-// dominating returns how many entries sit in cells with at least gpus GPUs
+// dominating returns how many nodes sit in cells with at least gpus GPUs
 // and cores cores free.
 func (f *fenwick2D) dominating(gpus, cores int) int {
 	total := 0
@@ -160,49 +154,4 @@ func (f *fenwick2D) dominating(gpus, cores int) int {
 		}
 	}
 	return total
-}
-
-// rowBits marks the non-empty capacity cells of each GPU row, one bit per
-// core value, so cell walks skip runs of empty cells with a word scan.
-type rowBits struct {
-	cols  int // maxCores + 1 valid bits per row
-	words [][]uint64
-}
-
-func newRowBits(rows, cols int) *rowBits {
-	b := &rowBits{cols: cols, words: make([][]uint64, rows)}
-	for i := range b.words {
-		b.words[i] = make([]uint64, (cols+63)/64)
-	}
-	return b
-}
-
-func (b *rowBits) set(g, c int)      { b.words[g][c>>6] |= 1 << (c & 63) }
-func (b *rowBits) clear(g, c int)    { b.words[g][c>>6] &^= 1 << (c & 63) }
-func (b *rowBits) has(g, c int) bool { return b.words[g][c>>6]&(1<<(c&63)) != 0 }
-
-// prev returns the largest marked core value <= c in row g, or -1.
-func (b *rowBits) prev(g, c int) int {
-	if c >= b.cols {
-		c = b.cols - 1
-	}
-	if c < 0 {
-		return -1
-	}
-	row := b.words[g]
-	w := c >> 6
-	cur := row[w]
-	if s := c & 63; s != 63 {
-		cur &= 1<<(s+1) - 1
-	}
-	for {
-		if cur != 0 {
-			return w<<6 + 63 - bits.LeadingZeros64(cur)
-		}
-		w--
-		if w < 0 {
-			return -1
-		}
-		cur = row[w]
-	}
 }

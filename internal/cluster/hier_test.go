@@ -23,30 +23,6 @@ func oracleFirstFit(c *Cluster, cores, gpus int) []int {
 	return out
 }
 
-// oracleWorstFit lists all nodes by (free GPUs desc, free cores desc, ID asc).
-func oracleWorstFit(c *Cluster) []int {
-	type cand struct{ id, g, c int }
-	var cands []cand
-	for _, n := range c.Nodes() {
-		cands = append(cands, cand{n.ID, n.FreeGPUs(), n.FreeCores()})
-	}
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0; j-- {
-			a, b := cands[j-1], cands[j]
-			if b.g > a.g || (b.g == a.g && b.c > a.c) {
-				cands[j-1], cands[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
-	out := make([]int, 0, len(cands))
-	for _, cd := range cands {
-		out = append(out, cd.id)
-	}
-	return out
-}
-
 func scanAll(c *Cluster, cores, gpus int) []int {
 	var out []int
 	c.ScanPlaceable(cores, gpus, func(n *Node) bool {
@@ -67,15 +43,6 @@ func firstFit(c *Cluster, want, cores, gpus int) []int {
 	if len(out) < want {
 		return nil
 	}
-	return out
-}
-
-func scanFreeDescAll(c *Cluster) []int {
-	var out []int
-	c.ScanFreeDesc(func(n *Node) bool {
-		out = append(out, n.ID)
-		return true
-	})
 	return out
 }
 
@@ -146,10 +113,10 @@ func mutateRandomly(t testing.TB, rng *rand.Rand, c *Cluster, cfg Config, live [
 
 // TestHierarchicalOrdersMatchNaiveScans is the 1000-state golden order
 // proof: across a thousand randomly mutated cluster states, the full
-// first-fit and worst-fit iteration orders from the hierarchical
-// index — and both counting queries — must equal the naive flat-scan
-// oracles element for element. No scheduling decision can change if every
-// query yields identical sequences.
+// first-fit iteration order from the hierarchical index — and its count —
+// must equal the naive flat-scan oracle element for element. No
+// scheduling decision can change if every query yields identical
+// sequences.
 func TestHierarchicalOrdersMatchNaiveScans(t *testing.T) {
 	for seed := int64(0); seed < 1000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -180,18 +147,6 @@ func TestHierarchicalOrdersMatchNaiveScans(t *testing.T) {
 			if got, want := c.CountPlaceable(cores, gpus), len(oracleFirstFit(c, cores, gpus)); got != want {
 				t.Fatalf("seed %d: count(%d,%d) = %d, oracle %d", seed, cores, gpus, got, want)
 			}
-			wantShaped := 0
-			for _, n := range c.Nodes() {
-				if n.Cores >= cores && n.GPUs >= gpus {
-					wantShaped++
-				}
-			}
-			if got := c.CountShaped(cores, gpus); got != wantShaped {
-				t.Fatalf("seed %d: shaped(%d,%d) = %d, oracle %d", seed, cores, gpus, got, wantShaped)
-			}
-		}
-		if got, want := scanFreeDescAll(c), oracleWorstFit(c); !equalIDs(got, want) {
-			t.Fatalf("seed %d: worst-fit = %v, oracle %v", seed, got, want)
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -199,7 +154,7 @@ func TestHierarchicalOrdersMatchNaiveScans(t *testing.T) {
 	}
 }
 
-// TestScanPlaceableEarlyStop proves the index paths honor fn returning
+// TestScanPlaceableEarlyStop proves the first-fit scan honors fn returning
 // false mid-scan (the common "first k hits" shape).
 func TestScanPlaceableEarlyStop(t *testing.T) {
 	c := MustNew(Config{Nodes: 10, CoresPerNode: 8, GPUsPerNode: 2, BandwidthGBs: 100, PCIeGBs: 16})
@@ -211,27 +166,33 @@ func TestScanPlaceableEarlyStop(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("first-fit early stop yielded %v", got)
 	}
-	got = nil
-	c.ScanFreeDesc(func(n *Node) bool {
-		got = append(got, n.ID)
-		return false
-	})
-	if len(got) != 1 {
-		t.Fatalf("ScanFreeDesc early stop yielded %v", got)
-	}
 }
 
-// TestRemovePanicsOnMissingEntry pins the loud-corruption contract: taking
-// a node out of a cell it does not occupy must panic instead of silently
-// no-opping into a wrong placement far downstream.
+// TestRemovePanicsOnMissingEntry pins the loud-corruption contract:
+// removing a node at a capacity the index does not hold it at must panic
+// instead of silently miscounting into a wrong placement far downstream.
+// The middle case fails only the next tier's leaf check (the tier-gpus
+// leaf matches); the others fail the tier-gpus leaf check.
 func TestRemovePanicsOnMissingEntry(t *testing.T) {
-	c := MustNew(Config{Nodes: 4, CoresPerNode: 8, GPUsPerNode: 2, BandwidthGBs: 100, PCIeGBs: 16})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("remove of a missing entry did not panic")
-		}
-	}()
-	c.index.remove(0, 0, 2) // node 2 is up with full capacity, not in (0,0)
+	for _, tc := range []struct {
+		name        string
+		gpus, cores int
+	}{
+		{"wrong cores", 2, 7},
+		{"fewer gpus than indexed", 1, 8},
+		{"zero capacity", 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Node 2 is up with full capacity: indexed at (2 gpus, 8 cores).
+			c := MustNew(Config{Nodes: 4, CoresPerNode: 8, GPUsPerNode: 2, BandwidthGBs: 100, PCIeGBs: 16})
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("remove(%d gpus, %d cores) of node 2 did not panic", tc.gpus, tc.cores)
+				}
+			}()
+			c.index.remove(tc.gpus, tc.cores, 2)
+		})
+	}
 }
 
 // TestHierarchicalAuditsDetectCorruption plants a corruption in each
@@ -264,24 +225,7 @@ func TestHierarchicalAuditsDetectCorruption(t *testing.T) {
 		c := build()
 		c.index.counts.add(1, 1, 1) // phantom entry
 		if err := c.CheckInvariants(); err == nil {
-			t.Fatal("full audit missed a fenwick/cell mismatch")
-		}
-	})
-
-	t.Run("occupancy bit", func(t *testing.T) {
-		c := build()
-		c.index.occ.set(1, 1) // no cell entries there
-		if err := c.CheckInvariants(); err == nil {
-			t.Fatal("full audit missed a stale occupancy bit")
-		}
-	})
-
-	t.Run("occupancy bit cleared under a live cell", func(t *testing.T) {
-		c := build()
-		n := c.nodes[1]
-		c.index.occ.clear(n.FreeGPUs(), n.FreeCores())
-		if err := c.CheckNodeInvariants(1); err == nil {
-			t.Fatal("per-node audit missed a cleared occupancy bit")
+			t.Fatal("full audit missed a fenwick/node-capacity mismatch")
 		}
 	})
 }
@@ -319,37 +263,6 @@ func TestSegTreeNextAtLeast(t *testing.T) {
 		}
 		if err := tr.audit(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
-// TestRowBitsNextPrev exercises the bitmap's backward scan, the one the
-// worst-fit walk uses, against a linear reference across word boundaries.
-func TestRowBitsNextPrev(t *testing.T) {
-	for _, cols := range []int{1, 5, 63, 64, 65, 129} {
-		rng := rand.New(rand.NewSource(int64(cols)))
-		b := newRowBits(1, cols)
-		set := make([]bool, cols)
-		for trial := 0; trial < 300; trial++ {
-			c := rng.Intn(cols)
-			if set[c] {
-				b.clear(0, c)
-				set[c] = false
-			} else {
-				b.set(0, c)
-				set[c] = true
-			}
-			q := rng.Intn(cols+4) - 2
-			wantPrev := -1
-			for j := min(q, cols-1); j >= 0; j-- {
-				if set[j] {
-					wantPrev = j
-					break
-				}
-			}
-			if got := b.prev(0, q); got != wantPrev {
-				t.Fatalf("cols=%d prev(%d) = %d, want %d", cols, q, got, wantPrev)
-			}
 		}
 	}
 }

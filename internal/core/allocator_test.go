@@ -181,9 +181,10 @@ func TestAllocatorCompletionLogsHistory(t *testing.T) {
 		step(a, env)
 	}
 	a.OnCompleted(j, env.cores, time.Minute, time.Hour)
-	cores, ok := a.log.LargestCores(j.Tenant, j.Category)
-	if !ok || cores < 3 {
-		t.Errorf("history cores = %d, %v", cores, ok)
+	// j holds one GPU, so its per-GPU maximum is its tuned core count.
+	perGPU, ok := a.log.LargestCoresPerGPU(j.Tenant, j.Category)
+	if !ok || perGPU < 3 {
+		t.Errorf("history cores per GPU = %g, %v", perGPU, ok)
 	}
 	if a.Tuning(1) {
 		t.Error("tuning state leaked after completion")

@@ -125,9 +125,9 @@ func TestAllocatorConvergesNearOptimal(t *testing.T) {
 			if final < wantOpt-1 || final > wantOpt+1 {
 				t.Errorf("tuned cores = %d, optimal %d", final, wantOpt)
 			}
-			// The tuned point is logged for Nstart seeding.
-			if cores, ok := s.History().LargestCores(1, j.Category); !ok || cores != final {
-				t.Errorf("history cores = %d, %v; want %d", cores, ok, final)
+			// The tuned point is logged for Nstart seeding (per GPU; j has one).
+			if perGPU, ok := s.History().LargestCoresPerGPU(1, j.Category); !ok || perGPU != float64(final) {
+				t.Errorf("history cores per GPU = %g, %v; want %d", perGPU, ok, final)
 			}
 		})
 	}

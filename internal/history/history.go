@@ -48,11 +48,10 @@ type key struct {
 
 // aggregate is the compact per-key statistic the allocator needs.
 type aggregate struct {
-	maxCores int
 	// maxPerGPU is the largest per-node cores divided by per-node GPUs —
 	// the per-GPU demand the allocator scales to a new job's GPU count.
-	// Seeding from raw maxCores would let a single multi-GPU job ratchet
-	// every later small job's Nstart upward.
+	// Seeding from the raw largest core count would let a single
+	// multi-GPU job ratchet every later small job's Nstart upward.
 	maxPerGPU float64
 	count     int
 }
@@ -109,9 +108,6 @@ func (l *Log) Add(rec Record) error {
 		if nodes == 1 {
 			k := key{tenant: rec.Tenant, category: rec.Category}
 			agg := l.byOwnerCategory[k]
-			if rec.CPUCores > agg.maxCores {
-				agg.maxCores = rec.CPUCores
-			}
 			if perGPU > agg.maxPerGPU {
 				agg.maxPerGPU = perGPU
 			}
@@ -119,9 +115,6 @@ func (l *Log) Add(rec Record) error {
 			l.byOwnerCategory[k] = agg
 
 			own := l.byOwner[rec.Tenant]
-			if rec.CPUCores > own.maxCores {
-				own.maxCores = rec.CPUCores
-			}
 			if perGPU > own.maxPerGPU {
 				own.maxPerGPU = perGPU
 			}
@@ -147,35 +140,10 @@ func (l *Log) Add(rec Record) error {
 	return nil
 }
 
-// LargestCores returns the largest tuned core count among the owner's
-// historical jobs in the given category; ok is false with no history.
-// The paper: "we choose the largest core number to be Nstart" (§V-B1).
-func (l *Log) LargestCores(t job.TenantID, c job.Category) (cores int, ok bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	agg, found := l.byOwnerCategory[key{tenant: t, category: c}]
-	if !found || agg.count == 0 {
-		return 0, false
-	}
-	return agg.maxCores, true
-}
-
-// LargestCoresAnyCategory returns the largest tuned core count among all of
-// the owner's historical training jobs — the worst-case seed when the owner
-// provides no category (§V-B1).
-func (l *Log) LargestCoresAnyCategory(t job.TenantID) (cores int, ok bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	agg, found := l.byOwner[t]
-	if !found || agg.count == 0 {
-		return 0, false
-	}
-	return agg.maxCores, true
-}
-
 // LargestCoresPerGPU returns the largest per-GPU tuned core demand among
 // the owner's single-node jobs in the category; ok is false with no
-// history.
+// history. The paper: "we choose the largest core number to be Nstart"
+// (§V-B1); the allocator scales this per-GPU maximum to the new job's GPUs.
 func (l *Log) LargestCoresPerGPU(t job.TenantID, c job.Category) (perGPU float64, ok bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

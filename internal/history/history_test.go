@@ -32,9 +32,11 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
+// TestLargestCores: the records hold one GPU each, so each job's per-GPU
+// demand is its core count.
 func TestLargestCores(t *testing.T) {
 	l := NewLog()
-	if _, ok := l.LargestCores(1, job.CategoryCV); ok {
+	if _, ok := l.LargestCoresPerGPU(1, job.CategoryCV); ok {
 		t.Error("empty log should report !ok")
 	}
 	must := func(rec Record) {
@@ -48,25 +50,25 @@ func TestLargestCores(t *testing.T) {
 	must(gpuRecord(3, 1, job.CategoryNLP, 9, 1))
 	must(gpuRecord(4, 2, job.CategoryCV, 12, 1))
 
-	got, ok := l.LargestCores(1, job.CategoryCV)
+	got, ok := l.LargestCoresPerGPU(1, job.CategoryCV)
 	if !ok || got != 6 {
-		t.Errorf("LargestCores(1, CV) = %d, %v; want 6, true", got, ok)
+		t.Errorf("LargestCoresPerGPU(1, CV) = %g, %v; want 6, true", got, ok)
 	}
-	got, ok = l.LargestCores(1, job.CategoryNLP)
+	got, ok = l.LargestCoresPerGPU(1, job.CategoryNLP)
 	if !ok || got != 9 {
-		t.Errorf("LargestCores(1, NLP) = %d, %v; want 9, true", got, ok)
+		t.Errorf("LargestCoresPerGPU(1, NLP) = %g, %v; want 9, true", got, ok)
 	}
-	if _, ok := l.LargestCores(1, job.CategorySpeech); ok {
-		t.Error("LargestCores(1, Speech) should report !ok")
+	if _, ok := l.LargestCoresPerGPU(1, job.CategorySpeech); ok {
+		t.Error("LargestCoresPerGPU(1, Speech) should report !ok")
 	}
-	if _, ok := l.LargestCores(3, job.CategoryCV); ok {
-		t.Error("LargestCores(unknown tenant) should report !ok")
+	if _, ok := l.LargestCoresPerGPU(3, job.CategoryCV); ok {
+		t.Error("LargestCoresPerGPU(unknown tenant) should report !ok")
 	}
 }
 
 func TestLargestCoresAnyCategory(t *testing.T) {
 	l := NewLog()
-	if _, ok := l.LargestCoresAnyCategory(1); ok {
+	if _, ok := l.LargestCoresPerGPUAnyCategory(1); ok {
 		t.Error("empty log should report !ok")
 	}
 	if err := l.Add(gpuRecord(1, 1, job.CategoryCV, 3, 1)); err != nil {
@@ -75,9 +77,9 @@ func TestLargestCoresAnyCategory(t *testing.T) {
 	if err := l.Add(gpuRecord(2, 1, job.CategorySpeech, 8, 1)); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := l.LargestCoresAnyCategory(1)
+	got, ok := l.LargestCoresPerGPUAnyCategory(1)
 	if !ok || got != 8 {
-		t.Errorf("LargestCoresAnyCategory = %d, %v; want 8, true", got, ok)
+		t.Errorf("LargestCoresPerGPUAnyCategory = %g, %v; want 8, true", got, ok)
 	}
 }
 
@@ -86,7 +88,7 @@ func TestCPUJobsDoNotSeedNstart(t *testing.T) {
 	if err := l.Add(Record{JobID: 1, Tenant: 1, Kind: job.KindCPU, CPUCores: 16}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := l.LargestCoresAnyCategory(1); ok {
+	if _, ok := l.LargestCoresPerGPUAnyCategory(1); ok {
 		t.Error("CPU job should not contribute to training-job history")
 	}
 	s := l.Stats()
@@ -145,7 +147,7 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Errorf("Add: %v", err)
 					return
 				}
-				l.LargestCores(job.TenantID(w), job.CategoryCV)
+				l.LargestCoresPerGPU(job.TenantID(w), job.CategoryCV)
 				l.Stats()
 			}
 		}()
@@ -157,8 +159,8 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestLargestCoresProperty: LargestCores always returns the max of the
-// cores added for that (tenant, category).
+// TestLargestCoresProperty: LargestCoresPerGPU always returns the max of
+// the cores added for that (tenant, category) on one GPU.
 func TestLargestCoresProperty(t *testing.T) {
 	f := func(cores []uint8) bool {
 		l := NewLog()
@@ -172,11 +174,11 @@ func TestLargestCoresProperty(t *testing.T) {
 				max = n
 			}
 		}
-		got, ok := l.LargestCores(1, job.CategoryCV)
+		got, ok := l.LargestCoresPerGPU(1, job.CategoryCV)
 		if len(cores) == 0 {
 			return !ok
 		}
-		return ok && got == max
+		return ok && got == float64(max)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -28,17 +28,17 @@ type snapshot struct {
 	SumLargeGPUs    int                  `json:"sumLargeGPUs"`
 }
 
+// Snapshots written before the raw largest core count was dropped also
+// carry a "maxCores" key per entry; decoding ignores it.
 type ownerCategoryEntry struct {
 	Tenant    int     `json:"tenant"`
 	Category  int     `json:"category"`
-	MaxCores  int     `json:"maxCores"`
 	MaxPerGPU float64 `json:"maxPerGPU"`
 	Count     int     `json:"count"`
 }
 
 type ownerEntry struct {
 	Tenant    int     `json:"tenant"`
-	MaxCores  int     `json:"maxCores"`
 	MaxPerGPU float64 `json:"maxPerGPU"`
 	Count     int     `json:"count"`
 }
@@ -64,7 +64,6 @@ func (l *Log) Save(w io.Writer) error {
 		snap.ByOwnerCategory = append(snap.ByOwnerCategory, ownerCategoryEntry{
 			Tenant:    int(k.tenant),
 			Category:  int(k.category),
-			MaxCores:  agg.maxCores,
 			MaxPerGPU: agg.maxPerGPU,
 			Count:     agg.count,
 		})
@@ -79,7 +78,6 @@ func (l *Log) Save(w io.Writer) error {
 	for t, agg := range l.byOwner {
 		snap.ByOwner = append(snap.ByOwner, ownerEntry{
 			Tenant:    int(t),
-			MaxCores:  agg.maxCores,
 			MaxPerGPU: agg.maxPerGPU,
 			Count:     agg.count,
 		})
@@ -104,11 +102,11 @@ func (l *Log) SaveFile(path string) error {
 	return atomicio.WriteFile(path, buf.Bytes(), 0o644)
 }
 
-// validMaxPerGPU rejects the values a per-GPU core maximum can never take:
-// NaN, negative, and ±Inf (0 is legal — CPU-only tenants record no per-GPU
-// maximum).
+// validMaxPerGPU rejects the values a saved per-GPU core maximum can never
+// take: NaN, ±Inf, zero and negative. Add only aggregates single-node
+// training jobs with at least one core, so every saved maximum is positive.
 func validMaxPerGPU(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
+	return !math.IsNaN(v) && !math.IsInf(v, 0) && v > 0
 }
 
 // Load restores a log saved with Save.
@@ -129,19 +127,19 @@ func Load(r io.Reader) (*Log, error) {
 	l.sumGPUJobGPUs = snap.SumGPUJobGPUs
 	l.sumLargeGPUs = snap.SumLargeGPUs
 	for _, e := range snap.ByOwnerCategory {
-		if e.MaxCores <= 0 || e.Count <= 0 || !validMaxPerGPU(e.MaxPerGPU) {
+		if e.Count <= 0 || !validMaxPerGPU(e.MaxPerGPU) {
 			return nil, fmt.Errorf("history: corrupt owner-category entry %+v", e)
 		}
 		l.byOwnerCategory[key{
 			tenant:   job.TenantID(e.Tenant),
 			category: job.Category(e.Category),
-		}] = aggregate{maxCores: e.MaxCores, maxPerGPU: e.MaxPerGPU, count: e.Count}
+		}] = aggregate{maxPerGPU: e.MaxPerGPU, count: e.Count}
 	}
 	for _, e := range snap.ByOwner {
-		if e.MaxCores <= 0 || e.Count <= 0 || !validMaxPerGPU(e.MaxPerGPU) {
+		if e.Count <= 0 || !validMaxPerGPU(e.MaxPerGPU) {
 			return nil, fmt.Errorf("history: corrupt owner entry %+v", e)
 		}
-		l.byOwner[job.TenantID(e.Tenant)] = aggregate{maxCores: e.MaxCores, maxPerGPU: e.MaxPerGPU, count: e.Count}
+		l.byOwner[job.TenantID(e.Tenant)] = aggregate{maxPerGPU: e.MaxPerGPU, count: e.Count}
 	}
 	return l, nil
 }

@@ -36,20 +36,20 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if got, want := restored.Stats(), l.Stats(); got != want {
 		t.Errorf("Stats after load = %+v, want %+v", got, want)
 	}
-	cores, ok := restored.LargestCores(1, job.CategoryCV)
-	if !ok || cores != 6 {
-		t.Errorf("LargestCores = %d, %v; want 6, true", cores, ok)
+	perGPU, ok := restored.LargestCoresPerGPU(1, job.CategoryCV)
+	if !ok || perGPU != 3 {
+		t.Errorf("LargestCoresPerGPU = %g, %v; want 3, true", perGPU, ok)
 	}
-	cores, ok = restored.LargestCoresAnyCategory(2)
-	if !ok || cores != 5 {
-		t.Errorf("LargestCoresAnyCategory = %d, %v; want 5, true", cores, ok)
+	perGPU, ok = restored.LargestCoresPerGPUAnyCategory(2)
+	if !ok || perGPU != 5.0/8 {
+		t.Errorf("LargestCoresPerGPUAnyCategory = %g, %v; want 0.625, true", perGPU, ok)
 	}
 	// The restored log keeps accepting records.
 	if err := restored.Add(gpuRecord(5, 1, job.CategoryCV, 9, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if cores, _ := restored.LargestCores(1, job.CategoryCV); cores != 9 {
-		t.Errorf("post-load LargestCores = %d, want 9", cores)
+	if perGPU, _ := restored.LargestCoresPerGPU(1, job.CategoryCV); perGPU != 9 {
+		t.Errorf("post-load LargestCoresPerGPU = %g, want 9", perGPU)
 	}
 }
 
@@ -109,5 +109,56 @@ func TestLoadRejectsCorruptInput(t *testing.T) {
 				t.Error("expected error")
 			}
 		})
+	}
+}
+
+// TestLoadLegacyMaxCoresSnapshot loads a snapshot saved while entries still
+// carried the raw largest core count ("maxCores"). The key is ignored, and
+// every Nstart and Stats answer matches a log built from the records that
+// snapshot was saved from.
+func TestLoadLegacyMaxCoresSnapshot(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy-maxcores.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewLog()
+	for _, r := range []Record{
+		{JobID: 1, Tenant: 1, Kind: job.KindGPUTraining, Category: job.CategoryCV, Model: "resnet50", CPUCores: 6, GPUs: 2, Nodes: 1},
+		{JobID: 2, Tenant: 1, Kind: job.KindGPUTraining, Category: job.CategoryNLP, Model: "transformer", CPUCores: 9, GPUs: 4, Nodes: 1},
+		{JobID: 3, Tenant: 2, Kind: job.KindGPUTraining, Category: job.CategoryCV, Model: "vgg16", CPUCores: 5, GPUs: 1, Nodes: 1},
+		{JobID: 4, Tenant: 2, Kind: job.KindGPUTraining, Category: job.CategorySpeech, Model: "deepspeech", CPUCores: 2, GPUs: 8, Nodes: 2},
+		{JobID: 5, Tenant: 3, Kind: job.KindCPU, CPUCores: 4},
+	} {
+		if err := want.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got.Stats() != want.Stats() {
+		t.Errorf("Stats = %+v, want %+v", got.Stats(), want.Stats())
+	}
+	for tenant := job.TenantID(1); tenant <= 3; tenant++ {
+		for _, cat := range []job.Category{job.CategoryCV, job.CategoryNLP, job.CategorySpeech} {
+			g, gok := got.LargestCoresPerGPU(tenant, cat)
+			w, wok := want.LargestCoresPerGPU(tenant, cat)
+			if g != w || gok != wok {
+				t.Errorf("LargestCoresPerGPU(%d, %v) = %g, %v; want %g, %v", tenant, cat, g, gok, w, wok)
+			}
+		}
+		g, gok := got.LargestCoresPerGPUAnyCategory(tenant)
+		w, wok := want.LargestCoresPerGPUAnyCategory(tenant)
+		if g != w || gok != wok {
+			t.Errorf("LargestCoresPerGPUAnyCategory(%d) = %g, %v; want %g, %v", tenant, g, gok, w, wok)
+		}
+	}
+	var saved bytes.Buffer
+	if err := got.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(saved.String(), "maxCores") {
+		t.Errorf("re-saved snapshot still carries maxCores: %s", saved.String())
 	}
 }

@@ -78,9 +78,6 @@ type shapeRef struct {
 	sq   *shapeQueue
 }
 
-// DefaultReserveDepth mirrors a bounded backfill test depth.
-const DefaultReserveDepth = 16
-
 var _ Scheduler = (*FIFO)(nil)
 
 // NewFIFO builds the FIFO baseline.

@@ -11,6 +11,10 @@ import (
 	"github.com/coda-repro/coda/internal/job"
 )
 
+// deepReserveDepth is the deep backfill depth the differential test
+// exercises beside depth 1.
+const deepReserveDepth = 16
+
 // flatFIFO is the pre-optimization reference implementation: the flat
 // arrival-order walk over a single queue, kept verbatim so the shape-heap
 // FIFO can be differentially tested against it. Any divergence in start
@@ -117,7 +121,7 @@ func TestFIFOShapeHeapMatchesFlatWalk(t *testing.T) {
 		case 1:
 			fast.ReserveDepth, flat.ReserveDepth = 1, 1
 		default:
-			fast.ReserveDepth, flat.ReserveDepth = DefaultReserveDepth, DefaultReserveDepth
+			fast.ReserveDepth, flat.ReserveDepth = deepReserveDepth, deepReserveDepth
 		}
 
 		jobs := map[job.ID]*job.Job{} // the copy submitted to fast

@@ -9,9 +9,9 @@ import (
 	"github.com/coda-repro/coda/internal/job"
 )
 
-// This file pins the index-backed placement fast path to the pre-index
-// engine: referencePlace and referenceReserve are verbatim ports of the
-// linear-scan implementations the index replaced. Across a thousand
+// This file pins the placement fast paths to the pre-index engine:
+// referencePlace and referenceReserve are verbatim ports of the
+// linear-scan implementations the index and the one-pass holds replaced. Across a thousand
 // randomized seeded cluster states, every query must return exactly the
 // nodes the linear scan returned — bit-identical placement sequences are
 // what keep same-seed runs reproducible across engine versions.
@@ -129,8 +129,9 @@ func randomClusterState(t *testing.T, rng *rand.Rand) *cluster.Cluster {
 }
 
 // TestPlacementMatchesLinearScanGolden compares the index-backed
-// PlaceRequestExcluding and ReserveNodes against the linear-scan reference
-// over 1000 randomized cluster states x several queries each.
+// PlaceRequestExcluding and the one-pass ReserveNodes against the
+// linear-scan references over 1000 randomized cluster states x several
+// queries each.
 func TestPlacementMatchesLinearScanGolden(t *testing.T) {
 	for seed := int64(0); seed < 1000; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -57,6 +57,14 @@ func TestReserveNodes(t *testing.T) {
 	if nodes := ReserveNodes(c, job.Request{CPUCores: 1, GPUs: 3, Nodes: 1}, nil); nodes != nil {
 		t.Errorf("oversized GPU request reserved %v", nodes)
 	}
+	// More nodes than the cluster has: nil, without sizing a result for
+	// the request (1<<40 ints would not fit in memory).
+	if nodes := ReserveNodes(c, job.Request{CPUCores: 1, GPUs: 1 << 40, Nodes: 1 << 40}, nil); nodes != nil {
+		t.Errorf("request for 1<<40 nodes reserved %v", nodes)
+	}
+	if nodes := ReserveNodes(c, job.Request{CPUCores: 1, GPUs: 3, Nodes: 3}, nil); nodes != nil {
+		t.Errorf("request for 3 of 2 nodes reserved %v", nodes)
+	}
 }
 
 func TestFIFOReservationHoldsNodes(t *testing.T) {

@@ -208,39 +208,63 @@ func (f *failedSet) add(req job.Request) {
 // ReserveNodes picks nodes to hold for an unplaceable job, SLURM-backfill
 // style: the job's per-node share will soonest fit on the nodes with the
 // most free GPUs (and enough total GPUs), so those are held idle until the
-// job starts. Already-excluded nodes are skipped. Returns nil when no node
-// is a sensible hold (e.g. the request exceeds every node's shape).
+// job starts. Already-excluded nodes are skipped. Returns nil when fewer
+// than req.Nodes nodes could ever host the share.
+//
+// One pass over the nodes in ID order keeps the req.Nodes best so far,
+// ordered by free GPUs (descending), then free cores (descending), then ID
+// (ascending): a node that ties a held node arrives later and goes after
+// it. Nothing is sorted, and the only allocation is the held slice, at
+// most the cluster's size.
 func ReserveNodes(c *cluster.Cluster, req job.Request, excluded *ExcludeSet) []int {
 	c.NotePlacementQuery()
-	gpus := req.GPUsPerNode()
-	qualifies := func(n *cluster.Node) bool {
-		// The hold is about total node shape, not current occupancy: a
-		// node that can never host the share is no hold at all.
-		return !excluded.Contains(n.ID) && n.GPUs >= gpus && n.Cores >= req.CPUCores
+	if req.Nodes > c.Size() {
+		return nil // more nodes than the cluster has can never qualify
 	}
-	// The cluster's static shape table answers "how many nodes could ever
-	// host this share" in O(1); only the (small, bounded) exclusion set
-	// needs individual re-checks.
-	count := c.CountShaped(req.CPUCores, gpus)
+	gpus := req.GPUsPerNode()
+	// The hold is about total node shape, not current occupancy: a node
+	// that can never host the share is no hold at all.
+	shaped := func(n *cluster.Node) bool { return n.GPUs >= gpus && n.Cores >= req.CPUCores }
+	// Excluded nodes are discounted up front, so the pass searches the set
+	// only for nodes that would enter the holds.
+	qualified := 0
 	for _, id := range excluded.IDs() {
-		if n, err := c.Node(id); err == nil && n.GPUs >= gpus && n.Cores >= req.CPUCores {
-			count--
+		if n, err := c.Node(id); err == nil && shaped(n) {
+			qualified--
 		}
 	}
-	if count < req.Nodes {
+	held := make([]int, 0, req.Nodes)
+	node := func(id int) *cluster.Node { n, _ := c.Node(id); return n }
+	c.EachNode(func(n *cluster.Node) bool {
+		if !shaped(n) {
+			return true
+		}
+		qualified++
+		i := len(held)
+		for i > 0 && freeBefore(n, node(held[i-1])) {
+			i--
+		}
+		if i == req.Nodes || excluded.Contains(n.ID) {
+			return true
+		}
+		if len(held) < req.Nodes {
+			held = held[:len(held)+1]
+		}
+		copy(held[i+1:], held[i:])
+		held[i] = n.ID
+		return true
+	})
+	if qualified < req.Nodes {
 		return nil
 	}
-	// ScanFreeDesc yields (FreeGPUs desc, FreeCores desc, ID asc) — the
-	// exact order the old implementation sorted its candidates into.
-	nodes := make([]int, 0, req.Nodes)
-	if req.Nodes > 0 {
-		c.ScanFreeDesc(func(n *cluster.Node) bool {
-			if !qualifies(n) {
-				return true
-			}
-			nodes = append(nodes, n.ID)
-			return len(nodes) < req.Nodes
-		})
+	return held
+}
+
+// freeBefore reports whether node a ranks before node b for a hold: more
+// free GPUs, then more free cores.
+func freeBefore(a, b *cluster.Node) bool {
+	if ag, bg := a.FreeGPUs(), b.FreeGPUs(); ag != bg {
+		return ag > bg
 	}
-	return nodes
+	return a.FreeCores() > b.FreeCores()
 }

@@ -32,6 +32,21 @@ func ckptWorkload() []*job.Job {
 	return jobs
 }
 
+// contendedWorkload adds a second training tenant to ckptWorkload whose
+// jobs want three or four GPUs each and arrive twice as fast, so they queue
+// behind the smaller jobs and backfill holds have something to hold.
+func contendedWorkload() []*job.Job {
+	models := []string{"vgg16", "resnet50", "transformer", "deepspeech"}
+	jobs := ckptWorkload()
+	for i := 0; i < 16; i++ {
+		j := gpuJob(job.ID(4000+i), time.Duration(i)*11*time.Minute,
+			models[i%len(models)], 2+i%3, 3+i%2, time.Duration(120+17*(i%5))*time.Minute)
+		j.Tenant = 4
+		jobs = append(jobs, j)
+	}
+	return jobs
+}
+
 func codaScheduler(t *testing.T, opts Options) sched.Scheduler {
 	t.Helper()
 	s, err := core.New(core.DefaultConfig(), opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
@@ -113,49 +128,79 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestResumeEquivalenceFIFO covers the non-CODA Checkpointer path and the
-// time-based cadence.
+// TestResumeEquivalenceFIFO covers the non-CODA Checkpointer paths and the
+// time-based cadence: FIFO as configured by default, and FIFO and DRF with
+// SLURM-backfill holds (ReserveDepth), whose depth travels in their
+// checkpoints. Each reservation case must also dump differently from the
+// same run without holds, which proves holds were placed.
 func TestResumeEquivalenceFIFO(t *testing.T) {
 	opts := testOptions()
 	opts.Seed = 3
 	opts.MaxVirtualTime = 2 * 24 * time.Hour
 	opts.CheckpointEvery = 45 * time.Minute
-
-	var snaps [][]byte
-	opts.CheckpointSink = func(ck *Checkpoint) error {
-		data, err := encodeCheckpoint(ck)
+	newFIFO := func(_ *testing.T, depth int) sched.Scheduler {
+		f := sched.NewFIFO()
+		f.ReserveDepth = depth
+		return f
+	}
+	newDRF := func(t *testing.T, depth int) sched.Scheduler {
+		cc := opts.Cluster
+		d, err := sched.NewDRF(cc.TotalNodes()*cc.CoresPerNode, cc.Nodes*cc.GPUsPerNode)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		snaps = append(snaps, data)
-		return nil
+		d.ReserveDepth = depth
+		return d
 	}
-	s, err := New(opts, sched.NewFIFO(), ckptWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := dumpResult(res)
-	if len(snaps) == 0 {
-		t.Fatal("no checkpoints taken")
-	}
-	var ck Checkpoint
-	if err := checkpoint.Decode(snaps[len(snaps)/2], &ck); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Resume(&ck, sched.NewFIFO(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := resumed.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := dumpResult(got); d != want {
-		t.Fatalf("FIFO resume diverged at %s", firstDiff(want, d))
+	for _, tc := range []struct {
+		name     string
+		depth    int
+		newSched func(t *testing.T, depth int) sched.Scheduler
+		workload func() []*job.Job
+	}{
+		{"fifo", 0, newFIFO, ckptWorkload},
+		{"fifo-reserve", 16, newFIFO, contendedWorkload},
+		{"drf-reserve", 16, newDRF, contendedWorkload},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := opts
+			var snaps [][]byte
+			opts.CheckpointSink = func(ck *Checkpoint) error {
+				data, err := encodeCheckpoint(ck)
+				if err != nil {
+					return err
+				}
+				snaps = append(snaps, data)
+				return nil
+			}
+			want := dumpResult(mustRun(t, opts, tc.newSched(t, tc.depth), tc.workload()))
+			if len(snaps) == 0 {
+				t.Fatal("no checkpoints taken")
+			}
+			var ck Checkpoint
+			if err := checkpoint.Decode(snaps[len(snaps)/2], &ck); err != nil {
+				t.Fatal(err)
+			}
+			// The checkpoint restores the depth: resume with none set.
+			resumed, err := Resume(&ck, tc.newSched(t, 0), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := resumed.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := dumpResult(got); d != want {
+				t.Fatalf("resume diverged at %s", firstDiff(want, d))
+			}
+			if tc.depth > 0 {
+				opts.CheckpointSink = nil
+				opts.CheckpointEvery = 0
+				if d := dumpResult(mustRun(t, opts, tc.newSched(t, 0), tc.workload())); d == want {
+					t.Fatal("the run with holds dumps the same as without: no hold was placed")
+				}
+			}
+		})
 	}
 }
 

@@ -556,7 +556,7 @@ func TestClusterInvariantsAfterRun(t *testing.T) {
 	if err := simulator.cluster.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
-	if used := simulator.cluster.UsedCores(); used != 0 {
+	if used := simulator.cluster.Snapshot().UsedCores; used != 0 {
 		t.Errorf("cluster still holds %d cores after drain", used)
 	}
 }
