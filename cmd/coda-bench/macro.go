@@ -47,11 +47,11 @@ var macroVariants = []struct {
 // printMacro runs the macro-benchmark at the chosen scale, prints the
 // measurements, optionally writes them as JSON, and — when a baseline file
 // is given — fails on a >tolerance events/sec regression against it.
-func printMacro(sc experiments.Scale, scaleName, jsonPath, baselinePath string, tolerance float64) error {
-	header(fmt.Sprintf("Macro-benchmark — %s scale, seed %d", scaleName, sc.Seed))
+func printMacro(sc experiments.Scale, jsonPath, baselinePath string, tolerance float64) error {
+	header(fmt.Sprintf("Macro-benchmark — %s scale, seed %d", sc.Name, sc.Seed))
 	entries := make([]benchEntry, 0, len(macroVariants))
 	for _, v := range macroVariants {
-		e, err := runMacroVariant(sc, scaleName, v.scheduler, v.invariants)
+		e, err := runMacroVariant(sc, v.scheduler, v.invariants)
 		if err != nil {
 			return err
 		}
@@ -74,7 +74,7 @@ func printMacro(sc experiments.Scale, scaleName, jsonPath, baselinePath string, 
 
 // runMacroVariant times one full simulation run and derives the throughput
 // measurements from the run's own event and placement-query counters.
-func runMacroVariant(sc experiments.Scale, scaleName, scheduler string, invariants bool) (benchEntry, error) {
+func runMacroVariant(sc experiments.Scale, scheduler string, invariants bool) (benchEntry, error) {
 	spec, err := experiments.BenchSpec(sc, scheduler, invariants)
 	if err != nil {
 		return benchEntry{}, err
@@ -91,7 +91,7 @@ func runMacroVariant(sc experiments.Scale, scaleName, scheduler string, invarian
 	}
 	e := benchEntry{
 		Name:             spec.Name,
-		Scale:            scaleName,
+		Scale:            sc.Name,
 		Scheduler:        scheduler,
 		Invariants:       invariants,
 		Seed:             sc.Seed,

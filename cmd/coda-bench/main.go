@@ -28,7 +28,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("coda-bench", flag.ContinueOnError)
-	scaleName := fs.String("scale", "small", "trace scale: tiny, small, full or warehouse")
+	scaleName := fs.String("scale", "small", "trace scale: ci, tiny, small, full or warehouse")
 	only := fs.String("only", "", "run one experiment: fig1,fig2,fig3,fig5,fig6,fig7,table1,fig10,fig11,fig12,fig13,fig14,sec6e,sec6g,static,table2,ablations,multiseed,macro,memgate,scalecurve,placement")
 	seed := fs.Int64("seed", 1, "random seed")
 	csvDir := fs.String("csv", "", "also export plottable figure data as CSV files into this directory")
@@ -47,18 +47,9 @@ func run(args []string) error {
 	experiments.SetParallelism(*parallel)
 	defer experiments.SetParallelism(0)
 
-	var sc experiments.Scale
-	switch *scaleName {
-	case "tiny":
-		sc = experiments.TinyScale()
-	case "small":
-		sc = experiments.SmallScale()
-	case "full":
-		sc = experiments.FullScale()
-	case "warehouse":
-		sc = experiments.WarehouseScale()
-	default:
-		return fmt.Errorf("unknown scale %q", *scaleName)
+	sc, err := experiments.ParseScale(*scaleName)
+	if err != nil {
+		return err
 	}
 	sc.Seed = *seed
 
@@ -89,8 +80,8 @@ func run(args []string) error {
 		{"table2", func() error { return printTable2(*seed) }},
 		{"ablations", func() error { return printAblations(sc, *seed) }},
 		{"multiseed", func() error { return printMultiSeed(sc, *seed, *runs) }},
-		{"macro", func() error { return printMacro(sc, *scaleName, *benchJSON, *benchBaseline, *benchTolerance) }},
-		{"memgate", func() error { return printMemGate(sc, *scaleName, *benchJSON, *memGateBytes) }},
+		{"macro", func() error { return printMacro(sc, *benchJSON, *benchBaseline, *benchTolerance) }},
+		{"memgate", func() error { return printMemGate(sc, *benchJSON, *memGateBytes) }},
 		{"scalecurve", func() error { return printScaleCurveBench(*seed, *benchJSON) }},
 		{"placement", func() error { return printPlacement() }},
 	}

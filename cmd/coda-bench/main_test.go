@@ -57,8 +57,14 @@ func TestMemGateSection(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run([]string{"-scale", "galactic"}); err == nil {
+	if err := run([]string{"-scale", "huge"}); err == nil {
 		t.Error("unknown scale should fail")
+	} else {
+		for _, name := range []string{"ci", "tiny", "small", "full", "warehouse"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("unknown-scale error does not name preset %q: %v", name, err)
+			}
+		}
 	}
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("unknown flag should fail")

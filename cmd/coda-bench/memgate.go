@@ -100,7 +100,7 @@ func runInstrumented(spec sim.RunSpec) (res *sim.Result, wall time.Duration, pea
 
 // measureEntry runs spec, a run of the scale sc's trace, and reduces it to
 // one measurement row.
-func measureEntry(spec sim.RunSpec, scaleName string, sc experiments.Scale) (memGateEntry, time.Duration, error) {
+func measureEntry(spec sim.RunSpec, sc experiments.Scale) (memGateEntry, time.Duration, error) {
 	res, wall, peak, live, err := runInstrumented(spec)
 	if err != nil {
 		return memGateEntry{}, 0, err
@@ -108,7 +108,7 @@ func measureEntry(spec sim.RunSpec, scaleName string, sc experiments.Scale) (mem
 	jobs := sc.CPUJobs + sc.GPUJobs
 	e := memGateEntry{
 		Name:             spec.Name,
-		Scale:            scaleName,
+		Scale:            sc.Name,
 		Jobs:             jobs,
 		Nodes:            sc.Nodes,
 		Days:             sc.Days,
@@ -137,8 +137,8 @@ var memGateMultipliers = []int{1, 4, 8}
 // faster than maxBytesPerJob per extra job. With streaming intake the slope
 // is near zero; a rematerialized trace (~500+ bytes/job) trips the gate
 // immediately.
-func printMemGate(sc experiments.Scale, scaleName, jsonPath string, maxBytesPerJob float64) error {
-	header(fmt.Sprintf("Memory gate — %s scale x%v, seed %d", scaleName, memGateMultipliers, sc.Seed))
+func printMemGate(sc experiments.Scale, jsonPath string, maxBytesPerJob float64) error {
+	header(fmt.Sprintf("Memory gate — %s scale x%v, seed %d", sc.Name, memGateMultipliers, sc.Seed))
 	entries := make([]memGateEntry, 0, len(memGateMultipliers))
 	for _, mult := range memGateMultipliers {
 		pt := sc
@@ -149,7 +149,7 @@ func printMemGate(sc experiments.Scale, scaleName, jsonPath string, maxBytesPerJ
 		if err != nil {
 			return err
 		}
-		e, wall, err := measureEntry(spec, scaleName, pt)
+		e, wall, err := measureEntry(spec, pt)
 		if err != nil {
 			return err
 		}
@@ -181,15 +181,7 @@ func printMemGate(sc experiments.Scale, scaleName, jsonPath string, maxBytesPerJ
 
 // scaleCurvePresets are the committed BENCH_scale_curve.json presets,
 // tiny through warehouse.
-var scaleCurvePresets = []struct {
-	name  string
-	scale func() experiments.Scale
-}{
-	{"tiny", experiments.TinyScale},
-	{"small", experiments.SmallScale},
-	{"full", experiments.FullScale},
-	{"warehouse", experiments.WarehouseScale},
-}
+var scaleCurvePresets = []string{"tiny", "small", "full", "warehouse"}
 
 // printScaleCurveBench measures events/sec and peak heap at every preset,
 // two rows each: FIFO streaming with bounded results (MemGateSpec), and
@@ -200,21 +192,24 @@ var scaleCurvePresets = []struct {
 func printScaleCurveBench(seed int64, jsonPath string) error {
 	header(fmt.Sprintf("Scale curve — streaming FIFO and CODA at every preset, seed %d", seed))
 	entries := make([]memGateEntry, 0, 2*len(scaleCurvePresets))
-	for _, p := range scaleCurvePresets {
-		sc := p.scale()
+	for _, name := range scaleCurvePresets {
+		sc, err := experiments.ParseScale(name)
+		if err != nil {
+			return err
+		}
 		sc.Seed = seed
 		fifo, err := experiments.MemGateSpec(sc)
 		if err != nil {
 			return err
 		}
-		fifo.Name = "curve-" + p.name
+		fifo.Name = "curve-" + name
 		coda, err := experiments.BenchSpec(sc, "coda", false)
 		if err != nil {
 			return err
 		}
-		coda.Name = "curve-" + p.name + "-coda"
+		coda.Name = "curve-" + name + "-coda"
 		for _, spec := range []sim.RunSpec{fifo, coda} {
-			e, wall, err := measureEntry(spec, p.name, sc)
+			e, wall, err := measureEntry(spec, sc)
 			if err != nil {
 				return err
 			}

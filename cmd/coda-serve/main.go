@@ -28,6 +28,7 @@ import (
 	"github.com/coda-repro/coda/internal/core"
 	"github.com/coda-repro/coda/internal/ctl"
 	"github.com/coda-repro/coda/internal/ctl/wal"
+	"github.com/coda-repro/coda/internal/experiments"
 	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 )
@@ -96,21 +97,15 @@ func buildConfig(f *serveFlags) (ctl.Config, *wal.FileLog, error) {
 		return ctl.Config{}, nil, err
 	}
 
-	cc := opts.Cluster
-	var factory func() (sched.Scheduler, error)
-	switch f.scheduler {
-	case "fifo":
-		factory = func() (sched.Scheduler, error) { return sched.NewFIFO(), nil }
-	case "drf":
-		factory = func() (sched.Scheduler, error) {
-			return sched.NewDRF(cc.TotalNodes()*cc.CoresPerNode, cc.TotalNodes()*cc.GPUsPerNode)
-		}
-	case "coda":
-		factory = func() (sched.Scheduler, error) {
-			return core.New(core.DefaultConfig(), cc.Nodes, cc.CoresPerNode, cc.GPUsPerNode)
-		}
-	default:
-		return ctl.Config{}, nil, fmt.Errorf("unknown scheduler %q (want fifo, drf or coda)", f.scheduler)
+	// Serving needs cancellation of queued jobs, which the static policy
+	// does not offer; building one scheduler checks that up front.
+	factory := experiments.Policy(f.scheduler, core.DefaultConfig(), opts.Cluster)
+	s, err := factory()
+	if err != nil {
+		return ctl.Config{}, nil, err
+	}
+	if _, ok := s.(sched.Canceller); !ok {
+		return ctl.Config{}, nil, fmt.Errorf("scheduler %q cannot cancel queued jobs, which serving needs", f.scheduler)
 	}
 
 	if err := os.MkdirAll(f.dataDir, 0o755); err != nil {

@@ -47,6 +47,7 @@ func TestFlagErrorsExitTwo(t *testing.T) {
 		{"-queue-depth", "0"},
 		{"-checkpoint-every", "-1"},
 		{"-sched", "bogus", "-data", filepath.Join(dir, "a")},
+		{"-sched", "static", "-data", filepath.Join(dir, "c")},
 		{"-nodes", "0", "-data", filepath.Join(dir, "b")},
 		{"-not-a-flag"},
 		{"stray", "args"},

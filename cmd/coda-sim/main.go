@@ -47,7 +47,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("coda-sim", flag.ContinueOnError)
 	schedName := fs.String("sched", "coda", "scheduling policy: fifo, drf, static or coda")
-	scaleName := fs.String("scale", "", "scale preset overriding -days/-cpu-jobs/-gpu-jobs/-nodes: tiny, small, full or warehouse")
+	scaleName := fs.String("scale", "", "scale preset overriding -days/-cpu-jobs/-gpu-jobs/-nodes: ci, tiny, small, full or warehouse")
 	days := fs.Float64("days", 3, "trace duration in days")
 	cpuJobs := fs.Int("cpu-jobs", 7500, "CPU job count")
 	gpuJobs := fs.Int("gpu-jobs", 2500, "GPU (DNN training) job count")
@@ -135,22 +135,14 @@ func run(args []string) error {
 		}
 	}
 
-	sc := experiments.Scale{Seed: *seed, Days: *days, CPUJobs: *cpuJobs, GPUJobs: *gpuJobs, Nodes: *nodes}
+	sc := experiments.Scale{Days: *days, CPUJobs: *cpuJobs, GPUJobs: *gpuJobs, Nodes: *nodes}
 	if *scaleName != "" {
-		switch *scaleName {
-		case "tiny":
-			sc = experiments.TinyScale()
-		case "small":
-			sc = experiments.SmallScale()
-		case "full":
-			sc = experiments.FullScale()
-		case "warehouse":
-			sc = experiments.WarehouseScale()
-		default:
-			return fmt.Errorf("unknown scale %q (want tiny, small, full or warehouse)", *scaleName)
+		var err error
+		if sc, err = experiments.ParseScale(*scaleName); err != nil {
+			return err
 		}
-		sc.Seed = *seed
 	}
+	sc.Seed = *seed
 	if err := sc.Validate(); err != nil {
 		return err
 	}
@@ -171,11 +163,7 @@ func run(args []string) error {
 			return rerr
 		}
 	} else {
-		cfg := trace.DefaultConfig()
-		cfg.Seed = sc.Seed
-		cfg.Duration = sc.Duration()
-		cfg.CPUJobs = sc.CPUJobs
-		cfg.GPUJobs = sc.GPUJobs
+		cfg := sc.TraceConfig()
 		if cerr := cfg.Validate(); cerr != nil {
 			return cerr
 		}
@@ -186,22 +174,14 @@ func run(args []string) error {
 		jobCount = traceCfg.CPUJobs + traceCfg.GPUJobs
 	}
 
-	opts := sim.DefaultOptions()
-	opts.Cluster.Nodes = sc.Nodes
-	opts.Seed = sc.Seed + 1000
-	opts.SampleInterval = 10 * time.Minute
-	opts.MaxVirtualTime = sc.Duration() + 4*24*time.Hour
+	opts := sc.Options()
 	opts.Invariants = *invariants
 	opts.InvariantsEvery = *invariantsEvery
 	opts.CompactCDFs = *compactCDFs
 	switch {
 	case *maxJobStats > 0:
 		opts.MaxJobStats = *maxJobStats
-	case *maxJobStats < 0 && jobCount > 200_000:
-		// Auto-bound: an exact result is itself O(jobs) memory, which would
-		// defeat the streaming intake at warehouse scale.
-		opts.MaxJobStats = 10_000
-		opts.CompactCDFs = true
+	case *maxJobStats < 0 && experiments.BoundResults(&opts, jobCount):
 		fmt.Fprintf(os.Stderr, "coda-sim: %d jobs: bounding per-job history to %d and sketching queue CDFs (override with -max-job-stats 0)\n",
 			jobCount, opts.MaxJobStats)
 	}
@@ -244,18 +224,18 @@ func run(args []string) error {
 		// run-<i>/ subdirectory so the checkpoint streams never interleave.
 	}
 
-	newPolicy, err := policyFactory(*schedName, opts, *noEliminator)
-	if err != nil {
-		return err
-	}
-
-	if *runs > 1 {
-		return runMany(*runs, *parallel, opts, *traceCfg, newPolicy, *ckptDir)
-	}
-
+	// Multi-run matrices need a factory rather than an instance: schedulers
+	// are stateful, so concurrent runs must never share one. Building one
+	// instance first rejects a bad -sched before any run starts.
+	codaCfg := core.DefaultConfig()
+	codaCfg.DisableEliminator = *noEliminator
+	newPolicy := experiments.Policy(*schedName, codaCfg, opts.Cluster)
 	policy, err := newPolicy()
 	if err != nil {
 		return err
+	}
+	if *runs > 1 {
+		return runMany(*runs, *parallel, opts, *traceCfg, newPolicy, *ckptDir)
 	}
 	coda, _ := policy.(*core.Scheduler)
 	if *historyIn != "" {
@@ -346,33 +326,6 @@ func writeMemProfile(path string) {
 	runtime.GC()
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		fmt.Fprintln(os.Stderr, "coda-sim: memprofile:", err)
-	}
-}
-
-// policyFactory returns a factory that builds a fresh scheduler per call.
-// Multi-run matrices need a factory rather than an instance: schedulers are
-// stateful, so concurrent runs must never share one.
-func policyFactory(name string, opts sim.Options, noEliminator bool) (func() (sched.Scheduler, error), error) {
-	cc := opts.Cluster
-	switch name {
-	case "fifo":
-		return func() (sched.Scheduler, error) { return sched.NewFIFO(), nil }, nil
-	case "drf":
-		return func() (sched.Scheduler, error) {
-			return sched.NewDRF(cc.Nodes*cc.CoresPerNode, cc.Nodes*cc.GPUsPerNode)
-		}, nil
-	case "static":
-		return func() (sched.Scheduler, error) {
-			return sched.NewStatic(cc.CoresPerNode, cc.GPUsPerNode), nil
-		}, nil
-	case "coda":
-		return func() (sched.Scheduler, error) {
-			cfg := core.DefaultConfig()
-			cfg.DisableEliminator = noEliminator
-			return core.New(cfg, cc.Nodes, cc.CoresPerNode, cc.GPUsPerNode)
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q (want fifo, drf, static or coda)", name)
 	}
 }
 

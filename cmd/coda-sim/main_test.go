@@ -68,8 +68,14 @@ func TestScalePresets(t *testing.T) {
 	if err := run([]string{"-sched", "fifo", "-scale", "tiny"}); err != nil {
 		t.Fatalf("-scale tiny: %v", err)
 	}
-	if err := run([]string{"-scale", "galactic"}); err == nil {
+	if err := run([]string{"-scale", "huge"}); err == nil {
 		t.Error("unknown scale preset should fail")
+	} else {
+		for _, name := range []string{"ci", "tiny", "small", "full", "warehouse"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("unknown-scale error does not name preset %q: %v", name, err)
+			}
+		}
 	}
 }
 
@@ -79,6 +85,9 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-days", "0"}); err == nil {
 		t.Error("zero duration should fail")
+	}
+	if err := run([]string{"-days", "NaN"}); err == nil || !strings.Contains(err.Error(), "days must be finite and positive") {
+		t.Errorf("NaN duration: got %v, want the scale's rejection", err)
 	}
 	if err := run([]string{"-trace", "/nonexistent"}); err == nil {
 		t.Error("missing trace should fail")

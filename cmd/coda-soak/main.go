@@ -6,7 +6,7 @@
 //
 //	coda-soak -list
 //	coda-soak -recipe crash-heavy-diurnal-month -seeds 3
-//	coda-soak -scale tiny -seeds 2 -json > report.json
+//	coda-soak -scale ci|tiny|small|full|warehouse -seeds 2 -json > report.json
 //
 // Exit codes follow the coda-vet convention: 0 every cell passed, 1 at
 // least one verdict failed, 2 the tool itself could not run (unknown
@@ -21,6 +21,7 @@ import (
 	"os"
 	"strings"
 
+	"github.com/coda-repro/coda/internal/experiments"
 	"github.com/coda-repro/coda/internal/soak"
 )
 
@@ -36,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		recipe   = fs.String("recipe", "", "comma-separated recipe names (default: every recipe)")
 		seeds    = fs.Int("seeds", 2, "seeds per recipe: runs seed-base .. seed-base+seeds-1")
 		seedBase = fs.Int64("seed-base", 1, "first seed of the sweep")
-		scale    = fs.String("scale", "tiny", "matrix scale: tiny, small, full or warehouse")
+		scale    = fs.String("scale", "ci", "matrix scale: ci, tiny, small, full or warehouse")
 		parallel = fs.Int("parallel", 0, "worker-pool width (0 = GOMAXPROCS)")
 		jsonOut  = fs.Bool("json", false, "emit the verdict report as stable-ordered JSON on stdout")
 		conds    = fs.String("conditions", "", "extra check=threshold conditions for every selected recipe, comma-separated")
@@ -54,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	sc, err := soak.ParseScale(*scale)
+	sc, err := experiments.ParseScale(*scale)
 	if err != nil {
 		fmt.Fprintf(stderr, "coda-soak: %v\n", err)
 		return 2

@@ -39,7 +39,6 @@ func TestListNamesEveryRecipe(t *testing.T) {
 func TestOperationalErrorsExitTwo(t *testing.T) {
 	cases := [][]string{
 		{"-recipe", "no-such-recipe"},
-		{"-scale", "galactic"},
 		{"-seeds", "0"},
 		{"-seeds", "-3"},
 		{"-seed-base", "-1"},
@@ -56,12 +55,21 @@ func TestOperationalErrorsExitTwo(t *testing.T) {
 			t.Errorf("coda-soak %s: exit %d, want 2 (stderr: %s)", strings.Join(args, " "), code, stderr)
 		}
 	}
+	code, _, stderr := runCLI("-scale", "huge")
+	if code != 2 {
+		t.Errorf("coda-soak -scale huge: exit %d, want 2 (stderr: %s)", code, stderr)
+	}
+	for _, name := range []string{"ci", "tiny", "small", "full", "warehouse"} {
+		if !strings.Contains(stderr, name) {
+			t.Errorf("unknown-scale error does not name preset %q: %s", name, stderr)
+		}
+	}
 }
 
-// TestTinyRunEmitsStableJSON: a single tiny cell passes, exits 0, and the
+// TestTinyRunEmitsStableJSON: a single ci-scale cell passes, exits 0, and the
 // JSON report round-trips with the expected shape.
 func TestTinyRunEmitsStableJSON(t *testing.T) {
-	code, out, stderr := runCLI("-recipe", "quiet-baseline", "-seeds", "1", "-scale", "tiny", "-json")
+	code, out, stderr := runCLI("-recipe", "quiet-baseline", "-seeds", "1", "-scale", "ci", "-json")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
@@ -77,7 +85,7 @@ func TestTinyRunEmitsStableJSON(t *testing.T) {
 	}
 
 	// Two invocations emit identical bytes — the CI diffing contract.
-	_, again, _ := runCLI("-recipe", "quiet-baseline", "-seeds", "1", "-scale", "tiny", "-json")
+	_, again, _ := runCLI("-recipe", "quiet-baseline", "-seeds", "1", "-scale", "ci", "-json")
 	if out != again {
 		t.Error("the same grid emitted different report bytes across invocations")
 	}
@@ -87,7 +95,7 @@ func TestTinyRunEmitsStableJSON(t *testing.T) {
 // passing cell into a verdict failure — exit 1, with the failing check
 // named in the human output.
 func TestVerdictFailureExitsOne(t *testing.T) {
-	code, out, _ := runCLI("-recipe", "quiet-baseline", "-seeds", "1", "-scale", "tiny",
+	code, out, _ := runCLI("-recipe", "quiet-baseline", "-seeds", "1", "-scale", "ci",
 		"-conditions", "node-crashes-floor=1")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)

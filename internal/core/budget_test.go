@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/coda-repro/coda/internal/cluster"
 	"github.com/coda-repro/coda/internal/job"
 )
 
@@ -253,7 +254,7 @@ func TestRunningTotalMutationFailsInvariants(t *testing.T) {
 		"borrowed": func(b *nodeBudget) *int { return &b.borrowed },
 	}
 	for name, total := range totals {
-		m, err := NewMultiArray(DefaultArrayConfig(), 2, 28, 4)
+		m, err := NewMultiArrayForCluster(DefaultArrayConfig(), cluster.Config{Nodes: 2, CoresPerNode: 28, GPUsPerNode: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/coda-repro/coda/internal/cluster"
 	"github.com/coda-repro/coda/internal/history"
 	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/sim"
@@ -190,22 +191,18 @@ func TestSetHistoryWarmStart(t *testing.T) {
 }
 
 func TestMultiArrayAccessors(t *testing.T) {
-	m, err := NewMultiArray(DefaultArrayConfig(), 2, 28, 5)
+	m, err := NewMultiArrayForCluster(DefaultArrayConfig(), cluster.Config{Nodes: 2, CoresPerNode: 28, GPUsPerNode: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.GPUJobsPending() {
+	if m.gpuQueues.Len() != 0 {
 		t.Error("fresh scheduler should have no pending GPU jobs")
 	}
 	g := gpuJob(1, 0, "resnet50", 2, 1, 1, time.Hour)
 	m.EnqueueGPU(g, 3)
 	m.EnqueueCPU(cpuJob(2, 0, 1, 2, time.Hour))
-	if !m.GPUJobsPending() {
-		t.Error("GPU job should be pending")
-	}
-	gpu, cpu := m.QueueLens()
-	if gpu != 1 || cpu != 1 {
-		t.Errorf("QueueLens = %d, %d; want 1, 1", gpu, cpu)
+	if gpu, cpu := m.gpuQueues.Len(), m.cpuQueues.Len(); gpu != 1 || cpu != 1 {
+		t.Errorf("queue lengths = %d, %d; want 1, 1", gpu, cpu)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -215,7 +212,7 @@ func TestMultiArrayAccessors(t *testing.T) {
 }
 
 func TestNewEliminatorConfigDefaults(t *testing.T) {
-	m, err := NewMultiArray(DefaultArrayConfig(), 1, 28, 5)
+	m, err := NewMultiArrayForCluster(DefaultArrayConfig(), cluster.Config{Nodes: 1, CoresPerNode: 28, GPUsPerNode: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +230,7 @@ func TestNewEliminatorConfigDefaults(t *testing.T) {
 // the refusal must be errPoolsFull, and refusing must allocate nothing —
 // the allocator's probes hit this path on every refused step.
 func TestResizeRunningRefusalRollsBack(t *testing.T) {
-	m, err := NewMultiArray(DefaultArrayConfig(), 2, 28, 4)
+	m, err := NewMultiArrayForCluster(DefaultArrayConfig(), cluster.Config{Nodes: 2, CoresPerNode: 28, GPUsPerNode: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -410,7 +410,7 @@ func TestDisableAdaptiveAllocationAblation(t *testing.T) {
 // TestRebalanceAdaptsReserve: after enough completions the reserve tracks
 // the mean tuned demand.
 func TestRebalanceAdaptsReserve(t *testing.T) {
-	m, err := NewMultiArray(DefaultArrayConfig(), 2, 28, 5)
+	m, err := NewMultiArrayForCluster(DefaultArrayConfig(), cluster.Config{Nodes: 2, CoresPerNode: 28, GPUsPerNode: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestRebalanceAdaptsReserve(t *testing.T) {
 		}
 	}
 	// Empty history leaves the split untouched.
-	m2, _ := NewMultiArray(DefaultArrayConfig(), 1, 28, 5)
+	m2, _ := NewMultiArrayForCluster(DefaultArrayConfig(), cluster.Config{Nodes: 1, CoresPerNode: 28, GPUsPerNode: 5})
 	m2.Rebalance(history.NewLog().Stats(), 5)
 	if m2.budgets[0].reserve != DefaultArrayConfig().ReserveCores {
 		t.Error("empty-history rebalance changed the reserve")

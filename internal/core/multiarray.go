@@ -95,16 +95,6 @@ type gpuCandidate struct {
 	own           bool
 }
 
-// NewMultiArray builds the scheduler for a cluster of nodes × coresPerNode
-// × gpusPerNode.
-func NewMultiArray(cfg ArrayConfig, nodes, coresPerNode, gpusPerNode int) (*MultiArray, error) {
-	return NewMultiArrayForCluster(cfg, cluster.Config{
-		Nodes:        nodes,
-		CoresPerNode: coresPerNode,
-		GPUsPerNode:  gpusPerNode,
-	})
-}
-
 // NewMultiArrayForCluster builds the scheduler for a possibly
 // heterogeneous cluster (§VI-G: "Some larger private clusters maybe
 // composed of both GPU nodes and CPU nodes"). CPU-only nodes carry no
@@ -298,9 +288,6 @@ func (m *MultiArray) resizeBudgets(id job.ID, nodes []int, cores int) {
 		m.budgets[nid].resize(id, cores)
 	}
 }
-
-// GPUJobsPending reports whether any training job waits.
-func (m *MultiArray) GPUJobsPending() bool { return m.gpuQueues.Len() > 0 }
 
 // Drain runs both arrays' scheduling passes: GPU jobs first (they hold the
 // scarce resource and may preempt borrowed cores), then CPU jobs. Each
@@ -573,9 +560,6 @@ func (m *MultiArray) startCPU(j *job.Job, allowBorrow bool) bool {
 	}
 	return false
 }
-
-// QueueLens reports pending counts (gpu, cpu) for tests and metrics.
-func (m *MultiArray) QueueLens() (gpu, cpu int) { return m.gpuQueues.Len(), m.cpuQueues.Len() }
 
 // Rebalance adapts the per-node reserve to historical statistics: the GPU
 // array reserves roughly the mean tuned core demand per GPU times the node

@@ -93,9 +93,6 @@ func (b *Backoff) Next(retryAfter time.Duration) time.Duration {
 	return delay
 }
 
-// Attempt reports how many delays have been handed out.
-func (b *Backoff) Attempt() int { return b.attempt }
-
 // Reset rewinds the attempt counter after a success; the jitter stream
 // keeps advancing so consecutive bursts stay decorrelated.
 func (b *Backoff) Reset() { b.attempt = 0 }

@@ -84,18 +84,15 @@ func EliminatorThresholdMatrix(sc Scale, thresholds []float64) (*runner.Matrix, 
 		return nil, err
 	}
 	stress := hogHeavyTrace(sc)
-	opts := sc.simOptions()
 	m := &runner.Matrix{}
 	for _, th := range thresholds {
 		cfg := core.DefaultConfig()
 		cfg.Eliminator.Threshold = th
 		cfg.Eliminator.Release = th * 0.8
-		m.Add(sim.RunSpec{
-			Name:         fmt.Sprintf("threshold=%g", th),
-			Options:      opts,
-			Trace:        &stress,
-			NewScheduler: newCODA(cfg, opts.Cluster),
-		})
+		spec := sc.Spec("coda", cfg)
+		spec.Name = fmt.Sprintf("threshold=%g", th)
+		spec.Trace = &stress
+		m.Add(spec)
 	}
 	return m, nil
 }
@@ -127,7 +124,7 @@ func AblationEliminatorThreshold(sc Scale, thresholds []float64) ([]ThresholdPoi
 // hogHeavyTrace is the scale's trace config with 5% bandwidth hogs (10x
 // the paper's density) so contention effects are measurable at any scale.
 func hogHeavyTrace(sc Scale) trace.Config {
-	cfg := sc.traceConfig()
+	cfg := sc.TraceConfig()
 	cfg.HogFraction = 0.05
 	return cfg
 }

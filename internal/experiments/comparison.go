@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/coda-repro/coda/internal/cluster"
 	"github.com/coda-repro/coda/internal/core"
 	"github.com/coda-repro/coda/internal/runner"
-	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 )
 
@@ -26,34 +24,13 @@ func SetParallelism(n int) {
 	parallelism = n
 }
 
-// Parallelism returns the configured worker-pool width (0 = GOMAXPROCS).
-func Parallelism() int { return parallelism }
-
 // runMatrix executes a matrix with the package-wide parallelism.
 func runMatrix(m *runner.Matrix) ([]*sim.Result, error) {
 	return runner.Run(context.Background(), m, runner.Options{Parallel: parallelism})
 }
 
-// newFIFO, newDRF, newStatic and newCODA are the scheduler recipes every
-// experiment run is built from. Each returns a factory suitable for
-// sim.RunSpec.
-func newFIFO() func() (sched.Scheduler, error) {
-	return func() (sched.Scheduler, error) { return sched.NewFIFO(), nil }
-}
-
-func newDRF(cc cluster.Config) func() (sched.Scheduler, error) {
-	return func() (sched.Scheduler, error) {
-		return sched.NewDRF(cc.TotalNodes()*cc.CoresPerNode, cc.Nodes*cc.GPUsPerNode)
-	}
-}
-
-func newStatic(cc cluster.Config) func() (sched.Scheduler, error) {
-	return func() (sched.Scheduler, error) { return sched.NewStatic(cc.CoresPerNode, cc.GPUsPerNode), nil }
-}
-
-func newCODA(cfg core.Config, cc cluster.Config) func() (sched.Scheduler, error) {
-	return func() (sched.Scheduler, error) { return core.NewForCluster(cfg, cc) }
-}
+// headline is the comparison's policies in cell order.
+var headline = []string{"fifo", "drf", "coda"}
 
 // Comparison holds one trace replayed under all three schedulers.
 type Comparison struct {
@@ -71,12 +48,10 @@ func ComparisonMatrix(sc Scale) (*runner.Matrix, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := sc.traceConfig()
-	opts := sc.simOptions()
 	m := &runner.Matrix{}
-	m.Add(sim.RunSpec{Name: "fifo", Options: opts, Trace: &cfg, NewScheduler: newFIFO()})
-	m.Add(sim.RunSpec{Name: "drf", Options: opts, Trace: &cfg, NewScheduler: newDRF(opts.Cluster)})
-	m.Add(sim.RunSpec{Name: "coda", Options: opts, Trace: &cfg, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
+	for _, policy := range headline {
+		m.Add(sc.Spec(policy, core.DefaultConfig()))
+	}
 	return m, nil
 }
 
@@ -122,12 +97,10 @@ func MultiSeedComparisonMatrix(sc Scale, seeds []int64) (*runner.Matrix, error) 
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := sc.traceConfig()
-	opts := sc.simOptions()
 	m := &runner.Matrix{}
-	m.AddSeeds(sim.RunSpec{Name: "fifo", Options: opts, Trace: &cfg, NewScheduler: newFIFO()}, seeds...)
-	m.AddSeeds(sim.RunSpec{Name: "drf", Options: opts, Trace: &cfg, NewScheduler: newDRF(opts.Cluster)}, seeds...)
-	m.AddSeeds(sim.RunSpec{Name: "coda", Options: opts, Trace: &cfg, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)}, seeds...)
+	for _, policy := range headline {
+		m.AddSeeds(sc.Spec(policy, core.DefaultConfig()), seeds...)
+	}
 	return m, nil
 }
 
@@ -166,8 +139,7 @@ func RunCODAVariant(sc Scale, cfg core.Config) (*sim.Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	tr := sc.traceConfig()
-	opts := sc.simOptions()
-	spec := sim.RunSpec{Name: "coda-variant", Options: opts, Trace: &tr, NewScheduler: newCODA(cfg, opts.Cluster)}
+	spec := sc.Spec("coda", cfg)
+	spec.Name = "coda-variant"
 	return spec.Run()
 }

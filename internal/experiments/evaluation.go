@@ -279,12 +279,12 @@ func Sec6EMatrix(sc Scale) (*runner.Matrix, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	cfg, stress := sc.traceConfig(), hogHeavyTrace(sc)
-	opts := sc.simOptions()
+	cfg, stress := sc.TraceConfig(), hogHeavyTrace(sc)
+	opts := sc.Options()
 	m := &runner.Matrix{}
-	m.Add(sim.RunSpec{Name: "eliminator-off", Options: opts, Trace: &cfg, NewScheduler: newCODA(offCfg, opts.Cluster)})
-	m.Add(sim.RunSpec{Name: "stress-on", Options: opts, Trace: &stress, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
-	m.Add(sim.RunSpec{Name: "stress-off", Options: opts, Trace: &stress, NewScheduler: newCODA(offCfg, opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "eliminator-off", Options: opts, Trace: &cfg, NewScheduler: Policy("coda", offCfg, opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "stress-on", Options: opts, Trace: &stress, NewScheduler: Policy("coda", core.DefaultConfig(), opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "stress-off", Options: opts, Trace: &stress, NewScheduler: Policy("coda", offCfg, opts.Cluster)})
 	return m, nil
 }
 

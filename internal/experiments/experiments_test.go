@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/coda-repro/coda/internal/core"
 )
 
 // testScale keeps experiment tests fast: a third of a day at paper load.
@@ -27,10 +30,18 @@ func TestScaleValidate(t *testing.T) {
 		wantErr bool
 	}{
 		{"full ok", func(s *Scale) {}, false},
+		{"no name", func(s *Scale) { s.Name = "" }, false},
+		{"no cpu jobs", func(s *Scale) { s.CPUJobs = 0 }, false},
 		{"zero days", func(s *Scale) { s.Days = 0 }, true},
+		{"negative days", func(s *Scale) { s.Days = -1 }, true},
+		{"NaN days", func(s *Scale) { s.Days = math.NaN() }, true},
+		{"infinite days", func(s *Scale) { s.Days = math.Inf(1) }, true},
 		{"no gpu jobs", func(s *Scale) { s.GPUJobs = 0 }, true},
 		{"negative cpu jobs", func(s *Scale) { s.CPUJobs = -1 }, true},
+		{"negative gpu jobs", func(s *Scale) { s.GPUJobs = -1 }, true},
+		{"no jobs at all", func(s *Scale) { s.CPUJobs, s.GPUJobs = 0, 0 }, true},
 		{"zero nodes", func(s *Scale) { s.Nodes = 0 }, true},
+		{"negative nodes", func(s *Scale) { s.Nodes = -4 }, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -45,8 +56,46 @@ func TestScaleValidate(t *testing.T) {
 	if FullScale().Duration() != 30*24*time.Hour {
 		t.Error("FullScale duration wrong")
 	}
-	if SmallScale().Validate() != nil || TinyScale().Validate() != nil {
-		t.Error("preset scales must validate")
+}
+
+func TestParseScale(t *testing.T) {
+	names := []string{"ci", "tiny", "small", "full", "warehouse"}
+	for _, name := range names {
+		sc, err := ParseScale(name)
+		if err != nil {
+			t.Fatalf("ParseScale(%q): %v", name, err)
+		}
+		if sc.Name != name {
+			t.Errorf("ParseScale(%q).Name = %q", name, sc.Name)
+		}
+		if err := sc.Validate(); err != nil {
+			t.Errorf("preset %q fails its own validation: %v", name, err)
+		}
+	}
+	_, err := ParseScale("huge")
+	if err == nil {
+		t.Fatal("ParseScale accepted an unknown preset")
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-scale error does not name preset %q: %v", name, err)
+		}
+	}
+}
+
+func TestPolicyBuildsEveryScheduler(t *testing.T) {
+	cc := TinyScale().Options().Cluster
+	for _, name := range []string{"fifo", "drf", "static", "coda"} {
+		s, err := Policy(name, core.DefaultConfig(), cc)()
+		if err != nil {
+			t.Fatalf("Policy(%q): %v", name, err)
+		}
+		if s.Name() != name {
+			t.Errorf("Policy(%q) built %q", name, s.Name())
+		}
+	}
+	if s, err := Policy("quantum", core.DefaultConfig(), cc)(); err == nil {
+		t.Errorf("Policy(quantum) built %v", s)
 	}
 }
 

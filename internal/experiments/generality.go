@@ -29,13 +29,13 @@ func GeneralityMatrix(sc Scale, cpuOnlyNodes int) (*runner.Matrix, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := sc.traceConfig()
-	opts := sc.simOptions()
-	opts.Cluster.CPUOnlyNodes = cpuOnlyNodes
 	m := &runner.Matrix{}
-	m.Add(sim.RunSpec{Name: "fifo", Options: opts, Trace: &cfg, NewScheduler: newFIFO()})
-	m.Add(sim.RunSpec{Name: "drf", Options: opts, Trace: &cfg, NewScheduler: newDRF(opts.Cluster)})
-	m.Add(sim.RunSpec{Name: "coda", Options: opts, Trace: &cfg, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
+	for _, policy := range headline {
+		spec := sc.Spec(policy, core.DefaultConfig())
+		spec.Options.Cluster.CPUOnlyNodes = cpuOnlyNodes
+		spec.NewScheduler = Policy(policy, core.DefaultConfig(), spec.Options.Cluster)
+		m.Add(spec)
+	}
 	return m, nil
 }
 

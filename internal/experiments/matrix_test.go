@@ -46,12 +46,12 @@ func TestComparisonMatrixShape(t *testing.T) {
 func TestSetParallelism(t *testing.T) {
 	defer SetParallelism(0)
 	SetParallelism(3)
-	if Parallelism() != 3 {
-		t.Fatalf("Parallelism() = %d, want 3", Parallelism())
+	if parallelism != 3 {
+		t.Fatalf("parallelism = %d, want 3", parallelism)
 	}
 	SetParallelism(-5)
-	if Parallelism() != 0 {
-		t.Fatalf("negative parallelism should clamp to 0, got %d", Parallelism())
+	if parallelism != 0 {
+		t.Fatalf("negative parallelism should clamp to 0, got %d", parallelism)
 	}
 }
 
@@ -86,17 +86,11 @@ func TestRunMultiSeedComparison(t *testing.T) {
 // immediately than the full one.
 func TestScaleCurve(t *testing.T) {
 	sc := matrixScale()
-	cfg := sc.traceConfig()
 	var immediate []float64
 	for _, nodes := range []int{40, 80} {
 		sc.Nodes = nodes
-		opts := sc.simOptions()
-		spec := sim.RunSpec{
-			Name:         fmt.Sprintf("nodes=%d", nodes),
-			Options:      opts,
-			Trace:        &cfg,
-			NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster),
-		}
+		spec := sc.Spec("coda", core.DefaultConfig())
+		spec.Name = fmt.Sprintf("nodes=%d", nodes)
 		res, err := spec.Run()
 		if err != nil {
 			t.Fatal(err)

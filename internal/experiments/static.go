@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"github.com/coda-repro/coda/internal/core"
 	"github.com/coda-repro/coda/internal/sim"
 )
 
@@ -26,9 +27,7 @@ func StaticBaseline(sc Scale) (StaticResult, error) {
 	if err != nil {
 		return StaticResult{}, err
 	}
-	cfg := sc.traceConfig()
-	opts := sc.simOptions()
-	res, err := sim.RunSpec{Name: "static", Options: opts, Trace: &cfg, NewScheduler: newStatic(opts.Cluster)}.Run()
+	res, err := sc.Spec("static", core.DefaultConfig()).Run()
 	if err != nil {
 		return StaticResult{}, err
 	}

@@ -3,8 +3,8 @@ package experiments
 import (
 	"time"
 
+	"github.com/coda-repro/coda/internal/core"
 	"github.com/coda-repro/coda/internal/metrics"
-	"github.com/coda-repro/coda/internal/sim"
 	"github.com/coda-repro/coda/internal/trace"
 )
 
@@ -30,8 +30,9 @@ func Fig1(sc Scale) (*Fig1Result, error) {
 	if err := week.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := week.traceConfig()
-	res, err := sim.RunSpec{Name: "fig1", Options: week.simOptions(), Trace: &cfg, NewScheduler: newFIFO()}.Run()
+	spec := week.Spec("fifo", core.DefaultConfig())
+	spec.Name = "fig1"
+	res, err := spec.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +102,7 @@ func Fig2(sc Scale) (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := trace.Generate(sc.traceConfig())
+	jobs, err := trace.Generate(sc.TraceConfig())
 	if err != nil {
 		return nil, err
 	}

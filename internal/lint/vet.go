@@ -155,11 +155,12 @@ func DefaultLayers() []Layer {
 			DenyStd:  []string{"os", "syscall"},
 		},
 		{
-			// The soak harness: recipes composing engine runs through the
-			// runner, still host-free — the coda-soak CLI owns all I/O.
+			// The soak harness: recipes composing engine runs, built by the
+			// apps layer's spec builder, through the runner, still host-free
+			// — the coda-soak CLI owns all I/O.
 			Name:     "soak",
 			Packages: []string{"internal/soak"},
-			Allow:    []string{"base", "domain", "persist", "sched", "policy", "engine", "runner", "serve"},
+			Allow:    []string{"base", "domain", "persist", "sched", "policy", "engine", "runner", "serve", "apps"},
 			DenyStd:  engineDeny,
 		},
 		{

@@ -335,28 +335,6 @@ func (h *IntHistogram) Bucket(i int) (count int, fraction float64, err error) {
 	return count, fraction, nil
 }
 
-// FractionIn returns the fraction of observations v with lo <= v <= hi,
-// computed from raw bucket counts when [lo,hi] aligns with bucket edges; it
-// falls back to scanning interior buckets fully contained in [lo, hi].
-func (h *IntHistogram) FractionIn(lo, hi int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	count := 0
-	for i := range h.counts {
-		if h.edges[i] >= lo && h.edges[i+1]-1 <= hi {
-			count += h.counts[i]
-		}
-	}
-	return float64(count) / float64(h.total)
-}
-
-// Underflow and Overflow return the open-ended bucket counts.
-func (h *IntHistogram) Underflow() int { return h.underflow }
-
-// Overflow returns the count of observations at/above the last edge.
-func (h *IntHistogram) Overflow() int { return h.overflow }
-
 // PerKeyCDF maintains one CDF per key (per-tenant queueing times, Fig. 12).
 type PerKeyCDF struct {
 	cdfs map[int]*CDF

@@ -144,9 +144,6 @@ func (d *DRF) startFirstFitting(q *JobQueue) bool {
 	return false
 }
 
-// QueueLen reports the total pending job count.
-func (d *DRF) QueueLen() int { return d.queues.Len() }
-
 // CheckInvariants verifies that the tenant queues are in strictly
 // ascending tenant order and that the accountant's per-job ledger sums to
 // its per-tenant usage.

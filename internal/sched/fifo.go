@@ -289,9 +289,6 @@ func heapSiftDown(h []shapeRef, i int) {
 	}
 }
 
-// QueueLen reports the pending job count (for tests and metrics).
-func (f *FIFO) QueueLen() int { return f.size }
-
 // CheckInvariants verifies the shape queues: every listed shape is
 // non-empty and sits at its listIdx, every detached shape is empty, and
 // size equals the sum of the queue lengths.

@@ -141,8 +141,8 @@ func TestFIFOShapeHeapMatchesFlatWalk(t *testing.T) {
 			if qa, qb := envA.c.PlacementQueries(), envB.c.PlacementQueries(); qa != qb {
 				t.Fatalf("seed %d step %d: %d placement queries vs flat %d", seed, step, qa, qb)
 			}
-			if fast.QueueLen() != len(flat.queue) {
-				t.Fatalf("seed %d step %d: queue len %d vs flat %d", seed, step, fast.QueueLen(), len(flat.queue))
+			if fast.size != len(flat.queue) {
+				t.Fatalf("seed %d step %d: queue len %d vs flat %d", seed, step, fast.size, len(flat.queue))
 			}
 			if err := fast.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)

@@ -45,13 +45,13 @@ func emptiedShapeFIFO(t *testing.T) (*fakeEnv, *FIFO) {
 	f.Submit(cpuJob(2, 1, 8))
 	f.Submit(cpuJob(3, 1, 4))
 	f.Submit(cpuJob(4, 1, 2))
-	if f.QueueLen() != 2 {
-		t.Fatalf("QueueLen = %d, want 2", f.QueueLen())
+	if f.size != 2 {
+		t.Fatalf("queue length = %d, want 2", f.size)
 	}
 	env.release(t, 1)
 	f.OnJobCompleted(&job.Job{ID: 1})
-	if f.QueueLen() != 0 || len(f.shapeList) != 0 {
-		t.Fatalf("QueueLen = %d with %d listed shapes, want both 0", f.QueueLen(), len(f.shapeList))
+	if f.size != 0 || len(f.shapeList) != 0 {
+		t.Fatalf("queue length = %d with %d listed shapes, want both 0", f.size, len(f.shapeList))
 	}
 	checkFIFO(t, f)
 	return env, f
@@ -101,8 +101,8 @@ func TestFIFOCancelDetachedShapeIsNoOp(t *testing.T) {
 	started := len(env.started)
 	f.OnJobCancelled(cpuJob(3, 1, 4))
 	checkFIFO(t, f)
-	if f.QueueLen() != 0 || len(env.started) != started {
-		t.Fatalf("QueueLen = %d, %d started; want 0 and %d", f.QueueLen(), len(env.started), started)
+	if f.size != 0 || len(env.started) != started {
+		t.Fatalf("queue length = %d, %d started; want 0 and %d", f.size, len(env.started), started)
 	}
 	if sq := f.shapes[job.Request{CPUCores: 4, Nodes: 1}]; sq.listIdx != -1 || sq.length() != 0 {
 		t.Fatalf("cancelled job's shape = %+v, want detached and empty", sq)

@@ -111,8 +111,8 @@ func TestFIFOOrdering(t *testing.T) {
 	if len(env.started) != 2 {
 		t.Fatalf("started = %v, want jobs 1,2", env.started)
 	}
-	if f.QueueLen() != 1 {
-		t.Errorf("QueueLen = %d, want 1", f.QueueLen())
+	if f.size != 1 {
+		t.Errorf("queue length = %d, want 1", f.size)
 	}
 	// Completion frees node 0; job 3 starts.
 	env.release(t, 1)
@@ -120,8 +120,8 @@ func TestFIFOOrdering(t *testing.T) {
 	if len(env.started) != 3 || env.started[2] != 3 {
 		t.Errorf("started = %v, want [1 2 3]", env.started)
 	}
-	if f.QueueLen() != 0 {
-		t.Errorf("QueueLen = %d, want 0", f.QueueLen())
+	if f.size != 0 {
+		t.Errorf("queue length = %d, want 0", f.size)
 	}
 }
 
@@ -149,8 +149,8 @@ func TestFIFOStartFailureKeepsJobQueued(t *testing.T) {
 	f := NewFIFO()
 	f.Bind(env)
 	f.Submit(cpuJob(1, 1, 1))
-	if f.QueueLen() != 1 {
-		t.Errorf("QueueLen = %d, want 1 (failed start must not drop job)", f.QueueLen())
+	if f.size != 1 {
+		t.Errorf("queue length = %d, want 1 (failed start must not drop job)", f.size)
 	}
 }
 
@@ -211,8 +211,8 @@ func TestDRFBlockedTenantDoesNotBlockOthers(t *testing.T) {
 	if len(env.started) != 3 || env.started[2] != 3 {
 		t.Errorf("started = %v, want job 3 next", env.started)
 	}
-	if d.QueueLen() != 1 {
-		t.Errorf("QueueLen = %d, want 1", d.QueueLen())
+	if d.queues.Len() != 1 {
+		t.Errorf("queue length = %d, want 1", d.queues.Len())
 	}
 }
 

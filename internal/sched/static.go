@@ -84,6 +84,3 @@ func (s *Static) drain() {
 		}
 	}
 }
-
-// QueueLen reports the pending job count.
-func (s *Static) QueueLen() int { return s.queue.Len() }

@@ -68,8 +68,8 @@ func TestStaticCPUJobsStarved(t *testing.T) {
 	if len(env.started) != 2 {
 		t.Fatalf("started = %v", env.started)
 	}
-	if s.QueueLen() != 1 {
-		t.Errorf("QueueLen = %d, want 1", s.QueueLen())
+	if s.queue.Len() != 1 {
+		t.Errorf("queue length = %d, want 1", s.queue.Len())
 	}
 	env.release(t, 1)
 	s.OnJobCompleted(&job.Job{ID: 1})

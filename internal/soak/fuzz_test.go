@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/coda-repro/coda/internal/experiments"
 )
 
 // FuzzParseCondition: whatever the input, ParseCondition either rejects it
@@ -62,9 +64,10 @@ func FuzzParseCondition(f *testing.F) {
 	})
 }
 
-// FuzzScaleValidate: Scale.Validate must reject every degenerate shape —
-// non-finite or non-positive durations, negative job counts, empty traces,
-// non-positive clusters — and accept the rest.
+// FuzzScaleValidate: Recipe.Build, the gate every cell passes, must reject
+// every degenerate shape — non-finite or non-positive durations, negative
+// job counts, no GPU jobs, non-positive clusters — and accept the rest,
+// named or not.
 func FuzzScaleValidate(f *testing.F) {
 	f.Add("tiny", 0.5, 300, 100, 16)
 	f.Add("full", 30.0, 75000, 25000, 80)
@@ -75,16 +78,15 @@ func FuzzScaleValidate(f *testing.F) {
 	f.Add("empty", 1.0, 0, 0, 4)
 	f.Add("nonodes", 1.0, 10, 10, 0)
 	f.Fuzz(func(t *testing.T, name string, days float64, cpu, gpu, nodes int) {
-		sc := Scale{Name: name, Days: days, CPUJobs: cpu, GPUJobs: gpu, Nodes: nodes}
-		err := sc.Validate()
-		degenerate := name == "" ||
-			math.IsNaN(days) || math.IsInf(days, 0) || days <= 0 ||
-			cpu < 0 || gpu < 0 || cpu+gpu == 0 || nodes <= 0
+		sc := experiments.Scale{Name: name, Days: days, CPUJobs: cpu, GPUJobs: gpu, Nodes: nodes}
+		_, err := quietBaseline().Build(1, sc)
+		degenerate := math.IsNaN(days) || math.IsInf(days, 0) || days <= 0 ||
+			cpu < 0 || gpu <= 0 || nodes <= 0
 		if degenerate && err == nil {
-			t.Fatalf("Validate accepted degenerate scale %+v", sc)
+			t.Fatalf("Build accepted degenerate scale %+v", sc)
 		}
 		if !degenerate && err != nil {
-			t.Fatalf("Validate rejected healthy scale %+v: %v", sc, err)
+			t.Fatalf("Build rejected healthy scale %+v: %v", sc, err)
 		}
 	})
 }

@@ -5,10 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/coda-repro/coda/internal/experiments"
 )
 
-// TestGoldenVerdicts pins the full tiny-scale recipe matrix at seeds 1 and
-// 2 to testdata/soak/golden.json, byte for byte. Any behavioral drift in
+// TestGoldenVerdicts pins the full ci-scale recipe matrix at seeds 1 and 2
+// to testdata/soak/golden.json, byte for byte. Any behavioral drift in
 // the engine, the chaos layer, the trace generator, a recipe definition or
 // a condition evaluator changes the report bytes and fails loudly here.
 //
@@ -19,7 +21,7 @@ func TestGoldenVerdicts(t *testing.T) {
 	rep, err := RunMatrix(context.Background(), MatrixSpec{
 		Recipes: Recipes(),
 		Seeds:   []int64{1, 2},
-		Scale:   TinyScale(),
+		Scale:   experiments.CIScale(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +31,7 @@ func TestGoldenVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.Pass {
-		t.Errorf("tiny-scale matrix no longer passes its own conditions (%d failing cells)", rep.Failed)
+		t.Errorf("ci-scale matrix no longer passes its own conditions (%d failing cells)", rep.Failed)
 	}
 
 	golden := filepath.Join("testdata", "soak", "golden.json")

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/coda-repro/coda/internal/experiments"
 	"github.com/coda-repro/coda/internal/metrics"
 	"github.com/coda-repro/coda/internal/sim"
 )
@@ -17,11 +18,11 @@ import (
 // results — every series sample, CDF point and job lifecycle.
 func TestSameInputsBitIdentical(t *testing.T) {
 	for _, r := range Recipes() {
-		a, err := r.Build(1, TinyScale())
+		a, err := r.Build(1, experiments.CIScale())
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name, err)
 		}
-		b, err := r.Build(1, TinyScale())
+		b, err := r.Build(1, experiments.CIScale())
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name, err)
 		}
@@ -45,7 +46,7 @@ func TestSameInputsBitIdentical(t *testing.T) {
 func TestReportBytesStable(t *testing.T) {
 	encode := func() []byte {
 		rep, err := Grid(context.Background(), []string{"quiet-baseline", "controller-kill-storm"},
-			[]int64{1}, TinyScale(), 2, nil)
+			[]int64{1}, experiments.CIScale(), 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestDifferentChaosSeedDivergesOnlyAfterFirstFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specA, err := r.Build(1, TinyScale())
+	specA, err := r.Build(1, experiments.CIScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,9 @@
 package soak
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/coda-repro/coda/internal/chaos"
-	"github.com/coda-repro/coda/internal/core"
-	"github.com/coda-repro/coda/internal/sched"
-	"github.com/coda-repro/coda/internal/sim"
-	"github.com/coda-repro/coda/internal/trace"
 )
 
 // Recipes returns the recipe registry in canonical matrix order. The order
@@ -31,55 +26,6 @@ func cond(k CheckKind, threshold float64) Condition {
 	return Condition{Check: k, Threshold: threshold}
 }
 
-// buildSpec assembles the common run shape every recipe shares: a diurnal
-// trace sized by the scale, the CODA scheduler on the scale's cluster, the
-// always-on invariant checker, and the recipe's chaos plan — validated
-// here, so a malformed plan fails at build time with the recipe's name
-// attached instead of surfacing mid-run.
-//
-// Seed discipline: the trace generator and the fault plan consume the cell
-// seed directly; the simulator's measurement-noise stream gets seed+1000,
-// matching the offset convention in internal/experiments, so the noise and
-// fault streams never collide.
-func buildSpec(recipe string, seed int64, sc Scale, plan chaos.Plan) (sim.RunSpec, error) {
-	cfg := trace.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Duration = sc.Duration()
-	cfg.CPUJobs = sc.CPUJobs
-	cfg.GPUJobs = sc.GPUJobs
-	if err := cfg.Validate(); err != nil {
-		return sim.RunSpec{}, fmt.Errorf("soak: recipe %s: trace: %w", recipe, err)
-	}
-
-	opts := sim.DefaultOptions()
-	opts.Cluster.Nodes = sc.Nodes
-	opts.Seed = seed + 1000
-	opts.SampleInterval = 10 * time.Minute
-	opts.MaxVirtualTime = sc.Duration() + 4*24*time.Hour
-	opts.Invariants = true
-	opts.InvariantsEvery = 256
-
-	plan.Seed = seed
-	if !plan.Empty() {
-		if err := plan.Validate(opts.Cluster.TotalNodes()); err != nil {
-			return sim.RunSpec{}, fmt.Errorf("soak: recipe %s: %w", recipe, err)
-		}
-	}
-	opts.Faults = plan
-
-	cc := opts.Cluster
-	return sim.RunSpec{
-		Name:    fmt.Sprintf("%s/seed=%d", recipe, seed),
-		Options: opts,
-		// Streaming intake: each run constructs its own seeded source from
-		// this config, so a month-scale cell never materializes its jobs.
-		Trace: &cfg,
-		NewScheduler: func() (sched.Scheduler, error) {
-			return core.New(core.DefaultConfig(), cc.Nodes, cc.CoresPerNode, cc.GPUsPerNode)
-		},
-	}, nil
-}
-
 // quietBaseline is the control: no injected faults at all. Its conditions
 // pin the healthy envelope, so if the quiet world degrades, every chaotic
 // verdict is suspect.
@@ -94,9 +40,7 @@ func quietBaseline() Recipe {
 			cond(CheckFaultCountersSane, 1),
 			cond(CheckInvariantsClean, 1),
 		},
-		build: func(seed int64, sc Scale) (sim.RunSpec, error) {
-			return buildSpec("quiet-baseline", seed, sc, chaos.Plan{})
-		},
+		plan: func(time.Duration, int) chaos.Plan { return chaos.Plan{} },
 	}
 }
 
@@ -118,10 +62,8 @@ func crashHeavyDiurnalMonth() Recipe {
 			cond(CheckFaultCountersSane, 1),
 			cond(CheckInvariantsClean, 1),
 		},
-		build: func(seed int64, sc Scale) (sim.RunSpec, error) {
-			h := sc.Duration()
-			plan := chaos.Plan{
-				Horizon:           h,
+		plan: func(h time.Duration, _ int) chaos.Plan {
+			return chaos.Plan{
 				NodeCrashesPerDay: 6,
 				CrashDowntime:     45 * time.Minute,
 				StragglersPerDay:  2,
@@ -133,7 +75,6 @@ func crashHeavyDiurnalMonth() Recipe {
 					{At: 3*h/10 + 45*time.Minute, Kind: chaos.KindNodeRecover, Node: 0},
 				},
 			}
-			return buildSpec("crash-heavy-diurnal-month", seed, sc, plan)
 		},
 	}
 }
@@ -155,10 +96,8 @@ func controllerKillStorm() Recipe {
 			cond(CheckFaultCountersSane, 1),
 			cond(CheckInvariantsClean, 1),
 		},
-		build: func(seed int64, sc Scale) (sim.RunSpec, error) {
-			h := sc.Duration()
-			plan := chaos.Plan{
-				Horizon:           h,
+		plan: func(h time.Duration, _ int) chaos.Plan {
+			return chaos.Plan{
 				NodeCrashesPerDay: 2,
 				CrashDowntime:     30 * time.Minute,
 				JobFailureProb:    0.01,
@@ -168,7 +107,6 @@ func controllerKillStorm() Recipe {
 					{At: 3 * h / 4, Kind: chaos.KindControllerKill},
 				},
 			}
-			return buildSpec("controller-kill-storm", seed, sc, plan)
 		},
 	}
 }
@@ -189,19 +127,17 @@ func drainHalfClusterMidmonth() Recipe {
 			cond(CheckFaultCountersSane, 1),
 			cond(CheckInvariantsClean, 1),
 		},
-		build: func(seed int64, sc Scale) (sim.RunSpec, error) {
-			h := sc.Duration()
+		plan: func(h time.Duration, nodes int) chaos.Plan {
 			plan := chaos.Plan{
-				Horizon:           h,
 				NodeCrashesPerDay: 1,
 				CrashDowntime:     30 * time.Minute,
 			}
-			for n := 0; n < sc.Nodes/2; n++ {
+			for n := 0; n < nodes/2; n++ {
 				plan.Faults = append(plan.Faults,
 					chaos.Fault{At: 2 * h / 5, Kind: chaos.KindNodeDrain, Node: n},
 					chaos.Fault{At: 7 * h / 10, Kind: chaos.KindNodeUndrain, Node: n})
 			}
-			return buildSpec("drain-half-cluster-midmonth", seed, sc, plan)
+			return plan
 		},
 	}
 }
@@ -222,21 +158,19 @@ func telemetryDarkWeek() Recipe {
 			cond(CheckFaultCountersSane, 1),
 			cond(CheckInvariantsClean, 1),
 		},
-		build: func(seed int64, sc Scale) (sim.RunSpec, error) {
-			h := sc.Duration()
+		plan: func(h time.Duration, nodes int) chaos.Plan {
 			start := 2 * h / 5
 			end := start + 23*h/100
 			plan := chaos.Plan{
-				Horizon:           h,
 				MembwDropsPerDay:  4,
 				MembwDropDuration: 10 * time.Minute,
 			}
-			for n := 0; n < sc.Nodes; n++ {
+			for n := 0; n < nodes; n++ {
 				plan.Faults = append(plan.Faults,
 					chaos.Fault{At: start, Kind: chaos.KindMembwDark, Node: n},
 					chaos.Fault{At: end, Kind: chaos.KindMembwRestore, Node: n})
 			}
-			return buildSpec("telemetry-dark-week", seed, sc, plan)
+			return plan
 		},
 	}
 }
@@ -258,10 +192,8 @@ func serveKillStorm() Recipe {
 			cond(CheckFaultCountersSane, 1),
 			cond(CheckInvariantsClean, 1),
 		},
-		build: func(seed int64, sc Scale) (sim.RunSpec, error) {
-			h := sc.Duration()
-			plan := chaos.Plan{
-				Horizon:           h,
+		plan: func(h time.Duration, _ int) chaos.Plan {
+			return chaos.Plan{
 				NodeCrashesPerDay: 2,
 				CrashDowntime:     30 * time.Minute,
 				JobFailureProb:    0.01,
@@ -271,7 +203,6 @@ func serveKillStorm() Recipe {
 					{At: 3 * h / 4, Kind: chaos.KindServeKill},
 				},
 			}
-			return buildSpec("serve-kill-storm", seed, sc, plan)
 		},
 	}
 }
@@ -291,9 +222,8 @@ func stragglerCascade() Recipe {
 			cond(CheckFaultCountersSane, 1),
 			cond(CheckInvariantsClean, 1),
 		},
-		build: func(seed int64, sc Scale) (sim.RunSpec, error) {
-			h := sc.Duration()
-			band := sc.Nodes / 2
+		plan: func(h time.Duration, nodes int) chaos.Plan {
+			band := nodes / 2
 			if band > 8 {
 				band = 8
 			}
@@ -301,7 +231,6 @@ func stragglerCascade() Recipe {
 				band = 1
 			}
 			plan := chaos.Plan{
-				Horizon:           h,
 				StragglersPerDay:  8,
 				StragglerFactor:   0.5,
 				StragglerDuration: time.Hour,
@@ -314,7 +243,7 @@ func stragglerCascade() Recipe {
 					chaos.Fault{At: at, Kind: chaos.KindStragglerStart, Node: i, Factor: 0.45},
 					chaos.Fault{At: at + h/4, Kind: chaos.KindStragglerEnd, Node: i, Factor: 0.45})
 			}
-			return buildSpec("straggler-cascade", seed, sc, plan)
+			return plan
 		},
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"github.com/coda-repro/coda/internal/experiments"
 	"github.com/coda-repro/coda/internal/runner"
 	"github.com/coda-repro/coda/internal/sim"
 )
@@ -16,7 +17,7 @@ type MatrixSpec struct {
 	// Seeds are the per-recipe seeds, in column order.
 	Seeds []int64
 	// Scale sizes every cell.
-	Scale Scale
+	Scale experiments.Scale
 	// Parallel is the runner worker-pool width (0 = GOMAXPROCS).
 	Parallel int
 	// ExtraConditions are appended to every recipe's condition list —
@@ -101,8 +102,8 @@ type FaultSummary struct {
 // grid at the same scale always serializes to the same bytes.
 type Report struct {
 	// Scale and Seeds restate the grid.
-	Scale Scale   `json:"scale"`
-	Seeds []int64 `json:"seeds"`
+	Scale experiments.Scale `json:"scale"`
+	Seeds []int64           `json:"seeds"`
 	// Recipes are the row names in matrix order.
 	Recipes []string `json:"recipes"`
 	// Pass is the conjunction of every cell verdict; Failed counts the
@@ -214,7 +215,7 @@ func RunMatrix(ctx context.Context, ms MatrixSpec) (*Report, error) {
 
 // Grid is a convenience for the CLI: resolve recipe names (empty means
 // the whole registry), build the MatrixSpec, and run it.
-func Grid(ctx context.Context, names []string, seeds []int64, sc Scale, parallel int, extra []Condition) (*Report, error) {
+func Grid(ctx context.Context, names []string, seeds []int64, sc experiments.Scale, parallel int, extra []Condition) (*Report, error) {
 	var recipes []Recipe
 	if len(names) == 0 {
 		recipes = Recipes()

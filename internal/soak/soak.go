@@ -21,94 +21,11 @@ import (
 	"strings"
 	"time"
 
+	"github.com/coda-repro/coda/internal/chaos"
+	"github.com/coda-repro/coda/internal/core"
+	"github.com/coda-repro/coda/internal/experiments"
 	"github.com/coda-repro/coda/internal/sim"
 )
-
-// Scale sizes a recipe: how long the simulated month-analog lasts and how
-// big the cluster and trace are. Recipes express their fault schedules as
-// fractions of the scale's duration, so one recipe definition works at
-// every scale.
-type Scale struct {
-	// Name is the preset name ("tiny", "small", "full", "warehouse").
-	Name string `json:"name"`
-	// Days is the trace duration in simulated days.
-	Days float64 `json:"days"`
-	// CPUJobs and GPUJobs size the generated trace.
-	CPUJobs int `json:"cpuJobs"`
-	GPUJobs int `json:"gpuJobs"`
-	// Nodes is the GPU-node count of the simulated cluster.
-	Nodes int `json:"nodes"`
-}
-
-// TinyScale is sized for CI under -race: half a simulated day on a 24-node
-// cluster — 120 GPUs against ~675 expected GPU-hours of demand, enough
-// headroom that verdicts measure the scheduler, not the luck of one
-// 100-job sample path (a heavy draw can reach ~800 GPU-hours with a
-// 100-GPU instantaneous peak).
-func TinyScale() Scale {
-	return Scale{Name: "tiny", Days: 0.5, CPUJobs: 300, GPUJobs: 100, Nodes: 24}
-}
-
-// SmallScale is a 3-day replay at the paper's load.
-func SmallScale() Scale {
-	return Scale{Name: "small", Days: 3, CPUJobs: 7500, GPUJobs: 2500, Nodes: 80}
-}
-
-// FullScale is the paper-shaped month on the 80-node cluster, matching
-// trace.DefaultConfig.
-func FullScale() Scale {
-	return Scale{Name: "full", Days: 30, CPUJobs: 75000, GPUJobs: 25000, Nodes: 80}
-}
-
-// WarehouseScale is the streaming-intake stress shape: a 5,000-node
-// warehouse serving a million jobs in a simulated week. Only viable since
-// specs stream their traces — materializing a warehouse trace up front is
-// exactly the O(jobs) intake memory the streaming refactor removed. The
-// full 25M-job month (Days: 30, CPUJobs: 18_750_000, GPUJobs: 6_250_000)
-// uses the same preset shape; see DESIGN.md "Scale architecture".
-func WarehouseScale() Scale {
-	return Scale{Name: "warehouse", Days: 7, CPUJobs: 750_000, GPUJobs: 250_000, Nodes: 5000}
-}
-
-// ParseScale resolves a preset name.
-func ParseScale(name string) (Scale, error) {
-	switch name {
-	case "tiny":
-		return TinyScale(), nil
-	case "small":
-		return SmallScale(), nil
-	case "full":
-		return FullScale(), nil
-	case "warehouse":
-		return WarehouseScale(), nil
-	}
-	return Scale{}, fmt.Errorf("soak: unknown scale %q (want tiny, small, full or warehouse)", name)
-}
-
-// Validate rejects degenerate scales before any trace generation happens.
-func (sc Scale) Validate() error {
-	if sc.Name == "" {
-		return fmt.Errorf("soak: scale has no name")
-	}
-	if math.IsNaN(sc.Days) || math.IsInf(sc.Days, 0) || sc.Days <= 0 {
-		return fmt.Errorf("soak: scale %q duration %g days must be finite and positive", sc.Name, sc.Days)
-	}
-	if sc.CPUJobs < 0 || sc.GPUJobs < 0 {
-		return fmt.Errorf("soak: scale %q has negative job counts (%d cpu, %d gpu)", sc.Name, sc.CPUJobs, sc.GPUJobs)
-	}
-	if sc.CPUJobs+sc.GPUJobs == 0 {
-		return fmt.Errorf("soak: scale %q generates no jobs", sc.Name)
-	}
-	if sc.Nodes <= 0 {
-		return fmt.Errorf("soak: scale %q node count %d must be positive", sc.Name, sc.Nodes)
-	}
-	return nil
-}
-
-// Duration converts the scale's day count to simulated time.
-func (sc Scale) Duration() time.Duration {
-	return time.Duration(sc.Days * float64(24*time.Hour))
-}
 
 // CheckKind names one verdict check. Every check reduces the run to a
 // single float64 measurement and compares it against the condition's
@@ -269,10 +186,10 @@ func ParseCondition(s string) (Condition, error) {
 	return c, nil
 }
 
-// Recipe is one named soak scenario: a builder from (seed, scale) to a
-// complete sim.RunSpec with its composed chaos plan, plus the conditions
-// its result must satisfy. Recipes are values; the registry in recipes.go
-// is the single source of truth for what exists.
+// Recipe is one named soak scenario: the faults it injects into a run of
+// the scale's trace under CODA, plus the conditions its result must
+// satisfy. Recipes are values; the registry in recipes.go is the single
+// source of truth for what exists.
 type Recipe struct {
 	// Name identifies the recipe on the CLI and in reports.
 	Name string
@@ -280,20 +197,43 @@ type Recipe struct {
 	Description string
 	// Conditions are the verdict criteria, evaluated in order.
 	Conditions []Condition
-	// build composes the run spec. It must derive every random stream
-	// (trace, measurement noise, fault schedule) from the seed alone.
-	build func(seed int64, sc Scale) (sim.RunSpec, error)
+	// plan composes the recipe's faults for a run of horizon h on a
+	// cluster of nodes GPU nodes. Fault times are fractions of h, so one
+	// recipe definition works at every scale; Build sets the plan's seed
+	// and horizon.
+	plan func(h time.Duration, nodes int) chaos.Plan
 }
 
-// Build composes the recipe's run spec for one (seed, scale) cell.
-func (r Recipe) Build(seed int64, sc Scale) (sim.RunSpec, error) {
-	if r.build == nil {
-		return sim.RunSpec{}, fmt.Errorf("soak: recipe %q has no builder", r.Name)
+// Build composes the recipe's run spec for one (seed, scale) cell: the
+// scale's spec under CODA seeded by the cell seed (the trace and the fault
+// plan take the seed itself, the measurement noise seed+1000, so the
+// streams never collide), the invariant checker on (delta check every
+// event, full audit every 256), and the recipe's chaos plan — validated
+// here, so a malformed plan fails at build time with the recipe's name
+// attached instead of surfacing mid-run.
+func (r Recipe) Build(seed int64, sc experiments.Scale) (sim.RunSpec, error) {
+	if r.plan == nil {
+		return sim.RunSpec{}, fmt.Errorf("soak: recipe %q has no plan", r.Name)
 	}
 	if err := sc.Validate(); err != nil {
 		return sim.RunSpec{}, err
 	}
-	return r.build(seed, sc)
+	sc.Seed = seed
+	spec := sc.Spec("coda", core.DefaultConfig())
+	spec.Name = fmt.Sprintf("%s/seed=%d", r.Name, seed)
+	spec.Options.Invariants = true
+	spec.Options.InvariantsEvery = 256
+
+	plan := r.plan(sc.Duration(), sc.Nodes)
+	plan.Seed = seed
+	plan.Horizon = sc.Duration()
+	if !plan.Empty() {
+		if err := plan.Validate(spec.Options.Cluster.TotalNodes()); err != nil {
+			return sim.RunSpec{}, fmt.Errorf("soak: recipe %s: %w", r.Name, err)
+		}
+	}
+	spec.Options.Faults = plan
+	return spec, nil
 }
 
 // Validate checks the recipe definition itself.
@@ -304,8 +244,8 @@ func (r Recipe) Validate() error {
 	if r.Description == "" {
 		return fmt.Errorf("soak: recipe %q has no description", r.Name)
 	}
-	if r.build == nil {
-		return fmt.Errorf("soak: recipe %q has no builder", r.Name)
+	if r.plan == nil {
+		return fmt.Errorf("soak: recipe %q has no plan", r.Name)
 	}
 	if len(r.Conditions) == 0 {
 		return fmt.Errorf("soak: recipe %q has no conditions; a soak without a verdict is a warmer", r.Name)

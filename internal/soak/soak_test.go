@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/coda-repro/coda/internal/experiments"
 )
 
 func TestRegistryIsWellFormed(t *testing.T) {
@@ -50,7 +52,11 @@ func TestRecipesBuildAtEveryScale(t *testing.T) {
 	// are scale-relative and must survive chaos.Plan.Validate at each size.
 	// Specs stream their traces, so building even the warehouse cell is
 	// cheap — nothing is materialized until the run.
-	for _, sc := range []Scale{TinyScale(), SmallScale(), FullScale(), WarehouseScale()} {
+	for _, name := range []string{"ci", "tiny", "small", "full", "warehouse"} {
+		sc, err := experiments.ParseScale(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, r := range Recipes() {
 			sp, err := r.Build(7, sc)
 			if err != nil {
@@ -125,40 +131,26 @@ func TestConditionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseScale(t *testing.T) {
-	for _, name := range []string{"tiny", "small", "full"} {
-		sc, err := ParseScale(name)
-		if err != nil {
-			t.Fatalf("ParseScale(%q): %v", name, err)
-		}
-		if sc.Name != name {
-			t.Errorf("ParseScale(%q).Name = %q", name, sc.Name)
-		}
-		if err := sc.Validate(); err != nil {
-			t.Errorf("preset %q fails its own validation: %v", name, err)
-		}
-	}
-	if _, err := ParseScale("huge"); err == nil {
-		t.Error("ParseScale accepted an unknown preset")
-	}
-}
-
+// TestScaleValidateRejectsDegenerate: the soak wall shares experiments'
+// Scale rule, so every degenerate shape must fail Scale.Validate and be
+// refused at Recipe.Build, the gate every soak cell passes. An unnamed
+// scale is healthy under the shared rule and is not listed here.
 func TestScaleValidateRejectsDegenerate(t *testing.T) {
-	base := TinyScale()
+	base := experiments.TinyScale()
 	cases := []struct {
 		name string
-		mut  func(*Scale)
+		mut  func(*experiments.Scale)
 	}{
-		{"no name", func(s *Scale) { s.Name = "" }},
-		{"zero days", func(s *Scale) { s.Days = 0 }},
-		{"negative days", func(s *Scale) { s.Days = -1 }},
-		{"NaN days", func(s *Scale) { s.Days = math.NaN() }},
-		{"infinite days", func(s *Scale) { s.Days = math.Inf(1) }},
-		{"negative cpu jobs", func(s *Scale) { s.CPUJobs = -1 }},
-		{"negative gpu jobs", func(s *Scale) { s.GPUJobs = -1 }},
-		{"no jobs at all", func(s *Scale) { s.CPUJobs, s.GPUJobs = 0, 0 }},
-		{"zero nodes", func(s *Scale) { s.Nodes = 0 }},
-		{"negative nodes", func(s *Scale) { s.Nodes = -4 }},
+		{"zero days", func(s *experiments.Scale) { s.Days = 0 }},
+		{"negative days", func(s *experiments.Scale) { s.Days = -1 }},
+		{"NaN days", func(s *experiments.Scale) { s.Days = math.NaN() }},
+		{"infinite days", func(s *experiments.Scale) { s.Days = math.Inf(1) }},
+		{"negative cpu jobs", func(s *experiments.Scale) { s.CPUJobs = -1 }},
+		{"negative gpu jobs", func(s *experiments.Scale) { s.GPUJobs = -1 }},
+		{"no gpu jobs", func(s *experiments.Scale) { s.GPUJobs = 0 }},
+		{"no jobs at all", func(s *experiments.Scale) { s.CPUJobs, s.GPUJobs = 0, 0 }},
+		{"zero nodes", func(s *experiments.Scale) { s.Nodes = 0 }},
+		{"negative nodes", func(s *experiments.Scale) { s.Nodes = -4 }},
 	}
 	for _, tc := range cases {
 		sc := base
@@ -166,11 +158,7 @@ func TestScaleValidateRejectsDegenerate(t *testing.T) {
 		if err := sc.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", tc.name, sc)
 		}
-		if _, err := (Recipe{
-			Name: "x", Description: "x",
-			Conditions: []Condition{{Check: CheckCompletionFloor, Threshold: 1}},
-			build:      quietBaseline().build,
-		}).Build(1, sc); err == nil {
+		if _, err := quietBaseline().Build(1, sc); err == nil {
 			t.Errorf("%s: Build accepted degenerate scale %+v", tc.name, sc)
 		}
 	}
@@ -181,7 +169,7 @@ func TestRecipeValidateRejectsMalformed(t *testing.T) {
 		Name:        "x",
 		Description: "y",
 		Conditions:  []Condition{{Check: CheckCompletionFloor, Threshold: 0.9}},
-		build:       quietBaseline().build,
+		plan:        quietBaseline().plan,
 	}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid recipe rejected: %v", err)
@@ -192,7 +180,7 @@ func TestRecipeValidateRejectsMalformed(t *testing.T) {
 	}{
 		{"no name", func(r *Recipe) { r.Name = "" }},
 		{"no description", func(r *Recipe) { r.Description = "" }},
-		{"no builder", func(r *Recipe) { r.build = nil }},
+		{"no plan", func(r *Recipe) { r.plan = nil }},
 		{"no conditions", func(r *Recipe) { r.Conditions = nil }},
 		{"bad condition", func(r *Recipe) { r.Conditions = []Condition{{Check: "bogus", Threshold: 1}} }},
 		{"NaN threshold", func(r *Recipe) {
@@ -209,7 +197,7 @@ func TestRecipeValidateRejectsMalformed(t *testing.T) {
 }
 
 func TestMatrixSpecValidate(t *testing.T) {
-	ok := MatrixSpec{Recipes: Recipes()[:1], Seeds: []int64{1}, Scale: TinyScale()}
+	ok := MatrixSpec{Recipes: Recipes()[:1], Seeds: []int64{1}, Scale: experiments.CIScale()}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid matrix rejected: %v", err)
 	}
@@ -217,12 +205,12 @@ func TestMatrixSpecValidate(t *testing.T) {
 		name string
 		ms   MatrixSpec
 	}{
-		{"no recipes", MatrixSpec{Seeds: []int64{1}, Scale: TinyScale()}},
-		{"no seeds", MatrixSpec{Recipes: Recipes()[:1], Scale: TinyScale()}},
-		{"bad scale", MatrixSpec{Recipes: Recipes()[:1], Seeds: []int64{1}, Scale: Scale{Name: "x", Days: -1, CPUJobs: 1, Nodes: 1}}},
-		{"duplicate recipe", MatrixSpec{Recipes: []Recipe{quietBaseline(), quietBaseline()}, Seeds: []int64{1}, Scale: TinyScale()}},
+		{"no recipes", MatrixSpec{Seeds: []int64{1}, Scale: experiments.CIScale()}},
+		{"no seeds", MatrixSpec{Recipes: Recipes()[:1], Scale: experiments.CIScale()}},
+		{"bad scale", MatrixSpec{Recipes: Recipes()[:1], Seeds: []int64{1}, Scale: experiments.Scale{Name: "x", Days: -1, CPUJobs: 1, GPUJobs: 1, Nodes: 1}}},
+		{"duplicate recipe", MatrixSpec{Recipes: []Recipe{quietBaseline(), quietBaseline()}, Seeds: []int64{1}, Scale: experiments.CIScale()}},
 		{"bad extra condition", MatrixSpec{
-			Recipes: Recipes()[:1], Seeds: []int64{1}, Scale: TinyScale(),
+			Recipes: Recipes()[:1], Seeds: []int64{1}, Scale: experiments.CIScale(),
 			ExtraConditions: []Condition{{Check: "bogus", Threshold: 1}},
 		}},
 	}
