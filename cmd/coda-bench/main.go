@@ -29,7 +29,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("coda-bench", flag.ContinueOnError)
 	scaleName := fs.String("scale", "small", "trace scale: ci, tiny, small, full or warehouse")
-	only := fs.String("only", "", "run one experiment: fig1,fig2,fig3,fig5,fig6,fig7,table1,fig10,fig11,fig12,fig13,fig14,sec6e,sec6g,static,table2,ablations,multiseed,macro,memgate,scalecurve,placement")
+	only := fs.String("only", "", "run one experiment: fig1,fig2,fig3,fig5,fig6,fig7,table1,fig10,fig11,fig12,fig13,fig14,sec6e,sec6g,static,table2,ablations,multiseed,macro,memgate,scalecurve")
 	seed := fs.Int64("seed", 1, "random seed")
 	csvDir := fs.String("csv", "", "also export plottable figure data as CSV files into this directory")
 	parallel := fs.Int("parallel", 0, "worker-pool width for experiment matrices (0 = GOMAXPROCS)")
@@ -83,7 +83,6 @@ func run(args []string) error {
 		{"macro", func() error { return printMacro(sc, *benchJSON, *benchBaseline, *benchTolerance) }},
 		{"memgate", func() error { return printMemGate(sc, *benchJSON, *memGateBytes) }},
 		{"scalecurve", func() error { return printScaleCurveBench(*seed, *benchJSON) }},
-		{"placement", func() error { return printPlacement() }},
 	}
 	timedOnly := map[string]bool{"macro": true, "memgate": true, "scalecurve": true}
 	for _, s := range sections {

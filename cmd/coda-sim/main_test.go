@@ -89,6 +89,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-days", "NaN"}); err == nil || !strings.Contains(err.Error(), "days must be finite and positive") {
 		t.Errorf("NaN duration: got %v, want the scale's rejection", err)
 	}
+	overflow := []string{"-days", "200000", "-cpu-jobs", "10", "-gpu-jobs", "10", "-nodes", "4"}
+	if err := run(overflow); err == nil || !strings.Contains(err.Error(), "experiments: days must be at most 106747") {
+		t.Errorf("200,000 days: got %v, want the scale's rejection", err)
+	}
 	if err := run([]string{"-trace", "/nonexistent"}); err == nil {
 		t.Error("missing trace should fail")
 	}

@@ -534,9 +534,9 @@ func (c *Cluster) CheckInvariants() error {
 	if got := c.Snapshot(); got != sum {
 		return fmt.Errorf("cluster counters %+v disagree with the node sum %+v", got, sum)
 	}
-	// Per-node checks proved every tier leaf; what remains is the Fenwick
-	// counts against the nodes' free capacity and the trees' structure.
-	if err := c.index.audit(c.nodes); err != nil {
+	// Per-node checks proved every tier leaf; what remains is the trees'
+	// structure.
+	if err := c.index.audit(); err != nil {
 		return err
 	}
 	//coda:ordered-ok error reporting on already-broken invariants; any witness will do

@@ -9,11 +9,10 @@ import (
 
 // FuzzPlacementIndex differentially fuzzes the hierarchical placement
 // index: the input bytes choose a cluster shape and drive a mutation
-// script (allocate, release, resize, node state flips), after which both
-// query shapes — first-fit order and CountPlaceable — must match a naive
-// scan over Node.Fits, and the structural auditors must pass. Any
-// divergence means the incremental maintenance in a mutator corrupted a
-// layer.
+// script (allocate, release, resize, node state flips), after which the
+// first-fit order must match a naive scan over Node.Fits for every request
+// shape, and the structural auditors must pass. Any divergence means the
+// incremental maintenance in a mutator corrupted the index.
 func FuzzPlacementIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 8, 2})
@@ -115,15 +114,12 @@ func FuzzPlacementIndex(f *testing.F) {
 			}
 		}
 
-		// Differential check: every query shape over the full request grid
-		// (plus out-of-range probes) against the naive Fits-scan oracles.
+		// Differential check: the full request grid (plus out-of-range
+		// probes) against the naive Fits-scan oracle.
 		for gpus := -1; gpus <= cfg.GPUsPerNode+1; gpus++ {
 			for cores := -1; cores <= cfg.CoresPerNode+1; cores++ {
 				if got, want := scanAll(c, cores, gpus), oracleFirstFit(c, cores, gpus); !equalIDs(got, want) {
 					t.Fatalf("first-fit(%d,%d) = %v, oracle %v", cores, gpus, got, want)
-				}
-				if got, want := c.CountPlaceable(cores, gpus), len(oracleFirstFit(c, cores, gpus)); got != want {
-					t.Fatalf("count(%d,%d) = %d, oracle %d", cores, gpus, got, want)
 				}
 			}
 		}

@@ -2,25 +2,19 @@ package cluster
 
 import "fmt"
 
-// This file holds the hierarchical placement structures that answer the
-// two placement query shapes in sub-linear time while reproducing the
-// results of the flat scans they replaced bit for bit:
+// This file holds the hierarchical placement structure that answers
+// first-fit queries in sub-linear time while reproducing the results of
+// the flat scan it replaced bit for bit: one segment tree over node IDs per
+// GPU tier, storing subtree-max free cores. First-fit becomes a leftmost
+// descent that yields fitting nodes in exactly ID order — O(log n) per
+// yielded node, nodes that don't fit are never touched.
 //
-//   - segTree: one segment tree over node IDs per GPU tier, storing
-//     subtree-max free cores. First-fit becomes a leftmost descent that
-//     yields fitting nodes in exactly ID order — O(log n) per yielded node,
-//     nodes that don't fit are never touched.
-//   - fenwick2D: a 2-D Fenwick (binary-indexed) tree over the
-//     (freeGPUs, freeCores) capacity grid, so counting the nodes that
-//     dominate a request is O(log G · log C) instead of a sweep over every
-//     node.
-//
-// Neither serializes: both are rebuilt deterministically from node state
-// on construction and maintained incrementally by every mutator, and
+// The trees do not serialize: they are rebuilt deterministically from node
+// state on construction and maintained incrementally by every mutator, and
 // checkpoint restore replays placements through the ordinary mutators.
 // The invariant auditors verify them against node state — per touched
-// node in O(G log n) for the delta check, against a free-capacity
-// histogram and structurally in the full audit.
+// node in O(G log n) for the delta check, and structurally in the full
+// audit.
 
 // segTree is an iterative max segment tree over node IDs. Leaves hold the
 // node's free cores within one GPU tier, or -1 when the node has fewer
@@ -118,40 +112,4 @@ func (t *segTree) audit() error {
 		}
 	}
 	return nil
-}
-
-// fenwick2D counts nodes per (freeGPUs, freeCores) capacity cell
-// with O(log G · log C) dominance queries. Coordinates are stored reversed
-// (high capacity maps to low index), so "how many nodes have at least g
-// GPUs and c cores free" is an ordinary 2-D prefix sum.
-type fenwick2D struct {
-	rows, cols int // maxGPUs+1, maxCores+1
-	tree       []int
-}
-
-func newFenwick2D(rows, cols int) *fenwick2D {
-	return &fenwick2D{rows: rows, cols: cols, tree: make([]int, (rows+1)*(cols+1))}
-}
-
-// add applies delta to capacity cell (gpus, cores).
-func (f *fenwick2D) add(gpus, cores, delta int) {
-	for r := f.rows - gpus; r <= f.rows; r += r & (-r) {
-		row := r * (f.cols + 1)
-		for c := f.cols - cores; c <= f.cols; c += c & (-c) {
-			f.tree[row+c] += delta
-		}
-	}
-}
-
-// dominating returns how many nodes sit in cells with at least gpus GPUs
-// and cores cores free.
-func (f *fenwick2D) dominating(gpus, cores int) int {
-	total := 0
-	for r := f.rows - gpus; r > 0; r -= r & (-r) {
-		row := r * (f.cols + 1)
-		for c := f.cols - cores; c > 0; c -= c & (-c) {
-			total += f.tree[row+c]
-		}
-	}
-	return total
 }

@@ -252,10 +252,3 @@ func (b *nodeBudget) checkInvariants() error {
 	}
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

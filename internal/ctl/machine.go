@@ -92,15 +92,10 @@ func (m *Machine) Now() time.Duration { return m.sim.Now() }
 // Applied returns how many WAL records the machine has applied.
 func (m *Machine) Applied() uint64 { return m.applied }
 
-// Counters returns the serve-side fault counters (WAL syncs, accepted and
-// replayed records, recoveries), merged with the engine's own.
-func (m *Machine) Counters() metrics.FaultCounters {
-	c := m.counters
-	// The engine counters live in the (not yet finalized) results; Stats
-	// exposes the service-relevant subset, and the merged view is what
-	// /metrics reports and Sane() cross-checks.
-	return c
-}
+// Counters returns the serve-side fault counters: WAL fsyncs, accepted,
+// shed and replayed records, and recoveries. It holds none of the engine's
+// own fault counts; callers read the engine's lifecycle counts from Stats.
+func (m *Machine) Counters() metrics.FaultCounters { return m.counters }
 
 // Stats snapshots the engine's lifecycle counters.
 func (m *Machine) Stats() sim.ServiceStats { return m.sim.Stats() }

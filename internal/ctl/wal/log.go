@@ -136,7 +136,6 @@ type CheckpointStore interface {
 // MemStore is the in-memory CheckpointStore for drills and tests.
 type MemStore struct {
 	data []byte
-	seq  uint64
 	has  bool
 }
 
@@ -144,9 +143,8 @@ type MemStore struct {
 func NewMemStore() *MemStore { return &MemStore{} }
 
 // Save implements CheckpointStore; the data is copied.
-func (s *MemStore) Save(data []byte, seq uint64) error {
+func (s *MemStore) Save(data []byte, _ uint64) error {
 	s.data = append(s.data[:0], data...)
-	s.seq = seq
 	s.has = true
 	return nil
 }

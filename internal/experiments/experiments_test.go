@@ -42,6 +42,10 @@ func TestScaleValidate(t *testing.T) {
 		{"no jobs at all", func(s *Scale) { s.CPUJobs, s.GPUJobs = 0, 0 }, true},
 		{"zero nodes", func(s *Scale) { s.Nodes = 0 }, true},
 		{"negative nodes", func(s *Scale) { s.Nodes = -4 }, true},
+		{"200,000 days", func(s *Scale) { s.Days = 200000 }, true},
+		{"1e10 days", func(s *Scale) { s.Days = 1e10 }, true},
+		{"the day limit", func(s *Scale) { s.Days = maxDays }, false},
+		{"past the day limit", func(s *Scale) { s.Days = math.Nextafter(maxDays, math.Inf(1)) }, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -55,6 +59,10 @@ func TestScaleValidate(t *testing.T) {
 	}
 	if FullScale().Duration() != 30*24*time.Hour {
 		t.Error("FullScale duration wrong")
+	}
+	longest := Scale{Days: maxDays}
+	if d, tail := longest.Duration(), longest.Options().MaxVirtualTime; d <= 0 || tail <= d {
+		t.Errorf("the largest accepted day count spans %v with a run cap of %v", d, tail)
 	}
 }
 

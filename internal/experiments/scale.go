@@ -96,10 +96,21 @@ func ParseScale(name string) (Scale, error) {
 	return Scale{}, fmt.Errorf("experiments: unknown scale %q (want %s)", name, strings.Join(names, ", "))
 }
 
+// drainTail bounds how long a run may go on past its trace span: four
+// extra days cover the longest jobs even under heavy slowdown.
+const drainTail = 4 * 24 * time.Hour
+
+// maxDays is the longest span, in whole days, whose run (span plus drain
+// tail) still fits time.Duration's int64 nanoseconds: about 292 years.
+const maxDays = float64((math.MaxInt64 - drainTail) / (24 * time.Hour))
+
 // Validate rejects degenerate shapes before any trace generation happens.
 func (s Scale) Validate() error {
 	if math.IsNaN(s.Days) || math.IsInf(s.Days, 0) || s.Days <= 0 {
 		return fmt.Errorf("experiments: days must be finite and positive, got %g", s.Days)
+	}
+	if s.Days > maxDays {
+		return fmt.Errorf("experiments: days must be at most %g, the longest run a time.Duration holds, got %g", maxDays, s.Days)
 	}
 	if s.CPUJobs < 0 || s.GPUJobs <= 0 {
 		return fmt.Errorf("experiments: bad job counts (%d cpu, %d gpu)", s.CPUJobs, s.GPUJobs)
@@ -133,9 +144,7 @@ func (s Scale) Options() sim.Options {
 	opts.Cluster.Nodes = s.Nodes
 	opts.Seed = s.Seed + 1000
 	opts.SampleInterval = 10 * time.Minute
-	// Bound the drain tail: four extra days covers the longest jobs even
-	// under heavy slowdown.
-	opts.MaxVirtualTime = s.Duration() + 4*24*time.Hour
+	opts.MaxVirtualTime = s.Duration() + drainTail
 	return opts
 }
 

@@ -279,14 +279,11 @@ type CDFPoint struct {
 
 // IntHistogram counts integer-valued observations into caller-defined
 // bucket edges. A value v falls into bucket i when edges[i] <= v < edges[i+1];
-// values below edges[0] or at/above edges[len-1] fall into the open-ended
-// underflow/overflow buckets.
+// values below edges[0] or at/above edges[len-1] count toward Total only.
 type IntHistogram struct {
-	edges     []int
-	counts    []int // len(edges)-1 interior buckets
-	underflow int
-	overflow  int
-	total     int
+	edges  []int
+	counts []int // len(edges)-1 interior buckets
+	total  int
 }
 
 // NewIntHistogram builds a histogram with strictly increasing edges.
@@ -308,12 +305,7 @@ func NewIntHistogram(edges []int) (*IntHistogram, error) {
 // Add records one observation.
 func (h *IntHistogram) Add(v int) {
 	h.total++
-	if v < h.edges[0] {
-		h.underflow++
-		return
-	}
-	if v >= h.edges[len(h.edges)-1] {
-		h.overflow++
+	if v < h.edges[0] || v >= h.edges[len(h.edges)-1] {
 		return
 	}
 	idx := sort.SearchInts(h.edges, v+1) - 1

@@ -191,19 +191,15 @@ func TestIntHistogram(t *testing.T) {
 	if h.Total() != 8 {
 		t.Errorf("Total = %d, want 8", h.Total())
 	}
-	if h.underflow != 1 {
-		t.Errorf("underflow = %d, want 1", h.underflow)
-	}
-	if h.overflow != 2 {
-		t.Errorf("overflow = %d, want 2", h.overflow)
-	}
+	// -2 (below the first edge) and 10, 20 (at or above the last) count in
+	// Total but land in no interior bucket, so the fractions stay over all 8.
 	count, frac, err := h.Bucket(0) // [0,5): 0,3,4
 	if err != nil || count != 3 || math.Abs(frac-3.0/8) > 1e-12 {
 		t.Errorf("Bucket(0) = %d, %g, %v", count, frac, err)
 	}
-	count, _, err = h.Bucket(1) // [5,10): 5,9
-	if err != nil || count != 2 {
-		t.Errorf("Bucket(1) = %d, %v", count, err)
+	count, frac, err = h.Bucket(1) // [5,10): 5,9
+	if err != nil || count != 2 || math.Abs(frac-2.0/8) > 1e-12 {
+		t.Errorf("Bucket(1) = %d, %g, %v", count, frac, err)
 	}
 	if _, _, err := h.Bucket(2); err == nil {
 		t.Error("Bucket(2) should fail")

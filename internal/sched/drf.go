@@ -125,7 +125,7 @@ func (d *DRF) startFirstFitting(q *JobQueue) bool {
 		if d.failed.covered(j.Request) {
 			continue
 		}
-		alloc, found := PlaceRequestExcluding(d.env.Cluster(), j.Request, &d.reserved)
+		alloc, found := PlaceRequest(d.env.Cluster(), j.Request, &d.reserved)
 		if !found {
 			d.failed.add(j.Request)
 			continue

@@ -53,7 +53,7 @@ func (r *flatFIFO) drain() {
 			i++
 			continue
 		}
-		if alloc, found := PlaceRequestExcluding(r.env.Cluster(), j.Request, &r.reserved); found {
+		if alloc, found := PlaceRequest(r.env.Cluster(), j.Request, &r.reserved); found {
 			if err := r.env.StartJob(j.ID, alloc); err == nil {
 				r.queue = append(r.queue[:i], r.queue[i+1:]...)
 				continue

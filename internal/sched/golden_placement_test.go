@@ -16,7 +16,7 @@ import (
 // nodes the linear scan returned — bit-identical placement sequences are
 // what keep same-seed runs reproducible across engine versions.
 
-// referencePlace is the pre-index PlaceRequestExcluding: collect candidates
+// referencePlace is the pre-index PlaceRequest: collect candidates
 // in ID order and take the first req.Nodes.
 func referencePlace(c *cluster.Cluster, req job.Request, excluded *ExcludeSet) (job.Allocation, bool) {
 	gpus := req.GPUsPerNode()
@@ -94,7 +94,7 @@ func randomClusterState(t *testing.T, rng *rand.Rand) *cluster.Cluster {
 		if cfg.GPUsPerNode > 0 && rng.Intn(2) == 0 {
 			gpus = rng.Intn(cfg.GPUsPerNode) + 1
 		}
-		alloc, ok := PlaceRequest(c, job.Request{CPUCores: cores, GPUs: gpus * want, Nodes: want})
+		alloc, ok := PlaceRequest(c, job.Request{CPUCores: cores, GPUs: gpus * want, Nodes: want}, nil)
 		if !ok {
 			continue
 		}
@@ -129,7 +129,7 @@ func randomClusterState(t *testing.T, rng *rand.Rand) *cluster.Cluster {
 }
 
 // TestPlacementMatchesLinearScanGolden compares the index-backed
-// PlaceRequestExcluding and the one-pass ReserveNodes against the
+// PlaceRequest and the one-pass ReserveNodes against the
 // linear-scan references over 1000 randomized cluster states x several
 // queries each.
 func TestPlacementMatchesLinearScanGolden(t *testing.T) {
@@ -147,7 +147,7 @@ func TestPlacementMatchesLinearScanGolden(t *testing.T) {
 				excluded.Add(rng.Intn(c.Size()))
 			}
 			wantAlloc, wantOK := referencePlace(c, req, &excluded)
-			gotAlloc, gotOK := PlaceRequestExcluding(c, req, &excluded)
+			gotAlloc, gotOK := PlaceRequest(c, req, &excluded)
 			if wantOK != gotOK {
 				t.Fatalf("seed %d query %d: place ok=%v, reference ok=%v (req %+v)", seed, q, gotOK, wantOK, req)
 			}

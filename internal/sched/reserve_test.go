@@ -16,21 +16,45 @@ func exclude(ids ...int) *ExcludeSet {
 	return &s
 }
 
-func TestPlaceRequestExcluding(t *testing.T) {
-	c := cluster.MustNew(smallCluster()) // 2 nodes, 8 cores, 2 GPUs each
-	req := job.Request{CPUCores: 2, GPUs: 1, Nodes: 1}
-
-	alloc, ok := PlaceRequestExcluding(c, req, exclude(0))
-	if !ok || alloc.NodeIDs[0] != 1 {
-		t.Errorf("excluded node used: %+v, %v", alloc, ok)
+// TestPlaceRequestExcludedNodes pins PlaceRequest's first-fit picks
+// around an exclusion set, and what each probe allocates: nothing when it
+// fails, only the returned NodeIDs slice when it succeeds.
+func TestPlaceRequestExcludedNodes(t *testing.T) {
+	c := cluster.MustNew(cluster.Config{Nodes: 4, CoresPerNode: 8, GPUsPerNode: 2, BandwidthGBs: 100, PCIeGBs: 16})
+	// Nodes 0 and 2 keep 2 free cores and 1 free GPU; 1 and 3 stay empty.
+	for _, nid := range []int{0, 2} {
+		if err := c.Allocate(job.ID(nid+1), job.Allocation{NodeIDs: []int{nid}, CPUCores: 6, GPUs: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := PlaceRequestExcluding(c, req, exclude(0, 1)); ok {
-		t.Error("all nodes excluded should fail")
-	}
-	// nil exclusion behaves like PlaceRequest.
-	alloc, ok = PlaceRequestExcluding(c, req, nil)
-	if !ok || alloc.NodeIDs[0] != 0 {
-		t.Errorf("first fit = %+v, %v", alloc, ok)
+	one := job.Request{CPUCores: 2, GPUs: 1, Nodes: 1}
+	for _, tc := range []struct {
+		name     string
+		req      job.Request
+		excluded *ExcludeSet
+		want     []int // nil: the probe fails
+	}{
+		{"excluded node skipped", one, exclude(0), []int{1}},
+		{"every node excluded", one, exclude(0, 1, 2, 3), nil},
+		{"nil excludes nothing", one, nil, []int{0}},
+		{"single node fits nowhere", job.Request{CPUCores: 9, Nodes: 1}, nil, nil},
+		{"only fitting nodes excluded", job.Request{CPUCores: 3, GPUs: 1, Nodes: 1}, exclude(1, 3), nil},
+		{"req.Nodes-1 fit outside excluded", job.Request{CPUCores: 2, GPUs: 4, Nodes: 4}, exclude(2), nil},
+		{"req.Nodes fit outside excluded", job.Request{CPUCores: 2, GPUs: 3, Nodes: 3}, exclude(2), []int{0, 1, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			alloc, ok := PlaceRequest(c, tc.req, tc.excluded)
+			if ok != (tc.want != nil) || !equalInts(alloc.NodeIDs, tc.want) {
+				t.Fatalf("PlaceRequest = %v, %v; want %v", alloc.NodeIDs, ok, tc.want)
+			}
+			wantAllocs := 0.0
+			if ok {
+				wantAllocs = 1
+			}
+			if allocs := testing.AllocsPerRun(100, func() { PlaceRequest(c, tc.req, tc.excluded) }); allocs != wantAllocs {
+				t.Errorf("probe allocates %v times, want %v", allocs, wantAllocs)
+			}
+		})
 	}
 }
 

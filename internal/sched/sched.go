@@ -76,13 +76,6 @@ type Canceller interface {
 	OnJobCancelled(j *job.Job)
 }
 
-// PlaceRequest finds nodes for a resource request, first-fit: the
-// lowest-ID req.Nodes nodes that each fit req.CPUCores cores (per node)
-// and the per-node GPU share. The returned allocation is not yet applied.
-func PlaceRequest(c *cluster.Cluster, req job.Request) (job.Allocation, bool) {
-	return PlaceRequestExcluding(c, req, nil)
-}
-
 // ExcludeSet is a reusable sorted set of node IDs excluded from placement
 // (nodes reserved for other queued jobs). The zero value and nil are empty
 // sets; Reset keeps the backing array so a scheduler reuses one set across
@@ -114,14 +107,6 @@ func (s *ExcludeSet) Contains(id int) bool {
 	return i < len(s.ids) && s.ids[i] == id
 }
 
-// Len returns the number of excluded IDs; a nil set is empty.
-func (s *ExcludeSet) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.ids)
-}
-
 // IDs returns the sorted excluded IDs; callers must not mutate them.
 func (s *ExcludeSet) IDs() []int {
 	if s == nil {
@@ -130,29 +115,35 @@ func (s *ExcludeSet) IDs() []int {
 	return s.ids
 }
 
-// PlaceRequestExcluding is PlaceRequest with a set of excluded node IDs
-// (nodes reserved for other queued jobs). It answers through the cluster's
-// free-capacity index: a failed probe allocates nothing, and a successful
-// one allocates only the returned NodeIDs slice.
-func PlaceRequestExcluding(c *cluster.Cluster, req job.Request, excluded *ExcludeSet) (job.Allocation, bool) {
+// PlaceRequest finds nodes for a resource request, first-fit: the
+// lowest-ID req.Nodes nodes outside excluded (nodes reserved for other
+// queued jobs; nil excludes nothing) that each fit req.CPUCores cores and
+// the per-node GPU share. The returned allocation is not yet applied.
+//
+// It answers from the cluster's first-fit scan alone, in two passes. The
+// first counts the fitting nodes outside excluded and stops at req.Nodes,
+// so a failed probe visits at most req.Nodes-1 fitting nodes plus the
+// excluded ones, O(log n) each, and allocates nothing. Only a probe that
+// found enough collects them, allocating just the returned NodeIDs slice.
+func PlaceRequest(c *cluster.Cluster, req job.Request, excluded *ExcludeSet) (job.Allocation, bool) {
 	c.NotePlacementQuery()
 	gpus := req.GPUsPerNode()
-	count := c.CountPlaceable(req.CPUCores, gpus)
-	for _, id := range excluded.IDs() {
-		if n, err := c.Node(id); err == nil && n.Fits(req.CPUCores, gpus) {
-			count--
+	fits := 0
+	c.ScanPlaceable(req.CPUCores, gpus, func(n *cluster.Node) bool {
+		if !excluded.Contains(n.ID) {
+			fits++
 		}
-	}
-	if count < req.Nodes {
+		return fits < req.Nodes
+	})
+	if fits < req.Nodes {
 		return job.Allocation{}, false
 	}
 	nodes := make([]int, 0, req.Nodes)
 	if req.Nodes > 0 {
 		c.ScanPlaceable(req.CPUCores, gpus, func(n *cluster.Node) bool {
-			if excluded.Contains(n.ID) {
-				return true
+			if !excluded.Contains(n.ID) {
+				nodes = append(nodes, n.ID)
 			}
-			nodes = append(nodes, n.ID)
 			return len(nodes) < req.Nodes
 		})
 	}

@@ -78,7 +78,7 @@ func cpuJob(id job.ID, tenant job.TenantID, cores int) *job.Job {
 
 func TestPlaceRequest(t *testing.T) {
 	c := cluster.MustNew(smallCluster())
-	alloc, ok := PlaceRequest(c, job.Request{CPUCores: 4, GPUs: 1, Nodes: 1})
+	alloc, ok := PlaceRequest(c, job.Request{CPUCores: 4, GPUs: 1, Nodes: 1}, nil)
 	if !ok {
 		t.Fatal("expected placement")
 	}
@@ -86,7 +86,7 @@ func TestPlaceRequest(t *testing.T) {
 		t.Errorf("alloc = %+v", alloc)
 	}
 	// Multi-node placement splits GPUs per node.
-	alloc, ok = PlaceRequest(c, job.Request{CPUCores: 2, GPUs: 4, Nodes: 2})
+	alloc, ok = PlaceRequest(c, job.Request{CPUCores: 2, GPUs: 4, Nodes: 2}, nil)
 	if !ok {
 		t.Fatal("expected multi-node placement")
 	}
@@ -94,7 +94,7 @@ func TestPlaceRequest(t *testing.T) {
 		t.Errorf("alloc = %+v", alloc)
 	}
 	// Impossible request.
-	if _, ok := PlaceRequest(c, job.Request{CPUCores: 99, GPUs: 1, Nodes: 1}); ok {
+	if _, ok := PlaceRequest(c, job.Request{CPUCores: 99, GPUs: 1, Nodes: 1}, nil); ok {
 		t.Error("oversized request should not place")
 	}
 }

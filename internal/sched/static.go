@@ -74,7 +74,7 @@ func (s *Static) drain() {
 		if s.failed.covered(req) {
 			continue
 		}
-		if alloc, found := PlaceRequest(s.env.Cluster(), req); found {
+		if alloc, found := PlaceRequest(s.env.Cluster(), req, nil); found {
 			if err := s.env.StartJob(j.ID, alloc); err == nil {
 				s.queue.Remove(i)
 				i-- // the next job moved into slot i

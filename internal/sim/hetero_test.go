@@ -71,7 +71,7 @@ func (p *placementRecorder) Bind(env sched.Env) {
 }
 
 func (p *placementRecorder) Submit(j *job.Job) {
-	alloc, ok := sched.PlaceRequest(p.env.Cluster(), j.Request)
+	alloc, ok := sched.PlaceRequest(p.env.Cluster(), j.Request, nil)
 	if !ok {
 		return
 	}

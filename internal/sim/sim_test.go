@@ -252,7 +252,7 @@ func (e *envScheduler) Submit(j *job.Job) {
 	if !e.auto {
 		return
 	}
-	alloc, ok := sched.PlaceRequest(e.env.Cluster(), j.Request)
+	alloc, ok := sched.PlaceRequest(e.env.Cluster(), j.Request, nil)
 	if !ok {
 		return
 	}
@@ -340,7 +340,7 @@ func (p *preemptOnTick) Tick() {
 		p.preempted, p.err = p.env.PreemptJob(p.target)
 	case 2:
 		if p.preempted != nil {
-			alloc, ok := sched.PlaceRequest(p.env.Cluster(), p.preempted.Request)
+			alloc, ok := sched.PlaceRequest(p.env.Cluster(), p.preempted.Request, nil)
 			if ok {
 				_ = p.env.StartJob(p.preempted.ID, alloc)
 			}
