@@ -4,7 +4,8 @@
 // write-ahead log before it is acknowledged and applied in batch order by
 // a single-threaded machine once per tick, so parallel clients yield one
 // canonical event order. On startup the server recovers its exact
-// pre-crash state from the latest checkpoint plus a WAL suffix replay.
+// pre-crash state from the latest checkpoint plus a WAL suffix replay,
+// first cutting off a final WAL frame that a crash left half written.
 //
 // Usage:
 //
@@ -64,7 +65,7 @@ func parseFlags(args []string, stderr io.Writer) (*serveFlags, error) {
 	fs.StringVar(&f.scheduler, "sched", "coda", "scheduling policy: fifo, drf or coda")
 	fs.Int64Var(&f.seed, "seed", 1, "engine measurement-noise seed")
 	fs.IntVar(&f.queueDepth, "queue-depth", ctl.DefaultQueueDepth, "admission queue bound; a full queue sheds with 429")
-	fs.IntVar(&f.checkpointEvery, "checkpoint-every", 64, "take a machine checkpoint every N applied requests (0 = WAL-only recovery)")
+	fs.IntVar(&f.checkpointEvery, "checkpoint-every", 64, "take a machine checkpoint after each batch that brings the applied requests to or past a multiple of N, once its clients are answered (0 = WAL-only recovery)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -146,6 +147,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "coda-serve: recovery: %v\n", err)
 		return 2
+	}
+	if cut, ok := log.TornTail(); ok {
+		fmt.Fprintf(stdout, "coda-serve: cut a torn final WAL frame: record %d, %d bytes at offset %d (a crash cut its append short; it was never acknowledged)\n",
+			cut.Records+1, cut.Bytes, cut.Offset)
 	}
 	if recovered {
 		c := m.Counters()

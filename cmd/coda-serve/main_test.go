@@ -186,6 +186,58 @@ func TestServeKillRecover(t *testing.T) {
 	}
 }
 
+// TestServeCutsTornTail: a WAL whose final frame a crash cut short is
+// repaired on startup, the banner reports the cut, and the records before
+// it are recovered.
+func TestServeCutsTornTail(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a live HTTP server")
+	}
+	dir := t.TempDir()
+	args := []string{"-addr", "127.0.0.1:0", "-data", dir, "-tick", "10ms", "-nodes", "4", "-checkpoint-every", "0"}
+
+	out := &syncBuffer{}
+	done := make(chan int, 1)
+	go func() { done <- run(args, out, io.Discard) }()
+	base := "http://" + listenAddr(t, waitForOutput(t, out, "listening on "))
+	client := &http.Client{Timeout: 10 * time.Second}
+	for i := 0; i < 2; i++ {
+		resp, err := client.Post(base+"/v1/jobs", "application/json",
+			strings.NewReader(`{"kind":"cpu","tenant":1,"cpuCores":2,"workSeconds":600}`))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
+		}
+	}
+	interrupt(t)
+	if code := <-done; code != 0 {
+		t.Fatalf("first life exited %d:\n%s", code, out.String())
+	}
+
+	path := filepath.Join(dir, "requests.wal")
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	out2 := &syncBuffer{}
+	go func() { done <- run(args, out2, io.Discard) }()
+	banner := waitForOutput(t, out2, "listening on ")
+	if !strings.Contains(banner, "cut a torn final WAL frame: record 2") ||
+		!strings.Contains(banner, "recovered 1 applied requests") {
+		t.Fatalf("second life did not report the cut and recover record 1:\n%s", banner)
+	}
+	interrupt(t)
+	if code := <-done; code != 0 {
+		t.Fatalf("second life exited %d:\n%s", code, out2.String())
+	}
+}
+
 // TestHTTPServerTimeouts: the server coda-serve listens with bounds how
 // long a client may take to send its headers and how long a keep-alive
 // connection may idle, and sets no write timeout, because handlers block

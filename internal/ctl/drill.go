@@ -205,6 +205,12 @@ type DrillReport struct {
 // byte-identical. Any divergence (a job scheduled differently, a counter
 // off by one, a float a bit different) is reported as the first differing
 // line. The killed run's merged fault counters must also pass Sane().
+//
+// Both runs serve each batch as Server.Tick does: apply, then the
+// checkpoint the batch made due. At a seeded half of the kill points the
+// process dies between the two, after the batch was acknowledged and
+// before its checkpoint, so recovery starts from the older checkpoint and
+// replays a longer WAL suffix.
 func RunKillDrill(opts sim.Options, newSched func() (sched.Scheduler, error), jobs []*job.Job, cfg DrillConfig) (*DrillReport, error) {
 	if cfg.Tick <= 0 {
 		cfg.Tick = time.Minute
@@ -238,8 +244,12 @@ func RunKillDrill(opts sim.Options, newSched func() (sched.Scheduler, error), jo
 		return nil, fmt.Errorf("ctl: drill baseline: %w", err)
 	}
 	for _, b := range batches {
+		before := base.Applied()
 		if _, err := base.ApplyBatch(b.at, b.reqs); err != nil {
 			return nil, fmt.Errorf("ctl: drill baseline batch at %v: %w", b.at, err)
+		}
+		if err := base.checkpointDue(before); err != nil {
+			return nil, fmt.Errorf("ctl: drill baseline checkpoint at %v: %w", b.at, err)
 		}
 	}
 	if err := base.AdvanceTo(horizon); err != nil {
@@ -267,10 +277,17 @@ func RunKillDrill(opts sim.Options, newSched func() (sched.Scheduler, error), jo
 	}
 	report := &DrillReport{Records: len(script), Batches: len(batches), Dump: want}
 	for i, b := range batches {
+		before := m.Applied()
 		if _, err := m.ApplyBatch(b.at, b.reqs); err != nil {
 			return nil, fmt.Errorf("ctl: drill killed batch at %v: %w", b.at, err)
 		}
-		if killAfter[i] {
+		beforeCheckpoint, kill := killAfter[i]
+		if !beforeCheckpoint {
+			if err := m.checkpointDue(before); err != nil {
+				return nil, fmt.Errorf("ctl: drill killed checkpoint at %v: %w", b.at, err)
+			}
+		}
+		if kill {
 			// The process dies here: the machine is dropped on the floor
 			// (no Finish, no flush) and rebuilt from durable state alone.
 			m, _, err = Resume(killedCfg)
@@ -318,7 +335,10 @@ func batchScript(script []Step) []batch {
 }
 
 // pickKillPoints seeds n distinct batch ordinals to die after. With fewer
-// batches than requested kills, every batch boundary kills.
+// batches than requested kills, every batch boundary kills. A point's
+// value says where in its batch the process dies: true before the
+// checkpoint the batch made due (after its acknowledgement), false after
+// it. Every other point in seeded draw order dies before the checkpoint.
 func pickKillPoints(seed int64, n, batches int) map[int]bool {
 	points := make(map[int]bool, n)
 	if batches <= 0 || n <= 0 {
@@ -326,13 +346,17 @@ func pickKillPoints(seed int64, n, batches int) map[int]bool {
 	}
 	rng := drillRNG(uint64(seed) ^ 0xd1b54a32d192ed03 + 1)
 	if n >= batches {
+		first := int(rng.next() & 1)
 		for i := 0; i < batches; i++ {
-			points[i] = true
+			points[i] = (i+first)%2 == 0
 		}
 		return points
 	}
 	for len(points) < n {
-		points[int(rng.next()%uint64(batches))] = true
+		i := int(rng.next() % uint64(batches))
+		if _, dup := points[i]; !dup {
+			points[i] = len(points)%2 == 0
+		}
 	}
 	return points
 }

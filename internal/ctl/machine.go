@@ -29,8 +29,9 @@ type Config struct {
 	Log wal.Log
 	// Store persists machine checkpoints.
 	Store wal.CheckpointStore
-	// CheckpointEvery takes a machine checkpoint each time this many WAL
-	// records have been applied; 0 disables checkpointing.
+	// CheckpointEvery takes a machine checkpoint after each batch that
+	// brings the applied WAL record count to or past a multiple of it; 0
+	// disables checkpointing.
 	CheckpointEvery int
 }
 
@@ -103,7 +104,9 @@ func (m *Machine) Stats() sim.ServiceStats { return m.sim.Stats() }
 // ApplyBatch makes one admission batch durable — a single WAL append, a
 // single fsync — and then applies each record in order at virtual time at
 // (clamped up to the machine's current time, and recorded in each frame, so
-// a replay needs no clock). The returned responses are positional.
+// a replay needs no clock). The returned responses are positional. It takes
+// no checkpoint: a batch's clients may be answered once it returns, and
+// the checkpoint the batch made due (checkpointDue) follows the replies.
 func (m *Machine) ApplyBatch(at time.Duration, reqs []Request) ([]Response, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -134,21 +137,39 @@ func (m *Machine) ApplyBatch(at time.Duration, reqs []Request) ([]Response, erro
 	return resps, nil
 }
 
-// Apply is ApplyBatch for a single request.
+// Apply is ApplyBatch for a single request, followed by the checkpoint it
+// made due, if any.
 func (m *Machine) Apply(at time.Duration, req Request) (Response, error) {
+	before := m.applied
 	resps, err := m.ApplyBatch(at, []Request{req})
 	if err != nil {
 		return Response{}, err
 	}
-	return resps[0], nil
+	return resps[0], m.checkpointDue(before)
+}
+
+// checkpointDue takes and saves the machine checkpoint that the batch
+// applied since the machine stood at before records made due: one when
+// the batch reached or crossed a multiple of CheckpointEvery, at the count
+// the batch ended on. Replayed records never call it, so recovery writes
+// no checkpoint.
+func (m *Machine) checkpointDue(before uint64) error {
+	every := uint64(m.cfg.CheckpointEvery)
+	if every == 0 || before/every == m.applied/every {
+		return nil
+	}
+	data, err := m.Checkpoint()
+	if err != nil {
+		return err
+	}
+	return m.cfg.Store.Save(data, m.applied)
 }
 
 // applyRecord applies one durable record. Semantic rejections (cancel of an
 // unknown job, an impossible node transition) come back in Response.Err and
 // are themselves deterministic: the record is in the WAL either way, and a
 // replay reproduces the same rejection. An error return means the engine
-// itself failed (invariant violation, checkpoint failure) — not replayable,
-// fatal.
+// itself failed (an invariant violation) — not replayable, fatal.
 func (m *Machine) applyRecord(req Request, at time.Duration, replay bool) (Response, error) {
 	if err := m.sim.RunUntil(at); err != nil {
 		return Response{}, err
@@ -189,15 +210,6 @@ func (m *Machine) applyRecord(req Request, at time.Duration, replay bool) (Respo
 		m.counters.ServeReplayed++
 	} else {
 		m.counters.ServeAccepted++
-	}
-	if !replay && m.cfg.CheckpointEvery > 0 && m.applied%uint64(m.cfg.CheckpointEvery) == 0 {
-		data, err := m.Checkpoint()
-		if err != nil {
-			return Response{}, err
-		}
-		if err := m.cfg.Store.Save(data, m.applied); err != nil {
-			return Response{}, err
-		}
 	}
 	return resp, nil
 }

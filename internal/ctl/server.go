@@ -96,12 +96,19 @@ func NewServer(m *Machine, cfg ServerConfig) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Tick advances the machine to virtual time at and applies everything
-// queued since the last tick as one WAL batch (one fsync). It is the only
-// path that mutates the machine, and it runs the batch synchronously in
-// the caller's goroutine. A machine error (engine invariant violation,
-// WAL write failure) poisons the server: every queued and future request
-// is answered 503.
+// Tick advances the machine to virtual time at and serves everything
+// queued since the last tick as one batch: it drains the queue, appends
+// the batch to the WAL with one fsync, applies it, sends every reply, and
+// only then takes the machine checkpoint the batch made due, if any. The
+// fsync precedes every reply, so an acknowledged request is durable; the
+// checkpoint only shortens recovery, and a crash before it recovers from
+// the older checkpoint plus a longer WAL suffix. Tick is the only path
+// that mutates the machine, and it runs synchronously in the caller's
+// goroutine. A machine error poisons the server: when the WAL append or
+// the engine fails, every request of the batch is answered 503; when the
+// checkpoint fails, the batch has already been answered 200 (its records
+// are in the WAL), and Tick returns the error. Either way every later
+// request is answered 503.
 func (s *Server) Tick(at time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -135,6 +142,7 @@ func (s *Server) Tick(at time.Duration) error {
 	for i, p := range batch {
 		reqs[i] = p.req
 	}
+	before := s.machine.Applied()
 	resps, err := s.machine.ApplyBatch(at, reqs)
 	if err != nil {
 		s.failed = err
@@ -145,6 +153,10 @@ func (s *Server) Tick(at time.Duration) error {
 	}
 	for i, p := range batch {
 		p.reply <- outcome{resp: resps[i]}
+	}
+	if err := s.machine.checkpointDue(before); err != nil {
+		s.failed = err
+		return err
 	}
 	return nil
 }

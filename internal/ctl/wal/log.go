@@ -77,17 +77,60 @@ type FileLog struct {
 	f     *os.File
 	path  string
 	syncs int
+	cut   Tail
 }
 
 // OpenFileLog opens (creating if absent) the log file at path for
-// appending.
+// appending. A torn final frame — an append that a crash cut short before
+// its fsync, so no client was acknowledged for it — is truncated away and
+// the file fsynced, but only when the frames before it decode strictly
+// (ClassifyTail); TornTail reports the cut. A clean or corrupt log is left
+// as it is, for recovery to accept or refuse. A new or empty file costs
+// one fstat more than opening it.
 func OpenFileLog(path string) (*FileLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open log: %w", err)
 	}
-	return &FileLog{f: f, path: path}, nil
+	l := &FileLog{f: f, path: path}
+	if err := l.repairTail(); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	return l, nil
 }
+
+// repairTail truncates a torn final frame off the open log.
+func (l *FileLog) repairTail() error {
+	st, err := l.f.Stat()
+	if err != nil {
+		return fmt.Errorf("wal: stat log: %w", err)
+	}
+	if st.Size() == 0 {
+		return nil
+	}
+	data := make([]byte, st.Size())
+	if _, err := l.f.ReadAt(data, 0); err != nil {
+		return fmt.Errorf("wal: read log: %w", err)
+	}
+	tail := ClassifyTail(data)
+	if tail.Verdict != Torn {
+		return nil
+	}
+	if err := l.f.Truncate(int64(tail.Offset)); err != nil {
+		return fmt.Errorf("wal: cut torn tail: %w", err)
+	}
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: sync after cut: %w", err)
+	}
+	l.cut = tail
+	return nil
+}
+
+// TornTail reports the torn final frame OpenFileLog cut off, if it cut
+// one: the frame would have been record Records+1, began at Offset and
+// had Bytes bytes on disk.
+func (l *FileLog) TornTail() (Tail, bool) { return l.cut, l.cut.Verdict == Torn }
 
 // Append implements Log: all frames are written, then one fsync makes the
 // batch durable before any client is acknowledged.

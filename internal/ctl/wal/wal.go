@@ -25,6 +25,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -77,52 +78,165 @@ func EncodeRecord(seq uint64, at time.Duration, payload []byte) []byte {
 // it cannot prove intact rather than resume from a guess.
 func DecodeAll(data []byte) ([]Record, error) {
 	var recs []Record
-	off := 0
-	var prevAt int64
-	for off < len(data) {
+	n, off, _, err := scan(data, func(r Record) {
+		r.Payload = append([]byte(nil), r.Payload...)
+		recs = append(recs, r)
+	})
+	if err != nil {
+		return nil, err
+	}
+	switch rest := data[off:]; {
+	case len(rest) == 0:
+		return recs, nil
+	case len(rest) < headerSize:
+		return nil, fmt.Errorf("wal: record %d truncated at offset %d: %d bytes left, need %d for the header",
+			n+1, off, len(rest), headerSize)
+	default:
+		return nil, fmt.Errorf("wal: record %d: truncated payload: header says %d bytes, %d left",
+			n+1, binary.BigEndian.Uint64(rest[28:36]), len(rest)-headerSize)
+	}
+}
+
+// scan strictly decodes the complete frames at the head of data, handing
+// each to visit (its payload aliases data), and stops at the first frame
+// that runs past the end of data: one shorter than a header, or a whole
+// header whose payload is cut short. It returns how many frames it
+// decoded, the offset it stopped at and the last frame's timestamp. An
+// error names the first frame that fails a strict check; the magic,
+// version and length cap are checked as soon as a whole header is there.
+func scan(data []byte, visit func(Record)) (n, off int, prevAt int64, err error) {
+	for len(data)-off >= headerSize {
 		rest := data[off:]
-		n := len(recs) + 1
-		if len(rest) < headerSize {
-			return nil, fmt.Errorf("wal: record %d truncated at offset %d: %d bytes left, need %d for the header",
-				n, off, len(rest), headerSize)
-		}
+		k := n + 1
 		if !bytes.Equal(rest[:8], []byte(Magic)) {
-			return nil, fmt.Errorf("wal: bad magic %q at offset %d (not a CODA WAL record)", rest[:8], off)
+			return n, off, prevAt, fmt.Errorf("wal: bad magic %q at offset %d (not a CODA WAL record)", rest[:8], off)
 		}
 		version := binary.BigEndian.Uint32(rest[8:12])
 		if version > Version {
-			return nil, fmt.Errorf("wal: record %d: version %d is newer than supported version %d", n, version, Version)
+			return n, off, prevAt, fmt.Errorf("wal: record %d: version %d is newer than supported version %d", k, version, Version)
 		}
 		seq := binary.BigEndian.Uint64(rest[12:20])
 		at := int64(binary.BigEndian.Uint64(rest[20:28]))
 		length := binary.BigEndian.Uint64(rest[28:36])
 		if length > maxPayload {
-			return nil, fmt.Errorf("wal: record %d: payload length %d exceeds cap %d", n, length, int64(maxPayload))
+			return n, off, prevAt, fmt.Errorf("wal: record %d: payload length %d exceeds cap %d", k, length, int64(maxPayload))
 		}
 		if uint64(len(rest)-headerSize) < length {
-			return nil, fmt.Errorf("wal: record %d: truncated payload: header says %d bytes, %d left",
-				n, length, len(rest)-headerSize)
+			break
 		}
 		payload := rest[headerSize : headerSize+int(length)]
 		h := sha256.New()
 		h.Write(rest[12:36])
 		h.Write(payload)
 		if !bytes.Equal(h.Sum(nil), rest[36:36+sha256.Size]) {
-			return nil, fmt.Errorf("wal: record %d: checksum mismatch (log is corrupt)", n)
+			return n, off, prevAt, fmt.Errorf("wal: record %d: checksum mismatch (log is corrupt)", k)
 		}
-		if seq != uint64(n) {
-			return nil, fmt.Errorf("wal: record %d carries sequence %d, want contiguous %d", n, seq, n)
+		if seq != uint64(k) {
+			return n, off, prevAt, fmt.Errorf("wal: record %d carries sequence %d, want contiguous %d", k, seq, k)
 		}
 		if at < 0 {
-			return nil, fmt.Errorf("wal: record %d: negative timestamp %d", n, at)
+			return n, off, prevAt, fmt.Errorf("wal: record %d: negative timestamp %d", k, at)
 		}
 		if at < prevAt {
-			return nil, fmt.Errorf("wal: record %d: timestamp %v runs backwards from %v (log reordered?)",
-				n, time.Duration(at), time.Duration(prevAt))
+			return n, off, prevAt, fmt.Errorf("wal: record %d: timestamp %v runs backwards from %v (log reordered?)",
+				k, time.Duration(at), time.Duration(prevAt))
 		}
-		prevAt = at
-		recs = append(recs, Record{Seq: seq, At: time.Duration(at), Payload: append([]byte(nil), payload...)})
-		off += headerSize + int(length)
+		if visit != nil {
+			visit(Record{Seq: seq, At: time.Duration(at), Payload: payload})
+		}
+		n, off, prevAt = k, off+headerSize+int(length), at
 	}
-	return recs, nil
+	return n, off, prevAt, nil
+}
+
+// Verdict classifies the bytes that follow a log image's last complete
+// frame.
+type Verdict int
+
+const (
+	// Clean: the image ends on a frame boundary and DecodeAll accepts it.
+	Clean Verdict = iota
+	// Torn: the complete frames decode strictly and the bytes after them
+	// are a proper prefix of the frame that would come next — an append
+	// cut short by a crash before its fsync, which no client was
+	// acknowledged for.
+	Torn
+	// Corrupt: anything else. DecodeAll refuses the image.
+	Corrupt
+)
+
+// Tail is ClassifyTail's finding. For a clean or torn image, Records and
+// Offset locate the end of the complete frames and Bytes counts what
+// follows them: what a repair cuts. A corrupt image reports only its
+// verdict.
+type Tail struct {
+	Verdict Verdict
+	Records int
+	Offset  int
+	Bytes   int
+}
+
+// ClassifyTail decides whether a log image is clean, torn or corrupt. It
+// is torn when its complete frames decode strictly and the bytes after
+// them are a proper prefix of a frame DecodeAll would accept as the next
+// record: fewer bytes than a header, each field of which that is there,
+// whole or in part, can still take an allowed value (the magic, a
+// supported version, the next sequence number, a timestamp that does not
+// run backwards, a length within the cap); or a whole header of that kind
+// whose payload runs past the end. A crash between an append's writes and
+// its fsync leaves such a tail; a defect anywhere before it is corrupt.
+func ClassifyTail(data []byte) Tail {
+	n, off, prevAt, err := scan(data, nil)
+	if err != nil {
+		return Tail{Verdict: Corrupt}
+	}
+	t := Tail{Records: n, Offset: off, Bytes: len(data) - off}
+	switch {
+	case t.Bytes == 0:
+		t.Verdict = Clean
+	case startsFrame(data[off:], uint64(n+1), prevAt):
+		t.Verdict = Torn
+	default:
+		return Tail{Verdict: Corrupt}
+	}
+	return t
+}
+
+// startsFrame reports whether tail is a proper prefix of a frame DecodeAll
+// would accept as record seq after one stamped prevAt. Each header field
+// tail holds, whole or in part, must leave room for an allowed value: the
+// big-endian bytes present bound the field to [lo, hi], which must meet
+// the field's allowed range. The checksum and payload are unknowable
+// until the frame is whole, so only their length is checked.
+func startsFrame(tail []byte, seq uint64, prevAt int64) bool {
+	if !bytes.HasPrefix([]byte(Magic), tail[:min(len(tail), len(Magic))]) {
+		return false
+	}
+	for _, f := range [...]struct {
+		off, width int
+		lo, hi     uint64
+	}{
+		{8, 4, 0, uint64(Version)},
+		{12, 8, seq, seq},
+		{20, 8, uint64(prevAt), math.MaxInt64},
+		{28, 8, 0, maxPayload},
+	} {
+		k := min(len(tail)-f.off, f.width)
+		if k <= 0 {
+			break
+		}
+		var v uint64
+		for _, b := range tail[f.off : f.off+k] {
+			v = v<<8 | uint64(b)
+		}
+		shift := 8 * uint(f.width-k)
+		lo, hi := v<<shift, v<<shift|(1<<shift-1)
+		if hi < f.lo || lo > f.hi {
+			return false
+		}
+	}
+	if len(tail) < headerSize {
+		return true
+	}
+	return uint64(len(tail)-headerSize) < binary.BigEndian.Uint64(tail[28:36])
 }

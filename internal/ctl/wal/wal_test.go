@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -198,4 +199,116 @@ func mustFileStore(t *testing.T) *FileStore {
 		t.Fatalf("NewFileStore: %v", err)
 	}
 	return s
+}
+
+// TestClassifyTail cuts a two-record log at every offset and checks the
+// verdict, then drives each way a tail can fail to be a torn frame.
+func TestClassifyTail(t *testing.T) {
+	first := EncodeRecord(1, time.Second, []byte("alpha"))
+	second := EncodeRecord(2, 2*time.Second, []byte(`{"op":"cancel","jobId":7}`))
+	data := append(append([]byte(nil), first...), second...)
+
+	if got := ClassifyTail(nil); got != (Tail{Verdict: Clean}) {
+		t.Fatalf("empty log: %+v, want clean", got)
+	}
+	if got, want := ClassifyTail(data), (Tail{Verdict: Clean, Records: 2, Offset: len(data)}); got != want {
+		t.Fatalf("whole log: %+v, want %+v", got, want)
+	}
+	for cut := len(first) + 1; cut < len(data); cut++ {
+		want := Tail{Verdict: Torn, Records: 1, Offset: len(first), Bytes: cut - len(first)}
+		if got := ClassifyTail(data[:cut]); got != want {
+			t.Fatalf("cut at %d: %+v, want %+v", cut, got, want)
+		}
+	}
+	for cut := 1; cut < len(first); cut++ {
+		want := Tail{Verdict: Torn, Offset: 0, Bytes: cut}
+		if got := ClassifyTail(data[:cut]); got != want {
+			t.Fatalf("cut at %d: %+v, want %+v", cut, got, want)
+		}
+	}
+
+	torn := data[:len(data)-3]
+	rewrite := func(off int, b ...byte) []byte {
+		d := append([]byte(nil), torn...)
+		copy(d[len(first)+off:], b)
+		return d
+	}
+	corrupt := []struct {
+		name string
+		data []byte
+	}{
+		{"checksum before the tail", func() []byte { d := append([]byte(nil), torn...); d[headerSize] ^= 0xff; return d }()},
+		{"trailing garbage", append(append([]byte(nil), data...), 0xde, 0xad)},
+		{"partial magic", append(append([]byte(nil), data...), 'C', 'O', 'X')},
+		{"future version", rewrite(11, byte(Version+1))},
+		{"partial version", rewrite(8, 0xff)[:len(first)+9]},
+		{"sequence gap", rewrite(19, 3)},
+		{"partial sequence", rewrite(12, 0x01)[:len(first)+13]},
+		{"timestamp backwards", rewrite(20, 0, 0, 0, 0, 0, 0, 0, 0)},
+		{"negative timestamp", rewrite(20, 0x80)[:len(first)+21]},
+		{"length over the cap", rewrite(28, 0, 0, 0, 0, 0x40, 0, 0, 1)},
+		{"duplicate first record", append(append([]byte(nil), first...), first[:len(first)-1]...)},
+	}
+	for _, tc := range corrupt {
+		if got := ClassifyTail(tc.data); got != (Tail{Verdict: Corrupt}) {
+			t.Errorf("%s: %+v, want corrupt", tc.name, got)
+		}
+		if _, err := DecodeAll(tc.data); err == nil {
+			t.Errorf("%s: DecodeAll accepted the image", tc.name)
+		}
+	}
+}
+
+// TestOpenFileLogCutsTornTail: reopening a log whose last append was cut
+// short truncates that frame, reports the cut, and appends after it; a
+// clean, corrupt or empty log is left byte for byte as it was.
+func TestOpenFileLogCutsTornTail(t *testing.T) {
+	first := EncodeRecord(1, 0, []byte("a"))
+	second := EncodeRecord(2, time.Second, []byte("bb"))
+	whole := append(append([]byte(nil), first...), second...)
+	path := filepath.Join(t.TempDir(), "requests.wal")
+
+	if err := os.WriteFile(path, whole[:len(whole)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatalf("OpenFileLog on a torn log: %v", err)
+	}
+	cut, ok := log.TornTail()
+	if want := (Tail{Verdict: Torn, Records: 1, Offset: len(first), Bytes: len(second) - 5}); !ok || cut != want {
+		t.Fatalf("TornTail = %+v, %v; want %+v", cut, ok, want)
+	}
+	if err := log.Append([][]byte{second}); err != nil {
+		t.Fatalf("Append after the cut: %v", err)
+	}
+	if got, _ := log.Bytes(); !bytes.Equal(got, whole) {
+		t.Fatalf("log after cut and append is %d bytes, want the %d of both records", len(got), len(whole))
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	badChecksum := append([]byte(nil), whole[:len(whole)-5]...)
+	badChecksum[headerSize] ^= 0xff
+	for name, image := range map[string][]byte{
+		"clean":   whole,
+		"corrupt": badChecksum,
+		"empty":   {},
+	} {
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		log, err := OpenFileLog(path)
+		if err != nil {
+			t.Fatalf("%s: OpenFileLog: %v", name, err)
+		}
+		if cut, ok := log.TornTail(); ok {
+			t.Errorf("%s: OpenFileLog cut %+v", name, cut)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, image) {
+			t.Errorf("%s: OpenFileLog changed the file", name)
+		}
+		_ = log.Close()
+	}
 }
