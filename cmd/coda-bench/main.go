@@ -333,10 +333,10 @@ func printSec6E(sc experiments.Scale) error {
 	if res.QueuedWith > 0 {
 		factor = res.QueuedWithout / res.QueuedWith
 	}
-	fmt.Printf("  0.5%% hogs (paper's density): util with %5.1f%%, without %5.1f%% (drop %.1f pts; paper 2.3 pts)\n",
-		res.UtilWithEliminator*100, res.UtilWithout*100, drop*100)
-	fmt.Printf("  mean queued jobs: with %.1f, without %.1f (factor %.2fx; paper ~2x)\n",
-		res.QueuedWith, res.QueuedWithout, factor)
+	fmt.Printf("  0.5%% hogs (paper's density): util with %5.1f%%, without %5.1f%% (drop %.1f pts; paper %.1f pts)\n",
+		res.UtilWithEliminator*100, res.UtilWithout*100, drop*100, res.PaperUtilDrop*100)
+	fmt.Printf("  mean queued jobs: with %.1f, without %.1f (factor %.2fx; paper ~%.0fx)\n",
+		res.QueuedWith, res.QueuedWithout, factor, res.PaperQueueFactor)
 	fmt.Printf("  eliminator interventions: %d\n", res.Throttles)
 	stressDrop := res.StressUtilWith - res.StressUtilWithout
 	fmt.Printf("  5%% hogs (stress): util with %5.1f%%, without %5.1f%% (drop %.1f pts), %d interventions\n",

@@ -47,7 +47,13 @@ func writeTrace(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.Write(f, jobs); err != nil {
+	enc := trace.NewEncoder(f)
+	for _, j := range jobs {
+		if err := enc.Encode(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -27,7 +27,7 @@ func TestGenerateAndStats(t *testing.T) {
 
 func TestStreamMatchesMaterialized(t *testing.T) {
 	// -gen spools jobs through the incremental encoder; the file it writes
-	// must be byte-identical to trace.Write over the materialized trace.
+	// must be byte-identical to the encoder run over the materialized trace.
 	streamed := filepath.Join(t.TempDir(), "stream.jsonl")
 	if err := run([]string{"-gen", "-days", "1", "-cpu-jobs", "50", "-gpu-jobs", "20", "-seed", "7", "-o", streamed}); err != nil {
 		t.Fatalf("gen: %v", err)
@@ -39,7 +39,13 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := trace.Write(&want, jobs); err != nil {
+	enc := trace.NewEncoder(&want)
+	for _, j := range jobs {
+		if err := enc.Encode(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(streamed)

@@ -140,8 +140,6 @@ type Node struct {
 	Cores int
 	// GPUs is the total GPU count.
 	GPUs int
-	// BandwidthGBs is the memory-bandwidth capacity in GB/s.
-	BandwidthGBs float64
 	// PCIeGBs is the PCIe capacity in GB/s.
 	PCIeGBs float64
 
@@ -230,13 +228,11 @@ type Cluster struct {
 	// touched journals the node IDs every mutator changed since the last
 	// ResetTouched — the delta invariant checker audits exactly these.
 	touched []int
-	// usedCores, usedGPUs and activeNodes (nodes hosting a job) are kept by
-	// Allocate, Release and Resize, and totalCores and totalGPUs are fixed
-	// at construction, so Snapshot is O(1); CheckInvariants compares them
-	// with a node sum.
+	// usedCores and usedGPUs are kept by Allocate, Release and Resize, and
+	// totalCores and totalGPUs are fixed at construction, so Snapshot is
+	// O(1); CheckInvariants compares them with a node sum.
 	usedCores, usedGPUs   int
 	totalCores, totalGPUs int
-	activeNodes           int
 }
 
 // TouchedNodes returns the IDs of nodes mutated since the last
@@ -274,12 +270,11 @@ func New(cfg Config) (*Cluster, error) {
 			gpus = 0 // CPU-only node
 		}
 		c.nodes[i] = &Node{
-			ID:           i,
-			Cores:        cfg.CoresPerNode,
-			GPUs:         gpus,
-			BandwidthGBs: cfg.BandwidthGBs,
-			PCIeGBs:      cfg.PCIeGBs,
-			jobs:         make(map[job.ID]nodeShare),
+			ID:      i,
+			Cores:   cfg.CoresPerNode,
+			GPUs:    gpus,
+			PCIeGBs: cfg.PCIeGBs,
+			jobs:    make(map[job.ID]nodeShare),
 		}
 		c.totalCores += cfg.CoresPerNode
 		c.totalGPUs += gpus
@@ -352,9 +347,6 @@ func (c *Cluster) Allocate(id job.ID, alloc job.Allocation) error {
 	for _, nid := range alloc.NodeIDs {
 		n := c.nodes[nid]
 		oldGPUs, oldCores := n.FreeGPUs(), n.FreeCores()
-		if len(n.jobs) == 0 {
-			c.activeNodes++
-		}
 		n.usedCores += alloc.CPUCores
 		n.usedGPUs += alloc.GPUs
 		n.jobs[id] = nodeShare{cores: alloc.CPUCores, gpus: alloc.GPUs}
@@ -382,9 +374,6 @@ func (c *Cluster) Release(id job.ID) error {
 		delete(n.jobs, id)
 		c.usedCores -= share.cores
 		c.usedGPUs -= share.gpus
-		if len(n.jobs) == 0 {
-			c.activeNodes--
-		}
 		c.reindexFrom(n, oldGPUs, oldCores)
 		c.touched = append(c.touched, nid)
 	}
@@ -470,8 +459,6 @@ type Snapshot struct {
 	// UsedCores / TotalCores and UsedGPUs / TotalGPUs are occupancy counts.
 	UsedCores, TotalCores int
 	UsedGPUs, TotalGPUs   int
-	// ActiveNodes counts nodes hosting at least one job.
-	ActiveNodes int
 }
 
 // Snapshot returns current occupancy.
@@ -479,7 +466,6 @@ func (c *Cluster) Snapshot() Snapshot {
 	return Snapshot{
 		UsedCores: c.usedCores, TotalCores: c.totalCores,
 		UsedGPUs: c.usedGPUs, TotalGPUs: c.totalGPUs,
-		ActiveNodes: c.activeNodes,
 	}
 }
 
@@ -527,9 +513,6 @@ func (c *Cluster) CheckInvariants() error {
 		sum.UsedGPUs += n.usedGPUs
 		sum.TotalCores += n.Cores
 		sum.TotalGPUs += n.GPUs
-		if len(n.jobs) > 0 {
-			sum.ActiveNodes++
-		}
 	}
 	if got := c.Snapshot(); got != sum {
 		return fmt.Errorf("cluster counters %+v disagree with the node sum %+v", got, sum)

@@ -227,7 +227,7 @@ func TestSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := c.Snapshot()
-	if s.UsedCores != 6 || s.UsedGPUs != 2 || s.ActiveNodes != 2 {
+	if s.UsedCores != 6 || s.UsedGPUs != 2 {
 		t.Errorf("Snapshot = %+v", s)
 	}
 	if s.TotalCores != 32 || s.TotalGPUs != 8 {
@@ -242,7 +242,7 @@ func TestSnapshot(t *testing.T) {
 	if err := c.Release(1); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Snapshot(); s != (Snapshot{UsedCores: 2, TotalCores: 32, TotalGPUs: 8, ActiveNodes: 1}) {
+	if s := c.Snapshot(); s != (Snapshot{UsedCores: 2, TotalCores: 32, TotalGPUs: 8}) {
 		t.Errorf("Snapshot after resize, allocate and release = %+v", s)
 	}
 }
@@ -258,7 +258,6 @@ func TestCheckInvariantsCatchesCounterDrift(t *testing.T) {
 		{"used gpus", func(c *Cluster) { c.usedGPUs-- }},
 		{"total cores", func(c *Cluster) { c.totalCores++ }},
 		{"total gpus", func(c *Cluster) { c.totalGPUs++ }},
-		{"active nodes", func(c *Cluster) { c.activeNodes-- }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := MustNew(smallConfig())

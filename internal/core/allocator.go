@@ -79,13 +79,12 @@ type Allocator struct {
 }
 
 // settleInfo records a finished search (the eliminator compares live
-// utilization against SettledUtil to detect contention-induced drops).
+// utilization against Util to detect contention-induced drops).
 type settleInfo struct {
 	// Cores is the tuned core count; Util is the utilization measured at
-	// the moment the search settled; Steps is the profiling-step count.
+	// the moment the search settled.
 	Cores int
 	Util  float64
-	Steps int
 }
 
 // NewAllocator builds the allocator. resize is the scheduler's
@@ -189,7 +188,7 @@ func (a *Allocator) OnStarted(j *job.Job, cores int) {
 
 // OnCompleted finalizes a job: its tuned core count is logged for future
 // Nstart seeding (§V-A step 5).
-func (a *Allocator) OnCompleted(j *job.Job, finalCores int, queueTime, runTime time.Duration) {
+func (a *Allocator) OnCompleted(j *job.Job, finalCores int) {
 	delete(a.tuning, j.ID)
 	info, ok := a.settled[j.ID]
 	cores := finalCores
@@ -201,17 +200,13 @@ func (a *Allocator) OnCompleted(j *job.Job, finalCores int, queueTime, runTime t
 		return
 	}
 	_ = a.log.Add(history.Record{
-		JobID:       j.ID,
-		Tenant:      j.Tenant,
-		Kind:        j.Kind,
-		Category:    j.Category,
-		Model:       j.Model,
-		CPUCores:    cores,
-		GPUs:        j.Request.GPUs,
-		Nodes:       j.Request.Nodes,
-		QueueTime:   queueTime,
-		RunTime:     runTime,
-		CompletedAt: a.env.Now(),
+		JobID:    j.ID,
+		Tenant:   j.Tenant,
+		Kind:     j.Kind,
+		Category: j.Category,
+		CPUCores: cores,
+		GPUs:     j.Request.GPUs,
+		Nodes:    j.Request.Nodes,
 	})
 }
 
@@ -228,12 +223,6 @@ func (a *Allocator) Forget(id job.ID) {
 func (a *Allocator) Settled(id job.ID) (settleInfo, bool) {
 	info, ok := a.settled[id]
 	return info, ok
-}
-
-// Tuning reports whether a job's search is still running.
-func (a *Allocator) Tuning(id job.ID) bool {
-	_, ok := a.tuning[id]
-	return ok
 }
 
 // Tick advances every in-flight search whose profiling step elapsed.
@@ -280,7 +269,7 @@ func (a *Allocator) settle(id job.ID, st *tuneState) {
 			st.curCores = st.bestCores
 		}
 	}
-	a.settled[id] = settleInfo{Cores: st.curCores, Util: st.bestUtil, Steps: st.stepsUsed}
+	a.settled[id] = settleInfo{Cores: st.curCores, Util: st.bestUtil}
 	a.steps[id] = st.stepsUsed
 	delete(a.tuning, id)
 }

@@ -83,7 +83,7 @@ func step(a *Allocator, env *scriptedEnv) {
 func TestAllocatorSearchConvergesDownhill(t *testing.T) {
 	// Start above the optimum: the down-probe ladder must find it.
 	a, env, _ := newScripted(t, 7, peakCurve(4))
-	for i := 0; i < 10 && a.Tuning(1); i++ {
+	for i := 0; i < 10 && a.tuning[1] != nil; i++ {
 		step(a, env)
 	}
 	info, ok := a.Settled(1)
@@ -93,8 +93,8 @@ func TestAllocatorSearchConvergesDownhill(t *testing.T) {
 	if info.Cores < 3 || info.Cores > 5 {
 		t.Errorf("settled at %d cores, want near the optimum 4", info.Cores)
 	}
-	if info.Steps > DefaultAllocatorConfig().MaxSteps {
-		t.Errorf("used %d steps, cap is %d", info.Steps, DefaultAllocatorConfig().MaxSteps)
+	if steps, _ := a.ProfileSteps(1); steps > DefaultAllocatorConfig().MaxSteps {
+		t.Errorf("used %d steps, cap is %d", steps, DefaultAllocatorConfig().MaxSteps)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestAllocatorSearchConvergesUphill(t *testing.T) {
 	// Start below the optimum: the down probe fails to improve, the up
 	// ladder climbs.
 	a, env, _ := newScripted(t, 3, peakCurve(6))
-	for i := 0; i < 10 && a.Tuning(1); i++ {
+	for i := 0; i < 10 && a.tuning[1] != nil; i++ {
 		step(a, env)
 	}
 	info, ok := a.Settled(1)
@@ -119,15 +119,14 @@ func TestAllocatorStepBudget(t *testing.T) {
 	a, env, _ := newScripted(t, 2, func(cores int) float64 {
 		return 0.05 * float64(cores) // always improving upward
 	})
-	for i := 0; i < 20 && a.Tuning(1); i++ {
+	for i := 0; i < 20 && a.tuning[1] != nil; i++ {
 		step(a, env)
 	}
-	info, ok := a.Settled(1)
-	if !ok {
+	if _, ok := a.Settled(1); !ok {
 		t.Fatal("search never settled")
 	}
-	if info.Steps > DefaultAllocatorConfig().MaxSteps {
-		t.Errorf("steps = %d, cap %d", info.Steps, DefaultAllocatorConfig().MaxSteps)
+	if steps, _ := a.ProfileSteps(1); steps > DefaultAllocatorConfig().MaxSteps {
+		t.Errorf("steps = %d, cap %d", steps, DefaultAllocatorConfig().MaxSteps)
 	}
 }
 
@@ -137,7 +136,7 @@ func TestAllocatorResizeFailureSettles(t *testing.T) {
 	a, env, _ := newScripted(t, 4, peakCurve(4))
 	env.failAt[3] = true
 	env.failAt[5] = true
-	for i := 0; i < 10 && a.Tuning(1); i++ {
+	for i := 0; i < 10 && a.tuning[1] != nil; i++ {
 		step(a, env)
 	}
 	info, ok := a.Settled(1)
@@ -152,7 +151,7 @@ func TestAllocatorResizeFailureSettles(t *testing.T) {
 func TestAllocatorBaselineAtOneCore(t *testing.T) {
 	// Starting at 1 core there is no downward probe; the search must go up.
 	a, env, _ := newScripted(t, 1, peakCurve(3))
-	for i := 0; i < 10 && a.Tuning(1); i++ {
+	for i := 0; i < 10 && a.tuning[1] != nil; i++ {
 		step(a, env)
 	}
 	info, ok := a.Settled(1)
@@ -170,23 +169,23 @@ func TestAllocatorIgnoresCPUJobs(t *testing.T) {
 	a.Bind(env)
 	c := &job.Job{ID: 2, Kind: job.KindCPU, Tenant: 1, Request: job.Request{CPUCores: 2, Nodes: 1}, Work: time.Hour}
 	a.OnStarted(c, 2)
-	if a.Tuning(2) {
+	if a.tuning[2] != nil {
 		t.Error("CPU jobs must not start tuning sessions")
 	}
 }
 
 func TestAllocatorCompletionLogsHistory(t *testing.T) {
 	a, env, j := newScripted(t, 4, peakCurve(4))
-	for i := 0; i < 10 && a.Tuning(1); i++ {
+	for i := 0; i < 10 && a.tuning[1] != nil; i++ {
 		step(a, env)
 	}
-	a.OnCompleted(j, env.cores, time.Minute, time.Hour)
+	a.OnCompleted(j, env.cores)
 	// j holds one GPU, so its per-GPU maximum is its tuned core count.
 	perGPU, ok := a.log.LargestCoresPerGPU(j.Tenant, j.Category)
 	if !ok || perGPU < 3 {
 		t.Errorf("history cores per GPU = %g, %v", perGPU, ok)
 	}
-	if a.Tuning(1) {
+	if a.tuning[1] != nil {
 		t.Error("tuning state leaked after completion")
 	}
 	if _, ok := a.settled[1]; ok {

@@ -33,13 +33,10 @@ func TestEliminatorDegradesGracefullyWhenTelemetryDark(t *testing.T) {
 	opts.Faults = chaos.Plan{Faults: []chaos.Fault{
 		{At: 0, Kind: chaos.KindMembwDark, Node: 0},
 	}}
-	dark, s := runCoda(t, DefaultConfig(), opts, jobs())
+	dark, _ := runCoda(t, DefaultConfig(), opts, jobs())
 
 	if dark.Throttles != 0 {
 		t.Errorf("throttles = %d during a run-long dropout, want 0 (hold last decision)", dark.Throttles)
-	}
-	if s.elim.Degraded() == 0 {
-		t.Error("eliminator recorded no degraded checks while telemetry was dark")
 	}
 	if dark.Faults.DegradedSamples == 0 {
 		t.Error("run recorded no degraded samples")

@@ -48,16 +48,15 @@ type runState struct {
 }
 
 type multiArrayState struct {
-	Budgets     []budgetState
-	FourG       []int
-	OneG        []int
-	CPUAcc      fair.State
-	GPUAcc      fair.State
-	CPUQueues   []sched.TenantQueueState
-	GPUQueues   []sched.TenantQueueState
-	Desired     []desiredState
-	Running     []runState
-	Preemptions int
+	Budgets   []budgetState
+	FourG     []int
+	OneG      []int
+	CPUAcc    fair.State
+	GPUAcc    fair.State
+	CPUQueues []sched.TenantQueueState
+	GPUQueues []sched.TenantQueueState
+	Desired   []desiredState
+	Running   []runState
 }
 
 type tuneStateSer struct {
@@ -95,10 +94,8 @@ type interventionState struct {
 }
 
 type eliminatorState struct {
-	Throttled     []interventionState
-	NextCheck     time.Duration
-	Interventions int
-	Degraded      int
+	Throttled []interventionState
+	NextCheck time.Duration
 }
 
 type timeByJob struct {
@@ -108,7 +105,6 @@ type timeByJob struct {
 
 type schedulerState struct {
 	History json.RawMessage
-	Started []timeByJob
 	Arrived []timeByJob
 	Done    int
 	Arrays  multiArrayState
@@ -146,21 +142,19 @@ func (s *Scheduler) CheckpointState() ([]byte, error) {
 	}
 	st := schedulerState{
 		History: json.RawMessage(hist.Bytes()),
-		Started: sortedTimes(s.started),
 		Arrived: sortedTimes(s.arrived),
 		Done:    s.done,
 	}
 
 	m := s.arrays
 	st.Arrays = multiArrayState{
-		Budgets:     make([]budgetState, len(m.budgets)),
-		FourG:       append([]int(nil), m.fourG...),
-		OneG:        append([]int(nil), m.oneG...),
-		CPUAcc:      m.cpuAcc.CheckpointState(),
-		GPUAcc:      m.gpuAcc.CheckpointState(),
-		CPUQueues:   m.cpuQueues.CheckpointState(),
-		GPUQueues:   m.gpuQueues.CheckpointState(),
-		Preemptions: m.preemptions,
+		Budgets:   make([]budgetState, len(m.budgets)),
+		FourG:     append([]int(nil), m.fourG...),
+		OneG:      append([]int(nil), m.oneG...),
+		CPUAcc:    m.cpuAcc.CheckpointState(),
+		GPUAcc:    m.gpuAcc.CheckpointState(),
+		CPUQueues: m.cpuQueues.CheckpointState(),
+		GPUQueues: m.gpuQueues.CheckpointState(),
 	}
 	for i, b := range m.budgets {
 		st.Arrays.Budgets[i] = budgetState{
@@ -202,11 +196,7 @@ func (s *Scheduler) CheckpointState() ([]byte, error) {
 	sort.Slice(st.Alloc.Steps, func(i, j int) bool { return st.Alloc.Steps[i].Job < st.Alloc.Steps[j].Job })
 
 	if s.elim != nil {
-		es := &eliminatorState{
-			NextCheck:     s.elim.nextCheck,
-			Interventions: s.elim.interventions,
-			Degraded:      s.elim.degraded,
-		}
+		es := &eliminatorState{NextCheck: s.elim.nextCheck}
 		for i, id := range s.elim.throttled.ids {
 			iv := s.elim.throttled.ivs[i]
 			es.Throttled = append(es.Throttled, interventionState{
@@ -226,7 +216,7 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("coda: restore: %w", err)
 	}
-	if s.done != 0 || len(s.started) != 0 || len(s.arrays.running) != 0 {
+	if s.done != 0 || len(s.arrived) != 0 || len(s.arrays.running) != 0 {
 		return fmt.Errorf("coda: restore into a non-fresh scheduler")
 	}
 	if (s.elim == nil) != (st.Elim == nil) {
@@ -243,9 +233,6 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 	s.log = log
 	s.alloc.log = log
 
-	for _, e := range st.Started {
-		s.started[e.Job] = e.At
-	}
 	for _, e := range st.Arrived {
 		s.arrived[e.Job] = e.At
 	}
@@ -298,7 +285,6 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 		j := rs.Job
 		m.running[j.ID] = &runInfo{j: &j, alloc: rs.Alloc.Clone()}
 	}
-	m.preemptions = st.Arrays.Preemptions
 
 	a := s.alloc
 	for i := range st.Alloc.Tuning {
@@ -329,8 +315,6 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 				intervention{capGBs: iv.CapGBs, coreHalved: iv.CoreHalved, origCores: iv.OrigCores})
 		}
 		s.elim.nextCheck = st.Elim.NextCheck
-		s.elim.interventions = st.Elim.Interventions
-		s.elim.degraded = st.Elim.Degraded
 	}
 
 	if err := s.CheckInvariants(); err != nil {

@@ -69,11 +69,11 @@ func TestCheckpointRoundTripMidRun(t *testing.T) {
 	if !bytes.Equal(blob, again) {
 		t.Fatalf("checkpoint round trip not byte-identical:\n%s", sim.FirstDiff(string(blob), string(again)))
 	}
-	if err := fresh.Arrays().CheckInvariants(); err != nil {
+	if err := fresh.arrays.CheckInvariants(); err != nil {
 		t.Fatalf("multi-array invariants after restore: %v", err)
 	}
 	drawn := 0
-	for nid, b := range fresh.Arrays().budgets {
+	for nid, b := range fresh.arrays.budgets {
 		checkTotals(t, nid, b)
 		drawn += b.usedReserve + b.usedShared
 	}
@@ -162,7 +162,7 @@ func TestRestoreRejectsMalformedSplit(t *testing.T) {
 	if err := fresh.RestoreCheckpoint(blob); err != nil {
 		t.Fatalf("RestoreCheckpoint: %v", err)
 	}
-	fresh.Arrays().fourG = []int{1}
+	fresh.arrays.fourG = []int{1}
 	if err := fresh.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "node 1 ") {
 		t.Errorf("CheckInvariants with 4-GPU sub-array [1]: %v, want an error naming node 1", err)
 	}

@@ -46,13 +46,15 @@ func DefaultConfig() Config {
 // scheduler + real-time contention eliminator, sharing one history log
 // (Fig. 8).
 type Scheduler struct {
-	cfg     Config
-	env     sched.Env
-	log     *history.Log
-	arrays  *MultiArray
-	alloc   *Allocator
-	elim    *Eliminator
-	started map[job.ID]time.Duration // first-start times for history records
+	cfg    Config
+	env    sched.Env
+	log    *history.Log
+	arrays *MultiArray
+	alloc  *Allocator
+	elim   *Eliminator
+	// arrived records each job's arrival time until the job completes or
+	// is cancelled from its queue, so Submit can tell a requeue from a
+	// first arrival.
 	arrived map[job.ID]time.Duration
 	done    int
 	gpus    int // gpus per node, for rebalance
@@ -86,7 +88,6 @@ func NewForCluster(cfg Config, cc cluster.Config) (*Scheduler, error) {
 		cfg:     cfg,
 		log:     log,
 		arrays:  arrays,
-		started: make(map[job.ID]time.Duration),
 		arrived: make(map[job.ID]time.Duration),
 		gpus:    cc.GPUsPerNode,
 	}
@@ -125,9 +126,6 @@ func (s *Scheduler) SetHistory(log *history.Log) {
 	s.alloc.log = log
 	s.arrays.Rebalance(log.Stats(), s.gpus)
 }
-
-// Arrays exposes the multi-array scheduler (for tests and reports).
-func (s *Scheduler) Arrays() *MultiArray { return s.arrays }
 
 // Allocator exposes the adaptive allocator (for tests and reports).
 func (s *Scheduler) Allocator() *Allocator { return s.alloc }
@@ -179,21 +177,8 @@ func (s *Scheduler) OnJobCompleted(j *job.Job) {
 	if s.elim != nil {
 		s.elim.Forget(j.ID)
 	}
-
-	now := s.env.Now()
-	queue := time.Duration(0)
-	if start, ok := s.started[j.ID]; ok {
-		if arr, okArr := s.arrived[j.ID]; okArr {
-			queue = start - arr
-		}
-		delete(s.started, j.ID)
-	}
-	run := time.Duration(0)
-	if start, ok := s.arrived[j.ID]; ok {
-		run = now - start - queue
-		delete(s.arrived, j.ID)
-	}
-	s.alloc.OnCompleted(j, finalCores, queue, run)
+	delete(s.arrived, j.ID)
+	s.alloc.OnCompleted(j, finalCores)
 
 	s.done++
 	if s.cfg.RebalanceEvery > 0 && s.done%s.cfg.RebalanceEvery == 0 {
@@ -207,8 +192,8 @@ func (s *Scheduler) OnJobCompleted(j *job.Job) {
 // its per-job state — array budgets and fair-share charges, eliminator
 // interventions, allocator tuning sessions — but unlike a completion,
 // nothing is written to the history log: an aborted attempt must not teach
-// Nstart. Arrival and first-start times survive so a retried job keeps its
-// original queueing record.
+// Nstart. The arrival record survives, so the retried job's Submit requeues
+// it at its array head.
 func (s *Scheduler) OnJobKilled(j *job.Job) {
 	s.arrays.OnKilled(j)
 	if s.elim != nil {
@@ -220,7 +205,7 @@ func (s *Scheduler) OnJobKilled(j *job.Job) {
 
 // OnJobCancelled implements sched.Canceller: an explicit control-plane
 // cancel removed a still-queued job. The queue entry, allocator seeds and
-// arrival records all go; nothing is written to the history log — the job
+// arrival record all go; nothing is written to the history log — the job
 // never ran, so there is nothing to teach Nstart.
 func (s *Scheduler) OnJobCancelled(j *job.Job) {
 	s.arrays.RemoveQueued(j)
@@ -229,7 +214,6 @@ func (s *Scheduler) OnJobCancelled(j *job.Job) {
 	}
 	s.alloc.Forget(j.ID)
 	delete(s.arrived, j.ID)
-	delete(s.started, j.ID)
 	s.drain()
 }
 
@@ -266,8 +250,7 @@ func (s *Scheduler) Tick() {
 // The arrays' start log names every job the pass started. It can hold one
 // job that was already running before the pass: a borrower that
 // reclaimNode preempts in drainGPU and drainCPU restarts in the same pass.
-// That job is a CPU job already in s.started, so the loop below does
-// nothing for it.
+// That job is a CPU job, so the loop below does nothing for it.
 func (s *Scheduler) drain() {
 	s.arrays.Drain()
 	// Tuning sessions start in job-ID order, so nothing the allocator does
@@ -276,9 +259,6 @@ func (s *Scheduler) drain() {
 	slices.Sort(started)
 	for _, id := range started {
 		info := s.arrays.running[id]
-		if _, ok := s.started[id]; !ok {
-			s.started[id] = s.env.Now()
-		}
 		if info.j.IsGPU() && !s.cfg.DisableAdaptiveAllocation {
 			s.alloc.OnStarted(info.j, info.alloc.CPUCores)
 		}

@@ -48,7 +48,7 @@ func TestShortJobCompletesMidProfiling(t *testing.T) {
 	if !res.Jobs[1].Completed {
 		t.Fatal("short job did not complete")
 	}
-	if s.Allocator().Tuning(1) {
+	if s.alloc.tuning[1] != nil {
 		t.Error("tuning session leaked after completion")
 	}
 	if _, ok := s.Allocator().ProfileSteps(1); ok {
@@ -158,7 +158,7 @@ func TestCODAOnHeterogeneousCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Arrays().CheckInvariants(); err != nil {
+	if err := s.arrays.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	for id := job.ID(1); id <= 3; id++ {
@@ -177,7 +177,7 @@ func TestSetHistoryWarmStart(t *testing.T) {
 	log := history.NewLog()
 	if err := log.Add(history.Record{
 		JobID: 99, Tenant: 1, Kind: job.KindGPUTraining,
-		Category: job.CategoryCV, Model: "resnet50", CPUCores: 7, GPUs: 1,
+		Category: job.CategoryCV, CPUCores: 7, GPUs: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}

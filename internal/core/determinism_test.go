@@ -76,7 +76,7 @@ func TestPlacementSequenceDeterministic(t *testing.T) {
 func TestCheckInvariantsCatchesTenantQueueOrder(t *testing.T) {
 	cfg, opts := DefaultConfig(), testOptions()
 	s := newCoda(t, cfg, opts)
-	m := s.Arrays()
+	m := s.arrays
 	for i, tenant := range []job.TenantID{7, 2, 5} {
 		m.EnqueueCPU(&job.Job{ID: job.ID(i + 1), Tenant: tenant, Kind: job.KindCPU})
 		m.EnqueueGPU(&job.Job{ID: job.ID(i + 10), Tenant: tenant, Kind: job.KindGPUTraining}, 2)

@@ -49,11 +49,6 @@ type Eliminator struct {
 	// coreHalved for the MBA-less fallback.
 	throttled throttleSet
 	nextCheck time.Duration
-	// interventions counts total throttle/halve actions (§VI-E reporting).
-	interventions int
-	// degraded counts node checks skipped because bandwidth telemetry was
-	// dark (chaos dropouts): the eliminator held its last decision.
-	degraded int
 	// Per-pass scratch reused across node checks.
 	jobIDs []job.ID
 	usages []membw.JobUsage
@@ -139,13 +134,6 @@ func NewEliminator(cfg EliminatorConfig, alloc *Allocator, array *MultiArray) *E
 // Bind attaches the environment.
 func (e *Eliminator) Bind(env sched.Env) { e.env = env }
 
-// Interventions returns the total action count.
-func (e *Eliminator) Interventions() int { return e.interventions }
-
-// Degraded returns how many node checks ran blind because bandwidth
-// telemetry was unavailable.
-func (e *Eliminator) Degraded() int { return e.degraded }
-
 // Forget drops intervention state for a completed job.
 func (e *Eliminator) Forget(id job.ID) { e.throttled.remove(id) }
 
@@ -191,13 +179,11 @@ func (e *Eliminator) trainingJobDegraded(nid int) bool {
 
 // checkNode arms or releases interventions on one node. When the node's
 // bandwidth telemetry is unavailable (a fault-injected dropout), the
-// eliminator degrades gracefully: it holds every standing throttle decision
-// — acting on a stale or absent reading could hurt either side — and counts
-// the blind check so runs report their degraded-mode exposure.
+// eliminator degrades gracefully: it holds every standing throttle decision,
+// because acting on a stale or absent reading could hurt either side.
 func (e *Eliminator) checkNode(nid int) {
 	meter, err := e.env.Meter(nid)
 	if err != nil {
-		e.degraded++
 		return
 	}
 	util := meter.Utilization()
@@ -234,7 +220,6 @@ func (e *Eliminator) restrain(meter *membw.Meter) {
 				continue
 			}
 			e.throttled.add(u.ID, intervention{capGBs: capGBs})
-			e.interventions++
 			return
 		}
 		// Fallback: halve the CPU job's cores, which roughly halves its
@@ -248,7 +233,6 @@ func (e *Eliminator) restrain(meter *membw.Meter) {
 			continue
 		}
 		e.throttled.add(u.ID, intervention{coreHalved: true, origCores: alloc.CPUCores})
-		e.interventions++
 		return
 	}
 }

@@ -127,7 +127,7 @@ func randomPickState(t *testing.T, rng *rand.Rand, roundTrip bool) (*MultiArray,
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := s.Arrays()
+	m := s.arrays
 	env := &clusterEnv{c: c}
 	m.Bind(env)
 	if rng.Intn(2) == 0 {
@@ -182,8 +182,8 @@ func randomPickState(t *testing.T, rng *rand.Rand, roundTrip bool) (*MultiArray,
 	if err := fresh.RestoreCheckpoint(blob); err != nil {
 		t.Fatal(err)
 	}
-	fresh.Arrays().Bind(env)
-	return fresh.Arrays(), cc
+	fresh.arrays.Bind(env)
+	return fresh.arrays, cc
 }
 
 // preferenceOrder is the scan order the old selection used: the job's own
@@ -288,7 +288,7 @@ func TestPickNodesStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := s.Arrays()
+	m := s.arrays
 	m.Bind(&clusterEnv{c: c})
 	if len(m.fourG) != 1500 {
 		t.Fatalf("4-GPU sub-array has %d nodes, the cases below assume 1500", len(m.fourG))

@@ -54,7 +54,6 @@ type runInfo struct {
 // each running DRF internally, with cross-array borrowing and preemption.
 type MultiArray struct {
 	env     sched.Env
-	cfg     ArrayConfig
 	budgets []*nodeBudget
 	// gpuNodes is the count of GPU nodes: budgets[0:gpuNodes] have GPUs,
 	// the rest are CPU-only nodes (§VI-G heterogeneous clusters).
@@ -73,8 +72,6 @@ type MultiArray struct {
 	running map[job.ID]*runInfo
 	// DisablePreemption stops reserve reclaims (ablation knob).
 	DisablePreemption bool
-	// preemptions counts cross-array reclaims (for reports).
-	preemptions int
 	// startLog lists, in start order, the jobs the last Drain started:
 	// startGPUAt and startCPU append on the line that writes running, the
 	// only inserts into running besides restore.
@@ -110,7 +107,6 @@ func NewMultiArrayForCluster(cfg ArrayConfig, cc cluster.Config) (*MultiArray, e
 	}
 	total := cc.TotalNodes()
 	m := &MultiArray{
-		cfg:      cfg,
 		budgets:  make([]*nodeBudget, total),
 		gpuNodes: cc.Nodes,
 		desired:  make(map[job.ID]int),
@@ -163,9 +159,6 @@ func NewMultiArrayForCluster(cfg ArrayConfig, cc cluster.Config) (*MultiArray, e
 
 // Bind attaches the environment.
 func (m *MultiArray) Bind(env sched.Env) { m.env = env }
-
-// Preemptions returns the cross-array reclaim count.
-func (m *MultiArray) Preemptions() int { return m.preemptions }
 
 // EnqueueGPU adds a training job with the allocator's chosen core count.
 func (m *MultiArray) EnqueueGPU(j *job.Job, desiredCores int) {
@@ -524,7 +517,6 @@ func (m *MultiArray) reclaimNode(nid int, cores int) bool {
 		}
 		delete(m.running, victim)
 		_ = m.cpuAcc.Refund(victim)
-		m.preemptions++
 		m.RequeueCPUFront(clone)
 	}
 	return b.reserveFree()+b.sharedFree() >= cores

@@ -7,6 +7,7 @@ import (
 
 	"github.com/coda-repro/coda/internal/chaos"
 	"github.com/coda-repro/coda/internal/job"
+	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 	"github.com/coda-repro/coda/internal/trace"
 )
@@ -19,10 +20,31 @@ import (
 // minus that job.
 type diffScheduler struct {
 	*Scheduler
-	t *testing.T
+	t   *testing.T
+	env *preemptCounter
 	// restarts counts same-pass preempt-and-restart borrowers: jobs in the
 	// log that the diff misses because they were running before the pass.
 	restarts int
+}
+
+// preemptCounter is the environment with its successful preemptions
+// counted.
+type preemptCounter struct {
+	sched.Env
+	preempts int
+}
+
+func (e *preemptCounter) PreemptJob(id job.ID) (*job.Job, error) {
+	clone, err := e.Env.PreemptJob(id)
+	if err == nil {
+		e.preempts++
+	}
+	return clone, err
+}
+
+func (d *diffScheduler) Bind(env sched.Env) {
+	d.env = &preemptCounter{Env: env}
+	d.Scheduler.Bind(d.env)
 }
 
 func (d *diffScheduler) Submit(j *job.Job) {
@@ -47,15 +69,13 @@ func (d *diffScheduler) pass(gone *job.Job, call func()) {
 	d.t.Helper()
 	m := d.arrays
 	before := make(map[job.ID]bool, len(m.running))
-	hadStarted := make(map[job.ID]bool, len(m.running))
 	for id := range m.running {
 		before[id] = true
-		_, hadStarted[id] = d.started[id]
 	}
 	if gone != nil {
 		delete(before, gone.ID)
 	}
-	preemptions := m.preemptions
+	preempts := d.env.preempts
 	call()
 
 	var diff []job.ID
@@ -84,9 +104,7 @@ func (d *diffScheduler) pass(gone *job.Job, call func()) {
 			d.t.Fatalf("logged job %d is not running after the pass", id)
 		case info.j.IsGPU():
 			d.t.Fatalf("logged GPU job %d was already running before the pass", id)
-		case !hadStarted[id]:
-			d.t.Fatalf("logged CPU job %d was running before the pass but not in s.started", id)
-		case m.preemptions == preemptions:
+		case d.env.preempts == preempts:
 			d.t.Fatalf("logged CPU job %d was running before a pass that preempted nothing", id)
 		}
 		d.restarts++

@@ -127,7 +127,7 @@ func TestTickAcknowledgesBeforeCheckpoint(t *testing.T) {
 	if err != nil || data == nil {
 		t.Fatalf("no checkpoint saved after the crossing batch (err %v)", err)
 	}
-	if got := s.Machine().Applied(); got != n {
+	if got := s.machine.Applied(); got != n {
 		t.Fatalf("applied %d, want %d", got, n)
 	}
 }
@@ -200,12 +200,12 @@ func TestCheckpointPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
-		if _, err := m.Apply(0, Request{Op: OpCancel, JobID: 99}); err != nil {
+		if _, err := apply(m, 0, Request{Op: OpCancel, JobID: 99}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if want := []uint64{3, 6}; !reflect.DeepEqual(store.seqs, want) {
-		t.Fatalf("Apply checkpoints at %v, want %v", store.seqs, want)
+		t.Fatalf("apply checkpoints at %v, want %v", store.seqs, want)
 	}
 }
 

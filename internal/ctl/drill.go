@@ -185,17 +185,11 @@ type DrillConfig struct {
 type DrillReport struct {
 	// Kills is how many kill-and-recover cycles the killed run survived.
 	Kills int
-	// Records is the total WAL records both runs applied.
-	Records int
-	// Batches is how many admission batches the script produced.
-	Batches int
 	// Replayed is how many WAL records recovery re-applied in total.
 	Replayed int
 	// Diff is empty when the killed run's dump matched the baseline's;
 	// otherwise it pinpoints the first divergent line.
 	Diff string
-	// Dump is the baseline run's result dump (for goldens/debugging).
-	Dump string
 }
 
 // RunKillDrill is the control plane's determinism proof: it runs one
@@ -275,7 +269,7 @@ func RunKillDrill(opts sim.Options, newSched func() (sched.Scheduler, error), jo
 	if err != nil {
 		return nil, fmt.Errorf("ctl: drill killed run: %w", err)
 	}
-	report := &DrillReport{Records: len(script), Batches: len(batches), Dump: want}
+	report := &DrillReport{}
 	for i, b := range batches {
 		before := m.Applied()
 		if _, err := m.ApplyBatch(b.at, b.reqs); err != nil {

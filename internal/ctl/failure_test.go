@@ -182,7 +182,7 @@ func TestTickAppendFailure(t *testing.T) {
 			t.Fatalf("client %d of the failed batch: %d %s, want 503 naming the error", i, r.code, r.body)
 		}
 	}
-	if got := s.Machine().Applied(); got != 2 {
+	if got := s.machine.Applied(); got != 2 {
 		t.Fatalf("applied %d after the failed append, want 2", got)
 	}
 	requirePoisoned(t, ts.URL)

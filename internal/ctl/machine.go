@@ -137,17 +137,6 @@ func (m *Machine) ApplyBatch(at time.Duration, reqs []Request) ([]Response, erro
 	return resps, nil
 }
 
-// Apply is ApplyBatch for a single request, followed by the checkpoint it
-// made due, if any.
-func (m *Machine) Apply(at time.Duration, req Request) (Response, error) {
-	before := m.applied
-	resps, err := m.ApplyBatch(at, []Request{req})
-	if err != nil {
-		return Response{}, err
-	}
-	return resps[0], m.checkpointDue(before)
-}
-
 // checkpointDue takes and saves the machine checkpoint that the batch
 // applied since the machine stood at before records made due: one when
 // the batch reached or crossed a multiple of CheckpointEvery, at the count

@@ -26,6 +26,32 @@ func testOptions() sim.Options {
 
 func fifoFactory() (sched.Scheduler, error) { return sched.NewFIFO(), nil }
 
+// apply serves one request as Server.Tick serves a batch of one: ApplyBatch,
+// then the checkpoint the batch made due, if any.
+func apply(m *Machine, at time.Duration, req Request) (Response, error) {
+	before := m.applied
+	resps, err := m.ApplyBatch(at, []Request{req})
+	if err != nil {
+		return Response{}, err
+	}
+	return resps[0], m.checkpointDue(before)
+}
+
+// damagedLog is a wal.Log whose Bytes hands recovery the wrapped log's
+// image rewritten by damage, so a test can corrupt or cut the WAL.
+type damagedLog struct {
+	wal.Log
+	damage func([]byte) []byte
+}
+
+func (l *damagedLog) Bytes() ([]byte, error) {
+	b, err := l.Log.Bytes()
+	if err != nil || l.damage == nil {
+		return b, err
+	}
+	return l.damage(b), nil
+}
+
 func codaFactory(opts sim.Options) func() (sched.Scheduler, error) {
 	return func() (sched.Scheduler, error) {
 		return core.New(core.DefaultConfig(), opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
@@ -82,7 +108,7 @@ func TestMachineSubmitRunsJob(t *testing.T) {
 		t.Fatalf("NewMachine: %v", err)
 	}
 	spec := &JobSpec{Kind: "cpu", Tenant: 1, CPUCores: 4, WorkSeconds: 600}
-	resp, err := m.Apply(0, Request{Op: OpSubmit, Job: spec})
+	resp, err := apply(m, 0, Request{Op: OpSubmit, Job: spec})
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -158,7 +184,7 @@ func TestMachineSemanticRejectionsAreResponses(t *testing.T) {
 		{"bad job kind", Request{Op: OpSubmit, Job: &JobSpec{Kind: "quantum", Tenant: 1, CPUCores: 1, WorkSeconds: 1}}, "unknown job kind"},
 	}
 	for i, tc := range cases {
-		resp, err := m.Apply(0, tc.req)
+		resp, err := apply(m, 0, tc.req)
 		if err != nil {
 			t.Fatalf("%s: fatal error %v (want a semantic rejection)", tc.name, err)
 		}
@@ -170,7 +196,7 @@ func TestMachineSemanticRejectionsAreResponses(t *testing.T) {
 		}
 	}
 	// A rejected submit must not burn an ID: the next good submit gets 1.
-	resp, err := m.Apply(0, Request{Op: OpSubmit, Job: &JobSpec{Kind: "cpu", Tenant: 1, CPUCores: 1, WorkSeconds: 60}})
+	resp, err := apply(m, 0, Request{Op: OpSubmit, Job: &JobSpec{Kind: "cpu", Tenant: 1, CPUCores: 1, WorkSeconds: 60}})
 	if err != nil || resp.JobID != 1 {
 		t.Fatalf("post-rejection submit got ID %d (err %v), want 1", resp.JobID, err)
 	}
@@ -191,7 +217,7 @@ func TestMachineNodeLifecycle(t *testing.T) {
 		{Request{Op: OpNodeJoin, Node: 2}, "up"},
 	}
 	for i, st := range steps {
-		resp, err := m.Apply(time.Duration(i)*time.Minute, st.req)
+		resp, err := apply(m, time.Duration(i)*time.Minute, st.req)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -233,7 +259,7 @@ func TestResumeColdStart(t *testing.T) {
 }
 
 func TestResumeRejectsCorruptWAL(t *testing.T) {
-	log := wal.NewMemLog()
+	log := &damagedLog{Log: wal.NewMemLog()}
 	cfg := memConfig(testOptions())
 	cfg.Log = log
 	m, err := NewMachine(cfg)
@@ -241,12 +267,16 @@ func TestResumeRejectsCorruptWAL(t *testing.T) {
 		t.Fatalf("NewMachine: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := m.Apply(0, Request{Op: OpCancel, JobID: int64(i + 1)}); err != nil {
+		if _, err := apply(m, 0, Request{Op: OpCancel, JobID: int64(i + 1)}); err != nil {
 			t.Fatalf("Apply: %v", err)
 		}
 	}
-	if err := log.Corrupt(80); err != nil {
-		t.Fatalf("Corrupt: %v", err)
+	if img, _ := log.Log.Bytes(); len(img) <= 80 {
+		t.Fatalf("the log holds %d bytes; the test flips byte 80", len(img))
+	}
+	log.damage = func(b []byte) []byte {
+		b[80] ^= 0xff
+		return b
 	}
 	if _, _, err := Resume(cfg); err == nil {
 		t.Fatal("Resume accepted a corrupt WAL")
@@ -254,7 +284,7 @@ func TestResumeRejectsCorruptWAL(t *testing.T) {
 }
 
 func TestResumeRejectsTruncatedWAL(t *testing.T) {
-	log := wal.NewMemLog()
+	log := &damagedLog{Log: wal.NewMemLog()}
 	cfg := memConfig(testOptions())
 	cfg.Log = log
 	cfg.CheckpointEvery = 1
@@ -262,13 +292,11 @@ func TestResumeRejectsTruncatedWAL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
-	if _, err := m.Apply(0, Request{Op: OpCancel, JobID: 1}); err != nil {
+	if _, err := apply(m, 0, Request{Op: OpCancel, JobID: 1}); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	// The checkpoint says 1 record applied; an empty WAL contradicts it.
-	if err := log.Truncate(0); err != nil {
-		t.Fatalf("Truncate: %v", err)
-	}
+	log.damage = func([]byte) []byte { return nil }
 	_, _, err = Resume(cfg)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("Resume(%v) did not refuse the truncated log", err)
@@ -284,7 +312,7 @@ func TestApplyBatchClampsTimeBackwards(t *testing.T) {
 		t.Fatalf("AdvanceTo: %v", err)
 	}
 	// A batch stamped in the past must be clamped, not travel back in time.
-	resp, err := m.Apply(time.Minute, Request{Op: OpSubmit, Job: &JobSpec{Kind: "cpu", Tenant: 1, CPUCores: 1, WorkSeconds: 60}})
+	resp, err := apply(m, time.Minute, Request{Op: OpSubmit, Job: &JobSpec{Kind: "cpu", Tenant: 1, CPUCores: 1, WorkSeconds: 60}})
 	if err != nil || resp.Err != "" {
 		t.Fatalf("Apply: %v / %s", err, resp.Err)
 	}

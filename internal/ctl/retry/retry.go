@@ -93,10 +93,6 @@ func (b *Backoff) Next(retryAfter time.Duration) time.Duration {
 	return delay
 }
 
-// Reset rewinds the attempt counter after a success; the jitter stream
-// keeps advancing so consecutive bursts stay decorrelated.
-func (b *Backoff) Reset() { b.attempt = 0 }
-
 // splitmix64 is the SplitMix64 mixing function.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15

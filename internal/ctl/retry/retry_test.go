@@ -18,7 +18,7 @@ func TestDeterministic(t *testing.T) {
 	}
 	c, _ := New(Policy{Seed: 43})
 	d := a
-	d.Reset()
+	d.attempt = 0
 	same := 0
 	for i := 0; i < 10; i++ {
 		if c.Next(0) == d.Next(0) {
@@ -41,9 +41,9 @@ func TestGrowthAndCap(t *testing.T) {
 			t.Fatalf("attempt %d: delay %v, want %v", i, got, w)
 		}
 	}
-	b.Reset()
+	b.attempt = 0
 	if got := b.Next(0); got != time.Second {
-		t.Fatalf("after Reset: delay %v, want %v", got, time.Second)
+		t.Fatalf("after a reset: delay %v, want %v", got, time.Second)
 	}
 }
 

@@ -18,13 +18,14 @@ type ServerConfig struct {
 	// with 429 + Retry-After instead of letting latency grow without bound.
 	// 0 means DefaultQueueDepth.
 	QueueDepth int
-	// RetryAfter is the backoff hint attached to shed requests; 0 means
-	// DefaultRetryAfter.
-	RetryAfter time.Duration
-	// MaxWait caps how long a handler waits for its batch to be applied
+	// retryAfter is the backoff hint attached to shed requests; 0 means
+	// DefaultRetryAfter. Only this package's tests set it.
+	retryAfter time.Duration
+	// maxWait caps how long a handler waits for its batch to be applied
 	// before giving up with 503 (the request may still apply — it is queued
-	// and, once ticked, durable). 0 means DefaultMaxWait.
-	MaxWait time.Duration
+	// and, once ticked, durable). 0 means DefaultMaxWait. Only this
+	// package's tests set it.
+	maxWait time.Duration
 }
 
 // Defaults for ServerConfig zero fields.
@@ -70,11 +71,11 @@ func NewServer(m *Machine, cfg ServerConfig) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
+	if cfg.retryAfter <= 0 {
+		cfg.retryAfter = DefaultRetryAfter
 	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = DefaultMaxWait
+	if cfg.maxWait <= 0 {
+		cfg.maxWait = DefaultMaxWait
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -173,9 +174,6 @@ func (s *Server) Stop() {
 	close(s.done)
 }
 
-// Machine returns the wrapped machine (the caller must not race Tick).
-func (s *Server) Machine() *Machine { return s.machine }
-
 // enqueue queues one mutating request and waits for its tick. Every
 // rejection is typed: 429 + Retry-After when the queue is full (the client
 // should back off and retry), 503 when the server is stopped or poisoned
@@ -201,12 +199,12 @@ func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, req Request) {
 		s.mu.Lock()
 		s.machine.NoteShed()
 		s.mu.Unlock()
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.retryAfter)))
 		httpError(w, http.StatusTooManyRequests, "admission queue full, retry later")
 		return
 	}
 
-	timer := time.NewTimer(s.cfg.MaxWait)
+	timer := time.NewTimer(s.cfg.maxWait)
 	defer timer.Stop()
 	select {
 	case out := <-p.reply:

@@ -111,7 +111,7 @@ func TestServerParallelClientsReplayEquivalence(t *testing.T) {
 
 	// The WAL alone rebuilds the same machine.
 	horizon := 2 * time.Hour
-	served := s.Machine()
+	served := s.machine
 	if err := served.AdvanceTo(horizon); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestServerParallelClientsReplayEquivalence(t *testing.T) {
 
 func TestServerBackpressure(t *testing.T) {
 	cfg := memConfig(testOptions())
-	s, ts := newTestServer(t, cfg, ServerConfig{QueueDepth: 1, RetryAfter: 2 * time.Second})
+	s, ts := newTestServer(t, cfg, ServerConfig{QueueDepth: 1, retryAfter: 2 * time.Second})
 
 	// Fill the queue from inside (no tick runs, so it stays full).
 	s.queue <- pending{req: Request{Op: OpCancel, JobID: 1}, reply: make(chan outcome, 1)}
@@ -175,7 +175,7 @@ func TestServerBackpressure(t *testing.T) {
 
 func TestServerDeadline(t *testing.T) {
 	cfg := memConfig(testOptions())
-	_, ts := newTestServer(t, cfg, ServerConfig{MaxWait: 5 * time.Millisecond})
+	_, ts := newTestServer(t, cfg, ServerConfig{maxWait: 5 * time.Millisecond})
 
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"kind":"cpu","tenant":1,"cpuCores":1,"workSeconds":60}`))

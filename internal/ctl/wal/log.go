@@ -54,24 +54,6 @@ func (l *MemLog) Bytes() ([]byte, error) { return append([]byte(nil), l.buf...),
 // Syncs implements Log.
 func (l *MemLog) Syncs() int { return l.syncs }
 
-// Corrupt flips one byte of the in-memory image (for recovery tests).
-func (l *MemLog) Corrupt(off int) error {
-	if off < 0 || off >= len(l.buf) {
-		return fmt.Errorf("wal: corrupt offset %d out of [0, %d)", off, len(l.buf))
-	}
-	l.buf[off] ^= 0xff
-	return nil
-}
-
-// Truncate drops the log image past n bytes (for recovery tests).
-func (l *MemLog) Truncate(n int) error {
-	if n < 0 || n > len(l.buf) {
-		return fmt.Errorf("wal: truncate length %d out of [0, %d]", n, len(l.buf))
-	}
-	l.buf = l.buf[:n]
-	return nil
-}
-
 // FileLog is the production Log: an O_APPEND file fsync'd once per batch.
 type FileLog struct {
 	f     *os.File

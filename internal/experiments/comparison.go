@@ -34,8 +34,6 @@ var headline = []string{"fifo", "drf", "coda"}
 
 // Comparison holds one trace replayed under all three schedulers.
 type Comparison struct {
-	// Scale is the operating point.
-	Scale Scale
 	// FIFO, DRF and CODA are the per-scheduler results.
 	FIFO, DRF, CODA *sim.Result
 }
@@ -72,7 +70,7 @@ func RunComparison(sc Scale) (*Comparison, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Comparison{Scale: sc, FIFO: results[0], DRF: results[1], CODA: results[2]}, nil
+		return &Comparison{FIFO: results[0], DRF: results[1], CODA: results[2]}, nil
 	})
 }
 
@@ -80,9 +78,6 @@ func RunComparison(sc Scale) (*Comparison, error) {
 // same trace replayed under every scheduler at several simulation-noise
 // seeds, aggregated per scheduler.
 type MultiSeedComparison struct {
-	// Scale is the operating point; Seeds are the simulation seeds run.
-	Scale Scale
-	Seeds []int64
 	// FIFO, DRF and CODA aggregate each scheduler's runs across seeds.
 	FIFO, DRF, CODA *sim.Merged
 }
@@ -128,7 +123,7 @@ func RunMultiSeedComparison(sc Scale, seeds []int64) (*MultiSeedComparison, erro
 	if err != nil {
 		return nil, err
 	}
-	return &MultiSeedComparison{Scale: sc, Seeds: seeds, FIFO: fifo, DRF: drf, CODA: coda}, nil
+	return &MultiSeedComparison{FIFO: fifo, DRF: drf, CODA: coda}, nil
 }
 
 // RunCODAVariant replays the scale's trace under a custom CODA

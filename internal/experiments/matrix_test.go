@@ -36,8 +36,8 @@ func TestComparisonMatrixShape(t *testing.T) {
 			t.Errorf("cell %d named %q, want %q", i, n, want[i])
 		}
 	}
-	for i := range want {
-		if err := m.Spec(i).Validate(); err != nil {
+	for i, policy := range want {
+		if err := testScale().Spec(policy, core.DefaultConfig()).Validate(); err != nil {
 			t.Errorf("cell %d invalid: %v", i, err)
 		}
 	}

@@ -144,9 +144,6 @@ func (a *Accountant) Adjust(id job.ID, newRes Resources) error {
 	return nil
 }
 
-// Usage returns tenant t's current usage vector.
-func (a *Accountant) Usage(t job.TenantID) Resources { return a.used[t] }
-
 // DominantShare returns tenant t's dominant share in [0, 1]: its usage of
 // the mode's resource over the cluster total of it. The constructor
 // guarantees that total is positive.

@@ -100,7 +100,7 @@ func TestChargeRefund(t *testing.T) {
 	if err := a.Charge(2, 7, Resources{CPU: -1}); err == nil {
 		t.Error("negative charge should fail")
 	}
-	if got := a.Usage(7); got != (Resources{CPU: 20, GPU: 1}) {
+	if got := a.used[7]; got != (Resources{CPU: 20, GPU: 1}) {
 		t.Errorf("Usage = %+v", got)
 	}
 	if err := a.Refund(1); err != nil {
@@ -109,7 +109,7 @@ func TestChargeRefund(t *testing.T) {
 	if err := a.Refund(1); err == nil {
 		t.Error("double refund should fail")
 	}
-	if got := a.Usage(7); !got.IsZero() {
+	if got := a.used[7]; !got.IsZero() {
 		t.Errorf("Usage after refund = %+v", got)
 	}
 	if err := a.CheckInvariants(); err != nil {
@@ -238,7 +238,7 @@ func TestAdjust(t *testing.T) {
 	if err := a.Adjust(1, Resources{CPU: 4, GPU: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Usage(4); got != (Resources{CPU: 4, GPU: 2}) {
+	if got := a.used[4]; got != (Resources{CPU: 4, GPU: 2}) {
 		t.Errorf("Usage after adjust = %+v", got)
 	}
 	if err := a.Adjust(1, Resources{CPU: -1}); err == nil {
@@ -247,7 +247,7 @@ func TestAdjust(t *testing.T) {
 	if err := a.Refund(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Usage(4); !got.IsZero() {
+	if got := a.used[4]; !got.IsZero() {
 		t.Errorf("Usage after refund = %+v (adjust must update ledger)", got)
 	}
 	if err := a.CheckInvariants(); err != nil {
@@ -316,7 +316,7 @@ func TestChargeRefundProperty(t *testing.T) {
 			}
 		}
 		for tenant := job.TenantID(0); tenant < 3; tenant++ {
-			if !a.Usage(tenant).IsZero() {
+			if !a.used[tenant].IsZero() {
 				return false
 			}
 		}

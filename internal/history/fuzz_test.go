@@ -13,8 +13,8 @@ import (
 func FuzzLoad(f *testing.F) {
 	l := NewLog()
 	for i, rec := range []Record{
-		{JobID: 1, Tenant: 1, Kind: job.KindGPUTraining, Category: job.CategoryCV, Model: "resnet50", CPUCores: 6, GPUs: 2, Nodes: 1},
-		{JobID: 2, Tenant: 2, Kind: job.KindGPUTraining, Category: job.CategoryNLP, Model: "transformer", CPUCores: 10, GPUs: 4, Nodes: 1},
+		{JobID: 1, Tenant: 1, Kind: job.KindGPUTraining, Category: job.CategoryCV, CPUCores: 6, GPUs: 2, Nodes: 1},
+		{JobID: 2, Tenant: 2, Kind: job.KindGPUTraining, Category: job.CategoryNLP, CPUCores: 10, GPUs: 4, Nodes: 1},
 		{JobID: 3, Tenant: 1, Kind: job.KindCPU, CPUCores: 4},
 	} {
 		if err := l.Add(rec); err != nil {

@@ -9,7 +9,6 @@ package history
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/coda-repro/coda/internal/job"
 )
@@ -24,8 +23,6 @@ type Record struct {
 	Kind job.Kind
 	// Category is the DNN domain (CategoryNone for CPU jobs).
 	Category job.Category
-	// Model is the DNN model name (empty for CPU jobs).
-	Model string
 	// CPUCores is the per-node core count the job finally ran with (the
 	// allocator's tuned value for training jobs).
 	CPUCores int
@@ -34,10 +31,6 @@ type Record struct {
 	// Nodes is the node count the job spanned (per-GPU normalization of
 	// the Nstart statistics needs the per-node GPU share).
 	Nodes int
-	// QueueTime and RunTime are the observed durations.
-	QueueTime, RunTime time.Duration
-	// CompletedAt is the virtual completion time.
-	CompletedAt time.Duration
 }
 
 // key groups records for Nstart lookups.
@@ -65,9 +58,6 @@ type Log struct {
 	byOwner map[job.TenantID]aggregate
 	// GPU-demand statistics for the multi-array split.
 	gpuJobCount   int
-	cpuJobCount   int
-	maxJobGPUs    int
-	largeJobGPUs  int // max GPUs among jobs requesting >= LargeJobGPUs
 	sumGPUJobCore int
 	sumGPUJobGPUs int
 	sumLargeGPUs  int // GPUs demanded by jobs with >= LargeJobGPUs GPUs
@@ -125,17 +115,9 @@ func (l *Log) Add(rec Record) error {
 		l.gpuJobCount++
 		l.sumGPUJobCore += rec.CPUCores
 		l.sumGPUJobGPUs += rec.GPUs
-		if rec.GPUs > l.maxJobGPUs {
-			l.maxJobGPUs = rec.GPUs
-		}
 		if rec.GPUs >= LargeJobGPUs {
 			l.sumLargeGPUs += rec.GPUs
-			if rec.GPUs > l.largeJobGPUs {
-				l.largeJobGPUs = rec.GPUs
-			}
 		}
-	} else {
-		l.cpuJobCount++
 	}
 	return nil
 }
@@ -168,16 +150,8 @@ func (l *Log) LargestCoresPerGPUAnyCategory(t job.TenantID) (perGPU float64, ok 
 
 // Stats summarizes the log for the multi-array scheduler's resource split.
 type Stats struct {
-	// GPUJobs and CPUJobs count recorded completions.
-	GPUJobs, CPUJobs int
-	// MaxJobGPUs is the largest GPU request seen.
-	MaxJobGPUs int
-	// MaxLargeJobGPUs is the largest GPU request among >=4-GPU jobs; the
-	// paper designates it the 4-GPU sub-array's initial size (§V-C).
-	MaxLargeJobGPUs int
-	// MeanGPUJobCores is the average tuned core count of training jobs,
-	// which sizes the CPU reservation of the GPU resource array.
-	MeanGPUJobCores float64
+	// GPUJobs counts recorded training-job completions.
+	GPUJobs int
 	// MeanCoresPerGPU is the average tuned per-node core count divided by
 	// the per-job GPU count — the per-GPU CPU demand that sizes the GPU
 	// array's per-node reserve.
@@ -191,15 +165,7 @@ type Stats struct {
 func (l *Log) Stats() Stats {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	s := Stats{
-		GPUJobs:         l.gpuJobCount,
-		CPUJobs:         l.cpuJobCount,
-		MaxJobGPUs:      l.maxJobGPUs,
-		MaxLargeJobGPUs: l.largeJobGPUs,
-	}
-	if l.gpuJobCount > 0 {
-		s.MeanGPUJobCores = float64(l.sumGPUJobCore) / float64(l.gpuJobCount)
-	}
+	s := Stats{GPUJobs: l.gpuJobCount}
 	if l.sumGPUJobGPUs > 0 {
 		s.MeanCoresPerGPU = float64(l.sumGPUJobCore) / float64(l.sumGPUJobGPUs)
 		s.LargeGPUShare = float64(l.sumLargeGPUs) / float64(l.sumGPUJobGPUs)

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"github.com/coda-repro/coda/internal/job"
 )
@@ -15,10 +14,8 @@ func gpuRecord(id job.ID, tenant job.TenantID, cat job.Category, cores, gpus int
 		Tenant:   tenant,
 		Kind:     job.KindGPUTraining,
 		Category: cat,
-		Model:    "resnet50",
 		CPUCores: cores,
 		GPUs:     gpus,
-		RunTime:  time.Hour,
 	}
 }
 
@@ -92,7 +89,7 @@ func TestCPUJobsDoNotSeedNstart(t *testing.T) {
 		t.Error("CPU job should not contribute to training-job history")
 	}
 	s := l.Stats()
-	if s.CPUJobs != 1 || s.GPUJobs != 0 {
+	if s != (Stats{}) {
 		t.Errorf("Stats = %+v", s)
 	}
 }
@@ -112,17 +109,15 @@ func TestStats(t *testing.T) {
 		}
 	}
 	s := l.Stats()
-	if s.GPUJobs != 3 || s.CPUJobs != 2 {
-		t.Errorf("counts = %d gpu, %d cpu", s.GPUJobs, s.CPUJobs)
+	if s.GPUJobs != 3 {
+		t.Errorf("GPUJobs = %d, want 3", s.GPUJobs)
 	}
-	if s.MaxJobGPUs != 8 {
-		t.Errorf("MaxJobGPUs = %d, want 8", s.MaxJobGPUs)
+	// 12 tuned cores over 13 GPUs, 12 of them held by >= 4-GPU jobs.
+	if want := 12.0 / 13; s.MeanCoresPerGPU != want {
+		t.Errorf("MeanCoresPerGPU = %g, want %g", s.MeanCoresPerGPU, want)
 	}
-	if s.MaxLargeJobGPUs != 8 {
-		t.Errorf("MaxLargeJobGPUs = %d, want 8", s.MaxLargeJobGPUs)
-	}
-	if want := (2.0 + 4 + 6) / 3; s.MeanGPUJobCores != want {
-		t.Errorf("MeanGPUJobCores = %g, want %g", s.MeanGPUJobCores, want)
+	if want := 12.0 / 13; s.LargeGPUShare != want {
+		t.Errorf("LargeGPUShare = %g, want %g", s.LargeGPUShare, want)
 	}
 }
 

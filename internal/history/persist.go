@@ -15,14 +15,12 @@ import (
 
 // snapshot is the serialized form of the log's aggregates. Per-job records
 // are folded into aggregates at Add time, so persistence is O(tenants),
-// not O(jobs).
+// not O(jobs). Older snapshots also carry "cpuJobCount", "maxJobGPUs" and
+// "largeJobGPUs" counters that no statistic reads; decoding ignores them.
 type snapshot struct {
 	ByOwnerCategory []ownerCategoryEntry `json:"byOwnerCategory"`
 	ByOwner         []ownerEntry         `json:"byOwner"`
 	GPUJobCount     int                  `json:"gpuJobCount"`
-	CPUJobCount     int                  `json:"cpuJobCount"`
-	MaxJobGPUs      int                  `json:"maxJobGPUs"`
-	LargeJobGPUs    int                  `json:"largeJobGPUs"`
 	SumGPUJobCore   int                  `json:"sumGPUJobCore"`
 	SumGPUJobGPUs   int                  `json:"sumGPUJobGPUs"`
 	SumLargeGPUs    int                  `json:"sumLargeGPUs"`
@@ -51,9 +49,6 @@ func (l *Log) Save(w io.Writer) error {
 	defer l.mu.RUnlock()
 	snap := snapshot{
 		GPUJobCount:   l.gpuJobCount,
-		CPUJobCount:   l.cpuJobCount,
-		MaxJobGPUs:    l.maxJobGPUs,
-		LargeJobGPUs:  l.largeJobGPUs,
 		SumGPUJobCore: l.sumGPUJobCore,
 		SumGPUJobGPUs: l.sumGPUJobGPUs,
 		SumLargeGPUs:  l.sumLargeGPUs,
@@ -115,14 +110,11 @@ func Load(r io.Reader) (*Log, error) {
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("history: decode: %w", err)
 	}
-	if snap.GPUJobCount < 0 || snap.CPUJobCount < 0 || snap.SumGPUJobCore < 0 {
+	if snap.GPUJobCount < 0 || snap.SumGPUJobCore < 0 {
 		return nil, fmt.Errorf("history: corrupt snapshot (negative counters)")
 	}
 	l := NewLog()
 	l.gpuJobCount = snap.GPUJobCount
-	l.cpuJobCount = snap.CPUJobCount
-	l.maxJobGPUs = snap.MaxJobGPUs
-	l.largeJobGPUs = snap.LargeJobGPUs
 	l.sumGPUJobCore = snap.SumGPUJobCore
 	l.sumGPUJobGPUs = snap.SumGPUJobGPUs
 	l.sumLargeGPUs = snap.SumLargeGPUs

@@ -113,13 +113,19 @@ func TestLoadRejectsCorruptInput(t *testing.T) {
 }
 
 // TestLoadLegacyMaxCoresSnapshot loads a snapshot saved while entries still
-// carried the raw largest core count ("maxCores"). The key is ignored, and
-// every Nstart and Stats answer matches a log built from the records that
+// carried the raw largest core count ("maxCores") and the log still kept
+// CPU-job and largest-request counters. Those keys are ignored, and every
+// Nstart and Stats answer matches a log built from the records that
 // snapshot was saved from.
 func TestLoadLegacyMaxCoresSnapshot(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "legacy-maxcores.json"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, key := range []string{`"maxCores":`, `"cpuJobCount":`, `"maxJobGPUs":`, `"largeJobGPUs":`} {
+		if !bytes.Contains(data, []byte(key)) {
+			t.Fatalf("fixture no longer carries %s; it must stay as the older build wrote it", key)
+		}
 	}
 	got, err := Load(bytes.NewReader(data))
 	if err != nil {
@@ -127,10 +133,10 @@ func TestLoadLegacyMaxCoresSnapshot(t *testing.T) {
 	}
 	want := NewLog()
 	for _, r := range []Record{
-		{JobID: 1, Tenant: 1, Kind: job.KindGPUTraining, Category: job.CategoryCV, Model: "resnet50", CPUCores: 6, GPUs: 2, Nodes: 1},
-		{JobID: 2, Tenant: 1, Kind: job.KindGPUTraining, Category: job.CategoryNLP, Model: "transformer", CPUCores: 9, GPUs: 4, Nodes: 1},
-		{JobID: 3, Tenant: 2, Kind: job.KindGPUTraining, Category: job.CategoryCV, Model: "vgg16", CPUCores: 5, GPUs: 1, Nodes: 1},
-		{JobID: 4, Tenant: 2, Kind: job.KindGPUTraining, Category: job.CategorySpeech, Model: "deepspeech", CPUCores: 2, GPUs: 8, Nodes: 2},
+		{JobID: 1, Tenant: 1, Kind: job.KindGPUTraining, Category: job.CategoryCV, CPUCores: 6, GPUs: 2, Nodes: 1},
+		{JobID: 2, Tenant: 1, Kind: job.KindGPUTraining, Category: job.CategoryNLP, CPUCores: 9, GPUs: 4, Nodes: 1},
+		{JobID: 3, Tenant: 2, Kind: job.KindGPUTraining, Category: job.CategoryCV, CPUCores: 5, GPUs: 1, Nodes: 1},
+		{JobID: 4, Tenant: 2, Kind: job.KindGPUTraining, Category: job.CategorySpeech, CPUCores: 2, GPUs: 8, Nodes: 2},
 		{JobID: 5, Tenant: 3, Kind: job.KindCPU, CPUCores: 4},
 	} {
 		if err := want.Add(r); err != nil {

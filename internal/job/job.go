@@ -73,41 +73,6 @@ func (c Category) String() string {
 	}
 }
 
-// State is the lifecycle state of a job.
-type State int
-
-const (
-	// StatePending means the job is queued, waiting for resources.
-	StatePending State = iota + 1
-	// StateProfiling means CODA's allocator is running profiling steps on it.
-	StateProfiling
-	// StateRunning means the job holds resources and is making progress.
-	StateRunning
-	// StateCompleted means the job finished all its work.
-	StateCompleted
-	// StatePreempted means a CPU job was aborted to return preempted cores
-	// and re-entered the array head (§V-C); it will be rescheduled.
-	StatePreempted
-)
-
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case StatePending:
-		return "pending"
-	case StateProfiling:
-		return "profiling"
-	case StateRunning:
-		return "running"
-	case StateCompleted:
-		return "completed"
-	case StatePreempted:
-		return "preempted"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
 // ID identifies a job uniquely within one trace.
 type ID int64
 
@@ -244,8 +209,7 @@ func (j *Job) Validate() error {
 func (j *Job) IsGPU() bool { return j.Kind == KindGPUTraining }
 
 // Allocation records the resources a running job actually holds. CPUCores
-// may differ from the request once CODA's allocator slims or widens it, and
-// Throttled marks CPU jobs currently restrained by the eliminator.
+// may differ from the request once CODA's allocator slims or widens it.
 type Allocation struct {
 	// NodeIDs are the nodes hosting the job, one entry per node spanned.
 	NodeIDs []int
@@ -253,13 +217,6 @@ type Allocation struct {
 	CPUCores int
 	// GPUs is the per-node GPU count actually held.
 	GPUs int
-	// BandwidthCap is the per-node memory-bandwidth cap in GB/s applied by
-	// the contention eliminator via MBA; 0 means uncapped.
-	BandwidthCap float64
-	// Preemptible marks allocations (CPU jobs running on cores borrowed
-	// from the GPU resource array, or vice versa) that the owner array may
-	// reclaim (§V-C).
-	Preemptible bool
 }
 
 // Clone returns a deep copy of the allocation.

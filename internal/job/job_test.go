@@ -76,22 +76,6 @@ func TestCategoryString(t *testing.T) {
 	}
 }
 
-func TestStateString(t *testing.T) {
-	states := map[State]string{
-		StatePending:   "pending",
-		StateProfiling: "profiling",
-		StateRunning:   "running",
-		StateCompleted: "completed",
-		StatePreempted: "preempted",
-		State(77):      "state(77)",
-	}
-	for s, want := range states {
-		if got := s.String(); got != want {
-			t.Errorf("State(%d).String() = %q, want %q", int(s), got, want)
-		}
-	}
-}
-
 func TestRequestValidate(t *testing.T) {
 	tests := []struct {
 		name    string

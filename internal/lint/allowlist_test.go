@@ -24,7 +24,7 @@ func TestProductionGoroutinePolicy(t *testing.T) {
 		filepath.Join(root, "internal", "core"),
 		filepath.Join(root, "internal", "runner"),
 	}
-	m, err := LoadDirs(root, "example.com/prod", dirs)
+	m, err := loadFixture(root, "example.com/prod", dirs)
 	if err != nil {
 		t.Fatal(err)
 	}

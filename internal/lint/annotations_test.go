@@ -39,7 +39,7 @@ func TestBadAnnotations(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(fixtureRoot, "internal", "badann")
-	m, err := LoadDirs(fixtureRoot, "example.com/m", []string{dir})
+	m, err := loadFixture(fixtureRoot, "example.com/m", []string{dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestAnnotationWhitespaceReason(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "ws.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadDirs(root, "example.com/ws", []string{dir})
+	m, err := loadFixture(root, "example.com/ws", []string{dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestValidAnnotationStaysValid(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "ok.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadDirs(root, "example.com/ok", []string{dir})
+	m, err := loadFixture(root, "example.com/ok", []string{dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func (a *Accountant) RestoreCheckpoint(st acctState) {
 		if err := os.WriteFile(filepath.Join(dir, "acct.go"), []byte(code), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m, err := LoadDirs(root, "example.com/acct", []string{dir})
+		m, err := loadFixture(root, "example.com/acct", []string{dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func (x *Box) RestoreCheckpoint(st boxState) { x.a, x.b = st.A, st.B }
 	if err := os.WriteFile(filepath.Join(dir, "pos.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadDirs(root, "example.com/pos", []string{dir})
+	m, err := loadFixture(root, "example.com/pos", []string{dir})
 	if err != nil {
 		t.Fatal(err)
 	}

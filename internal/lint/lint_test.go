@@ -3,6 +3,7 @@ package lint
 import (
 	"bufio"
 	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,6 +11,21 @@ import (
 	"strings"
 	"testing"
 )
+
+// loadFixture builds a Module from an explicit directory set, assigning
+// each directory the import path modPath + "/" + its path relative to root,
+// so the fixture tests lint testdata packages under a fake module.
+func loadFixture(root, modPath string, dirs []string) (*Module, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
+	m := &Module{Path: modPath, Root: root, Fset: token.NewFileSet()}
+	if err := m.loadDirs(dirs); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
 
 // fixtureConfig puts the whole fixture tree in every rule's scope, with
 // internal/allowed on the goroutine allowlist.
@@ -73,7 +89,7 @@ func TestFixtures(t *testing.T) {
 		filepath.Join(fixtureRoot, "internal", "allowed"),
 		filepath.Join(fixtureRoot, "internal", "fixture"),
 	}
-	m, err := LoadDirs(fixtureRoot, "example.com/m", dirs)
+	m, err := loadFixture(fixtureRoot, "example.com/m", dirs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +157,7 @@ func TestFindingsSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadDirs(fixtureRoot, "example.com/m", []string{
+	m, err := loadFixture(fixtureRoot, "example.com/m", []string{
 		filepath.Join(fixtureRoot, "internal", "api"),
 		filepath.Join(fixtureRoot, "internal", "allowed"),
 		filepath.Join(fixtureRoot, "internal", "fixture"),

@@ -19,8 +19,6 @@ type Package struct {
 	// RelPath is the package path relative to the module root, e.g.
 	// "internal/core" or "cmd/coda-sim".
 	RelPath string
-	// Dir is the absolute directory the files came from.
-	Dir string
 	// Files are the parsed non-test sources.
 	Files []*ast.File
 	// Info carries the type-checker's expression and identifier facts.
@@ -147,21 +145,6 @@ func LoadModule(root string, trees []string) (*Module, error) {
 	return m, nil
 }
 
-// LoadDirs builds a Module from an explicit directory set, assigning each
-// directory the import path modPath + "/" + its path relative to root.
-// Used by the fixture tests to lint testdata packages under a fake module.
-func LoadDirs(root, modPath string, dirs []string) (*Module, error) {
-	root, err := filepath.Abs(root)
-	if err != nil {
-		return nil, err
-	}
-	m := &Module{Path: modPath, Root: root, Fset: token.NewFileSet()}
-	if err := m.loadDirs(dirs); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // ResolvePatterns resolves package patterns ("./...", "./internal/sim",
 // "internal/sched/...") relative to dir into absolute directory prefixes
 // for FilterToDirs. With no arguments or a bare "./..." it returns nil,
@@ -208,7 +191,6 @@ func FilterToDirs(findings []Finding, prefixes []string) []Finding {
 // rawPkg is a parsed-but-unchecked package.
 type rawPkg struct {
 	relPath string
-	dir     string
 	files   []*ast.File
 	imports map[string]bool
 }
@@ -225,7 +207,7 @@ func (m *Module) loadDirs(dirs []string) error {
 			return err
 		}
 		rel = filepath.ToSlash(rel)
-		rp := &rawPkg{relPath: rel, dir: dir, imports: make(map[string]bool)}
+		rp := &rawPkg{relPath: rel, imports: make(map[string]bool)}
 		ents, err := os.ReadDir(dir)
 		if err != nil {
 			return err
@@ -365,7 +347,6 @@ func (m *Module) check(path string, rp *rawPkg, imp types.Importer) (*Package, e
 	}
 	return &Package{
 		RelPath: rp.relPath,
-		Dir:     rp.dir,
 		Files:   rp.files,
 		Info:    info,
 		Types:   tpkg,

@@ -19,7 +19,7 @@ func vetFixture(t *testing.T, name, modPath string, pkgs ...string) (*Module, []
 	for _, p := range pkgs {
 		dirs = append(dirs, filepath.Join(root, filepath.FromSlash(p)))
 	}
-	m, err := LoadDirs(root, modPath, dirs)
+	m, err := loadFixture(root, modPath, dirs)
 	if err != nil {
 		t.Fatal(err)
 	}

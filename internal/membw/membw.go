@@ -211,48 +211,26 @@ func (m *Meter) CheckInvariants() error {
 // Utilization returns Total/Capacity in [0, +inf).
 func (m *Meter) Utilization() float64 { return m.Total() / m.capacity }
 
-// Pressure returns the bandwidth-contention pressure in [0, 1]: 0 when the
-// node is at or under capacity, approaching 1 as demand exceeds capacity.
-// The perfmodel package converts pressure into per-model slowdowns.
-func (m *Meter) Pressure() float64 {
-	total := m.Total()
-	if total <= m.capacity {
-		return 0
-	}
-	return 1 - m.capacity/total
-}
-
-// JobUsage describes one job's bandwidth record for reporting.
+// JobUsage is one job's bandwidth usage as the eliminator ranks it.
 type JobUsage struct {
 	// ID is the job.
 	ID job.ID
-	// DemandGBs is the unthrottled demand.
-	DemandGBs float64
 	// EffectiveGBs is the post-throttle usage.
 	EffectiveGBs float64
-	// CapGBs is the active MBA cap (0 when uncapped).
-	CapGBs float64
 	// CPUJob marks throttle eligibility.
 	CPUJob bool
 }
 
-// Jobs returns all tracked jobs ordered by descending effective bandwidth
-// (ties broken by ID) — the order the eliminator throttles in.
-func (m *Meter) Jobs() []JobUsage {
-	return m.AppendJobs(nil)
-}
-
-// AppendJobs appends the tracked jobs to buf in the same order Jobs uses,
-// letting hot callers (the per-event invariant check) reuse a scratch slice.
+// AppendJobs appends the tracked jobs to buf ordered by descending effective
+// bandwidth (ties broken by ID), the order the eliminator throttles in.
+// Callers reuse buf as a scratch slice.
 func (m *Meter) AppendJobs(buf []JobUsage) []JobUsage {
 	out := buf
 	for _, id := range m.ids {
 		u := m.jobs[id]
 		out = append(out, JobUsage{
 			ID:           id,
-			DemandGBs:    u.demand,
 			EffectiveGBs: u.effective(),
-			CapGBs:       u.cap,
 			CPUJob:       u.cpuJob,
 		})
 	}
@@ -331,6 +309,3 @@ func (m *Monitor) Node(id int) (*Meter, error) {
 	}
 	return m.meters[id], nil
 }
-
-// Size returns the node count.
-func (m *Monitor) Size() int { return len(m.meters) }

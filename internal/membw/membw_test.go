@@ -207,10 +207,10 @@ func TestThrottleWithoutMBA(t *testing.T) {
 	}
 }
 
-func TestUtilizationAndPressure(t *testing.T) {
+func TestUtilization(t *testing.T) {
 	m := newTestMeter(t, true)
-	if got := m.Pressure(); got != 0 {
-		t.Errorf("empty Pressure = %g, want 0", got)
+	if got := m.Utilization(); got != 0 {
+		t.Errorf("empty Utilization = %g, want 0", got)
 	}
 	if err := m.Register(1, 50, true); err != nil {
 		t.Fatal(err)
@@ -218,15 +218,11 @@ func TestUtilizationAndPressure(t *testing.T) {
 	if got := m.Utilization(); got != 0.5 {
 		t.Errorf("Utilization = %g, want 0.5", got)
 	}
-	if got := m.Pressure(); got != 0 {
-		t.Errorf("under-capacity Pressure = %g, want 0", got)
-	}
 	if err := m.Register(2, 150, true); err != nil {
 		t.Fatal(err)
 	}
-	// total 200 on capacity 100 -> pressure 1 - 100/200 = 0.5
-	if got := m.Pressure(); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Pressure = %g, want 0.5", got)
+	if got := m.Utilization(); got != 2 {
+		t.Errorf("over-capacity Utilization = %g, want 2", got)
 	}
 }
 
@@ -241,7 +237,7 @@ func TestJobsOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	jobs := m.Jobs()
+	jobs := m.AppendJobs(nil)
 	wantOrder := []job.ID{2, 3, 4, 1} // 40 (id 2), 40 (id 3), 25, 10
 	if len(jobs) != len(wantOrder) {
 		t.Fatalf("Jobs len = %d, want %d", len(jobs), len(wantOrder))
@@ -268,8 +264,8 @@ func TestMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mon.Size() != 3 {
-		t.Errorf("Size = %d, want 3", mon.Size())
+	if len(mon.meters) != 3 {
+		t.Errorf("monitor has %d meters, want 3", len(mon.meters))
 	}
 	if _, err := mon.Node(3); err == nil {
 		t.Error("Node(3) should fail")

@@ -40,12 +40,11 @@ func (s *Series) UnmarshalJSON(data []byte) error {
 type cdfJSON struct {
 	Samples []time.Duration `json:"samples"`
 	Sorted  bool            `json:"sorted"`
-	// Sketch mode: sparse non-empty buckets, total count and the float64
-	// nanosecond sum (which encoding/json round-trips exactly).
+	// Sketch mode: sparse non-empty buckets and the total count. Older
+	// encodings also carry a "sumNs" nanosecond sum; decoding ignores it.
 	Sketch  bool             `json:"sketch,omitempty"`
 	Buckets []sketchEntryRaw `json:"buckets,omitempty"`
 	Count   int64            `json:"count,omitempty"`
-	SumNs   float64          `json:"sumNs,omitempty"`
 }
 
 type sketchEntryRaw struct {
@@ -62,7 +61,6 @@ func (c *CDF) MarshalJSON() ([]byte, error) {
 	if c.sketch {
 		raw.Sketch = true
 		raw.Count = c.count
-		raw.SumNs = c.sumNs
 		for i, n := range c.buckets {
 			if n != 0 {
 				raw.Buckets = append(raw.Buckets, sketchEntryRaw{Idx: i, N: n})
@@ -83,7 +81,6 @@ func (c *CDF) UnmarshalJSON(data []byte) error {
 	c.sketch = raw.Sketch
 	c.buckets = nil
 	c.count = 0
-	c.sumNs = 0
 	if !raw.Sketch {
 		if len(raw.Buckets) != 0 || raw.Count != 0 {
 			return fmt.Errorf("metrics: cdf carries sketch state without the sketch flag")
@@ -115,7 +112,6 @@ func (c *CDF) UnmarshalJSON(data []byte) error {
 		}
 	}
 	c.count = raw.Count
-	c.sumNs = raw.SumNs
 	return nil
 }
 

@@ -22,7 +22,6 @@ func (c *CDF) Merge(o *CDF) {
 				c.buckets[i] += n
 			}
 			c.count += o.count
-			c.sumNs += o.sumNs
 			return
 		}
 		for _, d := range o.samples {

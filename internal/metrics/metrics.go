@@ -63,28 +63,6 @@ func (s *Series) Mean() float64 {
 	return sum / float64(len(s.values))
 }
 
-// Max returns the maximum value (0 for an empty series).
-func (s *Series) Max() float64 {
-	max := 0.0
-	for i, v := range s.values {
-		if i == 0 || v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Min returns the minimum value (0 for an empty series).
-func (s *Series) Min() float64 {
-	min := 0.0
-	for i, v := range s.values {
-		if i == 0 || v < min {
-			min = v
-		}
-	}
-	return min
-}
-
 // Values returns a copy of the values.
 func (s *Series) Values() []float64 {
 	return append([]float64(nil), s.values...)
@@ -133,12 +111,10 @@ func (s *Series) Downsample(width time.Duration) (*Series, error) {
 type CDF struct {
 	samples []time.Duration
 	sorted  bool
-	// Sketch mode (see sketch.go): fixed log-spaced buckets plus count and
-	// a float64 nanosecond sum for the mean.
+	// Sketch mode (see sketch.go): fixed log-spaced buckets plus count.
 	sketch  bool
 	buckets []int64
 	count   int64
-	sumNs   float64
 }
 
 // Add appends a sample.
@@ -229,24 +205,6 @@ func (c *CDF) Percentile(p float64) time.Duration {
 	return c.samples[rank-1]
 }
 
-// Mean returns the arithmetic mean sample.
-func (c *CDF) Mean() time.Duration {
-	if c.sketch {
-		if c.count == 0 {
-			return 0
-		}
-		return time.Duration(c.sumNs / float64(c.count))
-	}
-	if len(c.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range c.samples {
-		sum += d
-	}
-	return sum / time.Duration(len(c.samples))
-}
-
 // Points returns (duration, cumulative fraction) pairs suitable for
 // plotting the CDF at each distinct sample value (each non-empty bucket in
 // sketch mode).
@@ -279,7 +237,8 @@ type CDFPoint struct {
 
 // IntHistogram counts integer-valued observations into caller-defined
 // bucket edges. A value v falls into bucket i when edges[i] <= v < edges[i+1];
-// values below edges[0] or at/above edges[len-1] count toward Total only.
+// values below edges[0] or at/above edges[len-1] count only toward the
+// total that bucket fractions divide by.
 type IntHistogram struct {
 	edges  []int
 	counts []int // len(edges)-1 interior buckets
@@ -311,9 +270,6 @@ func (h *IntHistogram) Add(v int) {
 	idx := sort.SearchInts(h.edges, v+1) - 1
 	h.counts[idx]++
 }
-
-// Total returns the observation count.
-func (h *IntHistogram) Total() int { return h.total }
 
 // Bucket returns the count and fraction of bucket i (interior buckets only).
 func (h *IntHistogram) Bucket(i int) (count int, fraction float64, err error) {

@@ -52,7 +52,7 @@ func sketchValue(idx int) time.Duration {
 
 // UseSketch switches the CDF to sketch mode, folding any already-collected
 // samples into buckets. Queries keep working (Percentile, FractionAtMost,
-// Mean, Points) at bucket resolution; per-sample order is forgotten, so a
+// Points) at bucket resolution; per-sample order is forgotten, so a
 // sketched CDF is not byte-comparable to an exact one.
 func (c *CDF) UseSketch() {
 	if c.sketch {
@@ -66,9 +66,6 @@ func (c *CDF) UseSketch() {
 	c.sorted = false
 }
 
-// Sketch reports whether the CDF stores buckets instead of raw samples.
-func (c *CDF) Sketch() bool { return c.sketch }
-
 func (c *CDF) addSketch(d time.Duration) {
 	idx := sketchBucket(d)
 	if idx >= len(c.buckets) {
@@ -78,9 +75,6 @@ func (c *CDF) addSketch(d time.Duration) {
 	}
 	c.buckets[idx]++
 	c.count++
-	// float64 accumulation: int64 nanosecond sums overflow at ~292 years of
-	// queueing time, which 25M jobs × hours of queueing can reach.
-	c.sumNs += float64(d)
 }
 
 func (c *CDF) sketchFractionAtMost(d time.Duration) float64 {

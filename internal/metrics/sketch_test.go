@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -78,11 +79,6 @@ func TestSketchQueriesTrackExact(t *testing.T) {
 			t.Errorf("p%g: sketch %v more than 12.5%% below exact %v", p, s, e)
 		}
 	}
-	if em, sm := exact.Mean(), sk.Mean(); sm != em {
-		// The sketch sums true values, not representatives: means agree to
-		// float64 accumulation order, i.e. exactly here.
-		t.Errorf("mean: sketch %v, exact %v", sm, em)
-	}
 	for _, d := range []time.Duration{0, time.Millisecond, time.Second, time.Hour} {
 		ef, sf := exact.FractionAtMost(d), sk.FractionAtMost(d)
 		if sf < ef {
@@ -99,7 +95,7 @@ func TestUseSketchFoldsExistingSamples(t *testing.T) {
 		born.Add(d)
 	}
 	folded.UseSketch()
-	if !folded.Sketch() {
+	if !folded.sketch {
 		t.Fatal("UseSketch did not switch modes")
 	}
 	if folded.Len() != born.Len() {
@@ -127,15 +123,15 @@ func TestSketchMergeUpgrades(t *testing.T) {
 	// exact.Merge(sketch) upgrades the receiver.
 	a := mk(false, time.Second, time.Minute)
 	a.Merge(mk(true, time.Hour))
-	if !a.Sketch() || a.Len() != 3 {
-		t.Fatalf("exact+sketch merge: sketch=%v len=%d, want sketch len 3", a.Sketch(), a.Len())
+	if !a.sketch || a.Len() != 3 {
+		t.Fatalf("exact+sketch merge: sketch=%v len=%d, want sketch len 3", a.sketch, a.Len())
 	}
 
 	// sketch.Merge(exact) buckets the samples.
 	b := mk(true, time.Second)
 	b.Merge(mk(false, time.Minute, time.Hour))
-	if !b.Sketch() || b.Len() != 3 {
-		t.Fatalf("sketch+exact merge: sketch=%v len=%d, want sketch len 3", b.Sketch(), b.Len())
+	if !b.sketch || b.Len() != 3 {
+		t.Fatalf("sketch+exact merge: sketch=%v len=%d, want sketch len 3", b.sketch, b.Len())
 	}
 
 	// sketch.Merge(sketch) adds buckets; order of merging must not matter.
@@ -151,7 +147,7 @@ func TestSketchMergeUpgrades(t *testing.T) {
 	// exact.Merge(exact) must stay exact.
 	d := mk(false, time.Second)
 	d.Merge(mk(false, time.Minute))
-	if d.Sketch() {
+	if d.sketch {
 		t.Fatal("exact+exact merge produced a sketch")
 	}
 }
@@ -170,16 +166,16 @@ func TestSketchJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !back.Sketch() || back.Len() != c.Len() {
-		t.Fatalf("round trip: sketch=%v len=%d, want sketch len %d", back.Sketch(), back.Len(), c.Len())
+	if !back.sketch || back.Len() != c.Len() {
+		t.Fatalf("round trip: sketch=%v len=%d, want sketch len %d", back.sketch, back.Len(), c.Len())
 	}
 	for _, p := range []float64{50, 99} {
 		if b, w := back.Percentile(p), c.Percentile(p); b != w {
 			t.Errorf("p%g changed across round trip: %v vs %v", p, b, w)
 		}
 	}
-	if b, w := back.Mean(), c.Mean(); b != w {
-		t.Errorf("mean changed across round trip: %v vs %v", b, w)
+	if !slices.Equal(back.buckets, c.buckets) {
+		t.Errorf("buckets changed across round trip: %v vs %v", back.buckets, c.buckets)
 	}
 }
 

@@ -67,10 +67,6 @@ func (m *Matrix) Names() []string {
 	return names
 }
 
-// Spec returns a deep copy of cell i, for callers that want to run or
-// inspect a single cell outside the pool.
-func (m *Matrix) Spec(i int) sim.RunSpec { return m.specs[i].Clone() }
-
 // Options configures matrix execution.
 type Options struct {
 	// Parallel is the worker-pool width. Zero or negative means

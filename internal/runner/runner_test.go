@@ -258,17 +258,27 @@ func TestRunEmptyMatrix(t *testing.T) {
 // template after Add (options, fault plan, trace config) cannot perturb
 // the cell.
 func TestMatrixAddIsolates(t *testing.T) {
-	template := codaSpec(t)
-	m := &runner.Matrix{}
-	m.Add(template)
-
-	template.Options.Seed = 999
-	template.Trace.Seed = 999
-	got := m.Spec(0)
-	if got.Options.Seed == 999 {
-		t.Error("cell shares Options with the template")
+	want, err := codaSpec(t).Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Trace.Seed == 999 {
-		t.Error("cell shares the trace config with the template")
+	for _, tc := range []struct {
+		shared string
+		mutate func(*sim.RunSpec)
+	}{
+		{"Options", func(sp *sim.RunSpec) { sp.Options.Seed = 999 }},
+		{"the trace config", func(sp *sim.RunSpec) { sp.Trace.Seed = 999 }},
+	} {
+		template := codaSpec(t)
+		m := &runner.Matrix{}
+		m.Add(template)
+		tc.mutate(&template)
+		got, err := runner.Run(context.Background(), m, runner.Options{Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, g := sim.DumpResult(want), sim.DumpResult(got[0]); g != w {
+			t.Errorf("cell shares %s with the template: %s", tc.shared, sim.FirstDiff(w, g))
+		}
 	}
 }

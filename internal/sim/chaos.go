@@ -137,7 +137,6 @@ func (s *Simulator) killJob(r *runningJob) {
 	if lost < 0 {
 		lost = 0
 	}
-	remaining := r.remaining
 	s.stopJob(r)
 	s.results.noteKill(id, lost)
 	s.scheduler.OnJobKilled(r.job)
@@ -146,7 +145,7 @@ func (s *Simulator) killJob(r *runningJob) {
 	if s.retries[id] > s.opts.Faults.Retries() {
 		s.terminalJobs++
 		delete(s.startedOnce, id)
-		s.results.noteTerminal(id, remaining)
+		s.results.noteTerminal(id)
 		return
 	}
 	// Retry from scratch: the attempt's progress is gone, so the clone

@@ -90,9 +90,6 @@ func TestRetryBudgetExhaustionIsTerminal(t *testing.T) {
 	if js.Completed {
 		t.Error("terminally failed job also marked completed")
 	}
-	if js.LostWork <= 0 {
-		t.Errorf("lost work = %v, want > 0", js.LostWork)
-	}
 }
 
 // TestDrainStopsPlacements: a drained node keeps running nothing new but

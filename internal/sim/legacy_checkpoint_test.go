@@ -95,26 +95,31 @@ func resumeLegacy(t *testing.T, file string, at time.Duration, fields []string,
 // TestResumeLegacyFIFOCheckpoint resumes a FIFO checkpoint taken at
 // virtual hour 4. The build that wrote it still had an Options.EventQueue
 // field (set to its since-deleted "calendar" queue) and a FIFO Window
-// field.
+// field, and serialized each allocation's bandwidth cap and each job's
+// lost work.
 func TestResumeLegacyFIFOCheckpoint(t *testing.T) {
 	resumeLegacy(t, "fifo-legacy.ckpt", 4*time.Hour,
-		[]string{`"EventQueue":"calendar"`, `"Window":0`}, "legacy-fifo", newLegacyFIFO)
+		[]string{`"EventQueue":"calendar"`, `"Window":0`, `"BandwidthCap":`, `"LostWork":`},
+		"legacy-fifo", newLegacyFIFO)
 }
 
 // TestResumeLegacyCODACheckpoint resumes a CODA checkpoint taken at
 // virtual hour 10, with jobs of several tenants queued in both arrays and
 // charges in both fair-share ledgers. The build that wrote it still
-// serialized each accountant's share weights.
+// serialized each accountant's share weights, each allocation's bandwidth
+// cap, each job's lost work, CODA's first-start times and eliminator
+// intervention count, and the history log's CPU-job counter.
 func TestResumeLegacyCODACheckpoint(t *testing.T) {
 	resumeLegacy(t, "coda-legacy.ckpt", 10*time.Hour,
-		[]string{`"Weights":[]`}, "legacy-coda", newLegacyCODA)
+		[]string{`"Weights":[]`, `"BandwidthCap":`, `"LostWork":`, `"Started":[`, `"Interventions":`, `cpuJobCount`},
+		"legacy-coda", newLegacyCODA)
 }
 
 // TestResumeLegacyDRFCheckpoint resumes a DRF checkpoint taken at virtual
 // hour 10, with jobs of several tenants queued and a non-empty fair-share
 // ledger. The build that wrote it still serialized the accountant's share
-// weights.
+// weights, each allocation's bandwidth cap and each job's lost work.
 func TestResumeLegacyDRFCheckpoint(t *testing.T) {
 	resumeLegacy(t, "drf-legacy.ckpt", 10*time.Hour,
-		[]string{`"Weights":[]`}, "legacy-drf", newLegacyDRF)
+		[]string{`"Weights":[]`, `"BandwidthCap":`, `"LostWork":`}, "legacy-drf", newLegacyDRF)
 }

@@ -29,10 +29,8 @@ type JobStats struct {
 	// Kills counts fault-induced aborts (node crashes, injected failures);
 	// Requeues counts post-backoff resubmissions.
 	Kills, Requeues int
-	// TerminallyFailed marks a job that exhausted its retry budget; LostWork
-	// is the work still outstanding when it was given up on.
+	// TerminallyFailed marks a job that exhausted its retry budget.
 	TerminallyFailed bool
-	LostWork         time.Duration
 	// Cancelled marks a job removed by an explicit control-plane cancel
 	// request (service mode only).
 	Cancelled bool
@@ -230,11 +228,10 @@ func (r *Result) noteCancel(id job.ID) {
 
 // noteTerminal records a job that exhausted its retry budget: it is
 // reported, never silently dropped.
-func (r *Result) noteTerminal(id job.ID, remaining time.Duration) {
+func (r *Result) noteTerminal(id job.ID) {
 	r.Faults.TerminalFailures++
 	if js, ok := r.Jobs[id]; ok {
 		js.TerminallyFailed = true
-		js.LostWork = remaining
 	}
 }
 
@@ -412,13 +409,11 @@ type Summary struct {
 	FragRate               float64
 	// GPUJobsDone / CPUJobsDone count completions.
 	GPUJobsDone, CPUJobsDone int
-	// MakeSpan is the total simulated time.
-	MakeSpan time.Duration
 }
 
 // Summarize computes the run's headline numbers.
 func (r *Result) Summarize() Summary {
-	sm := Summary{
+	return Summary{
 		Scheduler:     r.Scheduler,
 		GPUActiveRate: WindowMean(&r.GPUActive, r.LastArrival),
 		GPUUtil:       WindowMean(&r.GPUUtilSeries, r.LastArrival),
@@ -427,7 +422,5 @@ func (r *Result) Summarize() Summary {
 		FragRate:      WindowMean(&r.FragSeries, r.LastArrival),
 		GPUJobsDone:   r.GPUJobsDone,
 		CPUJobsDone:   r.CPUJobsDone,
-		MakeSpan:      r.EndTime,
 	}
-	return sm
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -211,12 +212,12 @@ func TestSeriesSampled(t *testing.T) {
 		t.Fatal("series not sampled")
 	}
 	// With one 1-GPU job on 16 GPUs, active rate is 1/16 while running.
-	if got := res.GPUActive.Max(); got < 1.0/16-1e-9 || got > 1.0/16+1e-9 {
-		t.Errorf("GPUActive.Max = %g, want 1/16", got)
+	if got := slices.Max(res.GPUActive.Values()); got < 1.0/16-1e-9 || got > 1.0/16+1e-9 {
+		t.Errorf("GPUActive max = %g, want 1/16", got)
 	}
 	// vgg16 at its optimum should show its peak utilization (~0.97).
-	if got := res.GPUUtilSeries.Max(); got < 0.9 {
-		t.Errorf("GPUUtilSeries.Max = %g, want ~0.97", got)
+	if got := slices.Max(res.GPUUtilSeries.Values()); got < 0.9 {
+		t.Errorf("GPUUtilSeries max = %g, want ~0.97", got)
 	}
 }
 
@@ -490,7 +491,7 @@ func TestFragmentationMetric(t *testing.T) {
 		gpuJob(2, time.Minute, "resnet50", 2, 1, time.Hour),
 	}
 	res := mustRun(t, opts, sched.NewFIFO(), jobs)
-	if res.FragSeries.Max() <= 0 {
+	if slices.Max(res.FragSeries.Values()) <= 0 {
 		t.Error("expected non-zero fragmentation while job 2 waits")
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"github.com/coda-repro/coda/internal/checkpoint"
 	"github.com/coda-repro/coda/internal/core"
 	"github.com/coda-repro/coda/internal/job"
+	"github.com/coda-repro/coda/internal/metrics"
 	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/trace"
 )
@@ -245,8 +247,14 @@ func TestCompactCDFs(t *testing.T) {
 	compact.CompactCDFs = true
 	sketched := runStreaming(t, compact, mk, cfg)
 
-	if !sketched.GPUQueue.Sketch() || !sketched.CPUQueue.Sketch() {
-		t.Fatal("compact run's queue CDFs are not sketches")
+	for _, c := range []*metrics.CDF{&sketched.GPUQueue, &sketched.CPUQueue} {
+		data, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), `"sketch":true`) {
+			t.Fatal("compact run's queue CDFs are not sketches")
+		}
 	}
 	if sketched.GPUQueue.Len() != exact.GPUQueue.Len() {
 		t.Errorf("sketch saw %d samples, exact %d", sketched.GPUQueue.Len(), exact.GPUQueue.Len())

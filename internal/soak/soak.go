@@ -116,15 +116,6 @@ var checkByName = func() map[CheckKind]checkInfo {
 	return m
 }()
 
-// CheckKinds lists every known check in canonical order.
-func CheckKinds() []CheckKind {
-	out := make([]CheckKind, len(checkTable))
-	for i, ci := range checkTable {
-		out[i] = ci.kind
-	}
-	return out
-}
-
 // Condition is one declarative pass/fail criterion: a check plus its
 // threshold. Conditions serialize as "check=threshold" (the CLI's
 // -conditions syntax) and round-trip through ParseCondition.

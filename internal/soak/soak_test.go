@@ -118,7 +118,8 @@ func TestParseCondition(t *testing.T) {
 }
 
 func TestConditionRoundTrip(t *testing.T) {
-	for _, k := range CheckKinds() {
+	for _, ci := range checkTable {
+		k := ci.kind
 		c := Condition{Check: k, Threshold: 0.5}
 		rt, err := ParseCondition(c.String())
 		if err != nil {

@@ -82,7 +82,7 @@ func checkArrivalAt(t *testing.T, a *arrivalSampler, ref *refSampler, frac float
 	t.Helper()
 	if got, want := a.at(frac), ref.at(frac); got != want {
 		t.Fatalf("amplitude %v, weekend %v, duration %v: at(%v) = %d, reference bisection %d",
-			a.amplitude, a.weekend, time.Duration(a.duration), frac, int64(got), int64(want))
+			ref.amplitude, a.weekend, time.Duration(a.duration), frac, int64(got), int64(want))
 	}
 }
 

@@ -108,17 +108,6 @@ func (e *Encoder) Encode(j *job.Job) error {
 // Flush writes any buffered output to the underlying writer.
 func (e *Encoder) Flush() error { return e.bw.Flush() }
 
-// Write serializes jobs as JSON lines.
-func Write(w io.Writer, jobs []*job.Job) error {
-	enc := NewEncoder(w)
-	for _, j := range jobs {
-		if err := enc.Encode(j); err != nil {
-			return err
-		}
-	}
-	return enc.Flush()
-}
-
 // Read parses a JSON-lines trace and validates every job.
 func Read(r io.Reader) ([]*job.Job, error) {
 	dec := json.NewDecoder(r)

@@ -37,8 +37,8 @@ func FuzzRead(f *testing.F) {
 			return // rejected input: the only requirement is "no panic"
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, jobs); err != nil {
-			t.Fatalf("Write rejected jobs Read accepted: %v", err)
+		if err := writeJobs(&buf, jobs); err != nil {
+			t.Fatalf("the encoder rejected jobs Read accepted: %v", err)
 		}
 		again, err := Read(&buf)
 		if err != nil {

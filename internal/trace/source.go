@@ -41,10 +41,9 @@ const invertIterations = 48
 // arrivalSampler inverts the diurnal arrival CDF: frac in [0,1) to a time in
 // [0, duration). Pure and stateless after construction.
 type arrivalSampler struct {
-	duration  float64 // ns
-	amplitude float64
-	weekend   float64
-	uniform   bool // amplitude 0 and weekend factor 1: identity mapping
+	duration float64 // ns
+	weekend  float64
+	uniform  bool // amplitude 0 and weekend factor 1: identity mapping
 	// cum[d] is the unnormalized arrival mass before day d; cum[len-1] is
 	// the total. dayLens[d] is day d's length in ns (only the last day of a
 	// non-whole-day duration is partial).
@@ -88,9 +87,8 @@ func (a *arrivalSampler) dayMass(x float64) float64 {
 
 func newArrivalSampler(duration time.Duration, amplitude, weekendFactor float64) *arrivalSampler {
 	a := &arrivalSampler{
-		duration:  float64(duration),
-		amplitude: amplitude,
-		weekend:   weekendFactor,
+		duration: float64(duration),
+		weekend:  weekendFactor,
 	}
 	//coda:ordered-ok fast-path gate on config constants, not computed floats
 	if amplitude == 0 && weekendFactor >= 1 {

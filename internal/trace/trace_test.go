@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -249,7 +250,7 @@ func TestRoundTripCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, jobs); err != nil {
+	if err := writeJobs(&buf, jobs); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(&buf)
@@ -300,7 +301,18 @@ func TestReadEmpty(t *testing.T) {
 func TestWriteRejectsUnknownKind(t *testing.T) {
 	j := &job.Job{ID: 1, Kind: job.Kind(99)}
 	var buf bytes.Buffer
-	if err := Write(&buf, []*job.Job{j}); err == nil {
-		t.Error("Write(unknown kind) should fail")
+	if err := NewEncoder(&buf).Encode(j); err == nil {
+		t.Error("Encode(unknown kind) should fail")
 	}
+}
+
+// writeJobs serializes jobs as JSON lines.
+func writeJobs(w io.Writer, jobs []*job.Job) error {
+	enc := NewEncoder(w)
+	for _, j := range jobs {
+		if err := enc.Encode(j); err != nil {
+			return err
+		}
+	}
+	return enc.Flush()
 }
