@@ -33,8 +33,11 @@ func run() error {
 			return err
 		}
 
+		// The allocator keeps a job's step count only while the job runs,
+		// so stop at 1 h: the job holds 2 h of work and settles in minutes.
 		opts := sim.DefaultOptions()
 		opts.Cluster.Nodes = 1
+		opts.MaxVirtualTime = time.Hour
 		coda, err := core.New(core.DefaultConfig(),
 			opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
 		if err != nil {

@@ -72,19 +72,20 @@ type Allocator struct {
 	resize  func(id job.ID, cores int) error
 	tuning  map[job.ID]*tuneState
 	settled map[job.ID]settleInfo
-	// steps keeps every job's profiling-step count permanently (Table II).
-	steps map[job.ID]int
 	// due is per-tick scratch reused across ticks.
 	due []job.ID
 }
 
-// settleInfo records a finished search (the eliminator compares live
-// utilization against Util to detect contention-induced drops).
+// settleInfo records a finished search while its job runs (the eliminator
+// compares live utilization against Util to detect contention-induced
+// drops).
 type settleInfo struct {
 	// Cores is the tuned core count; Util is the utilization measured at
-	// the moment the search settled.
+	// the moment the search settled; Steps is how many profiling steps the
+	// search used (Table II's first column).
 	Cores int
 	Util  float64
+	Steps int
 }
 
 // NewAllocator builds the allocator. resize is the scheduler's
@@ -108,7 +109,6 @@ func NewAllocator(cfg AllocatorConfig, log *history.Log, resize func(job.ID, int
 		resize:  resize,
 		tuning:  make(map[job.ID]*tuneState),
 		settled: make(map[job.ID]settleInfo),
-		steps:   make(map[job.ID]int),
 	}
 }
 
@@ -269,16 +269,15 @@ func (a *Allocator) settle(id job.ID, st *tuneState) {
 			st.curCores = st.bestCores
 		}
 	}
-	a.settled[id] = settleInfo{Cores: st.curCores, Util: st.bestUtil}
-	a.steps[id] = st.stepsUsed
+	a.settled[id] = settleInfo{Cores: st.curCores, Util: st.bestUtil, Steps: st.stepsUsed}
 	delete(a.tuning, id)
 }
 
-// ProfileSteps reports how many profiling steps a job's search used
-// (Table II); ok is false if the job never settled.
+// ProfileSteps reports how many profiling steps a running job's search
+// used (Table II); ok is false if the job has not settled or has left.
 func (a *Allocator) ProfileSteps(id job.ID) (int, bool) {
-	n, ok := a.steps[id]
-	return n, ok
+	info, ok := a.settled[id]
+	return info.Steps, ok
 }
 
 // advance runs one profiling-step transition of the search state machine:

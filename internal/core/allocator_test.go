@@ -191,9 +191,9 @@ func TestAllocatorCompletionLogsHistory(t *testing.T) {
 	if _, ok := a.settled[1]; ok {
 		t.Error("settled state leaked after completion")
 	}
-	// Steps remain queryable for Table II.
-	if _, ok := a.ProfileSteps(1); !ok {
-		t.Error("ProfileSteps lost after completion")
+	// The step count lives only while the job runs.
+	if _, ok := a.ProfileSteps(1); ok {
+		t.Error("ProfileSteps kept after completion")
 	}
 }
 

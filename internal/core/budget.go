@@ -110,9 +110,9 @@ func (b *nodeBudget) borrowers() []job.ID {
 	return ids
 }
 
-// chargeGPU books cores for a GPU job: reserve first, then shared.
-// availableOnly charges nothing and reports false when the pools cannot
-// cover the request.
+// chargeGPU books cores for a GPU job: reserve first, then shared. It
+// charges nothing and reports false when the pools cannot cover the
+// request.
 func (b *nodeBudget) chargeGPU(id job.ID, cores int) bool {
 	if _, ok := b.gpuDraws[id]; ok {
 		return false
@@ -127,15 +127,16 @@ func (b *nodeBudget) chargeGPU(id job.ID, cores int) bool {
 	return true
 }
 
-// chargeCPU books cores for a CPU job from the shared pool, borrowing from
-// the reserve only when allowBorrow is set.
-func (b *nodeBudget) chargeCPU(id job.ID, cores int, allowBorrow bool) bool {
+// chargeCPU books cores for a CPU job from the shared pool, borrowing the
+// rest from the reserve. It charges nothing and reports false when the
+// pools cannot cover the request.
+func (b *nodeBudget) chargeCPU(id job.ID, cores int) bool {
 	if _, ok := b.cpuDraws[id]; ok {
 		return false
 	}
 	s := min(cores, b.sharedFree())
 	rest := cores - s
-	if rest > 0 && (!allowBorrow || rest > b.reserveFree()) {
+	if rest > b.reserveFree() {
 		return false
 	}
 	d := draw{fromShared: s, fromReserve: rest}

@@ -71,18 +71,19 @@ func TestChargeGPUDuplicate(t *testing.T) {
 
 func TestChargeCPUBorrowing(t *testing.T) {
 	b := mustBudget(t, 10, 6) // 4 shared
-	if !b.chargeCPU(1, 3, false) {
+	if !b.chargeCPU(1, 3) {
 		t.Fatal("chargeCPU failed")
 	}
-	// 1 shared core left; 5 more requires borrowing.
-	if b.chargeCPU(2, 5, false) {
-		t.Error("chargeCPU without borrow should fail")
-	}
-	if !b.chargeCPU(2, 5, true) {
+	// 1 shared core left; 5 more borrows 4 from the reserve.
+	if !b.chargeCPU(2, 5) {
 		t.Fatal("chargeCPU with borrow failed")
 	}
 	if got := b.borrowedCores(); got != 4 {
 		t.Errorf("borrowedCores = %d, want 4", got)
+	}
+	// 2 reserve cores left: 3 more fit neither pool and charge nothing.
+	if b.chargeCPU(3, 3) {
+		t.Error("chargeCPU past both pools should fail")
 	}
 	borrowers := b.borrowers()
 	if len(borrowers) != 1 || borrowers[0] != 2 {
@@ -96,13 +97,13 @@ func TestChargeCPUBorrowing(t *testing.T) {
 func TestBorrowersOrdering(t *testing.T) {
 	b := mustBudget(t, 20, 15) // 5 shared
 	// Job 1 borrows 2, job 2 borrows 4 (both spill past shared).
-	if !b.chargeCPU(1, 5, true) { // 5 shared used... wait shared=5: all shared
+	if !b.chargeCPU(1, 5) { // 5 shared used... wait shared=5: all shared
 		t.Fatal("charge 1")
 	}
-	if !b.chargeCPU(2, 4, true) { // all borrowed
+	if !b.chargeCPU(2, 4) { // all borrowed
 		t.Fatal("charge 2")
 	}
-	if !b.chargeCPU(3, 2, true) {
+	if !b.chargeCPU(3, 2) {
 		t.Fatal("charge 3")
 	}
 	order := b.borrowers()
@@ -113,7 +114,7 @@ func TestBorrowersOrdering(t *testing.T) {
 
 func TestRelease(t *testing.T) {
 	b := mustBudget(t, 10, 5)
-	if !b.chargeGPU(1, 4) || !b.chargeCPU(2, 3, false) {
+	if !b.chargeGPU(1, 4) || !b.chargeCPU(2, 3) {
 		t.Fatal("setup failed")
 	}
 	b.release(1)
@@ -160,7 +161,7 @@ func TestResizeGPUJob(t *testing.T) {
 
 func TestResizeCPUJobReturnsReserveFirst(t *testing.T) {
 	b := mustBudget(t, 10, 6) // 4 shared
-	if !b.chargeCPU(1, 7, true) {
+	if !b.chargeCPU(1, 7) {
 		t.Fatal("charge failed") // 4 shared + 3 borrowed
 	}
 	if !b.resize(1, 4) {
@@ -214,7 +215,7 @@ func TestBudgetConservationProperty(t *testing.T) {
 					id++
 				}
 			case 1:
-				if b.chargeCPU(id, cores, op%2 == 0) {
+				if b.chargeCPU(id, cores) {
 					id++
 				}
 			case 2:
@@ -259,7 +260,7 @@ func TestRunningTotalMutationFailsInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := m.budgets[1]
-		if !b.chargeGPU(1, 6) || !b.chargeCPU(2, 20, true) {
+		if !b.chargeGPU(1, 6) || !b.chargeCPU(2, 20) {
 			t.Fatal("setup charges failed")
 		}
 		if err := m.CheckInvariants(); err != nil {

@@ -75,22 +75,14 @@ type settledState struct {
 	Info settleInfo
 }
 
-type stepsState struct {
-	Job   job.ID
-	Steps int
-}
-
 type allocatorState struct {
 	Tuning  []tuneStateSer
 	Settled []settledState
-	Steps   []stepsState
 }
 
 type interventionState struct {
-	Job        job.ID
-	CapGBs     float64
-	CoreHalved bool
-	OrigCores  int
+	Job       job.ID
+	OrigCores int
 }
 
 type eliminatorState struct {
@@ -98,14 +90,8 @@ type eliminatorState struct {
 	NextCheck time.Duration
 }
 
-type timeByJob struct {
-	Job job.ID
-	At  time.Duration
-}
-
 type schedulerState struct {
 	History json.RawMessage
-	Arrived []timeByJob
 	Done    int
 	Arrays  multiArrayState
 	Alloc   allocatorState
@@ -124,16 +110,6 @@ func sortedDraws(m map[job.ID]draw) []drawState {
 	return out
 }
 
-func sortedTimes(m map[job.ID]time.Duration) []timeByJob {
-	out := make([]timeByJob, 0, len(m))
-	//coda:ordered-ok entries are sorted below before serialization
-	for id, at := range m {
-		out = append(out, timeByJob{Job: id, At: at})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Job < out[j].Job })
-	return out
-}
-
 // CheckpointState implements sched.Checkpointer.
 func (s *Scheduler) CheckpointState() ([]byte, error) {
 	var hist bytes.Buffer
@@ -142,15 +118,14 @@ func (s *Scheduler) CheckpointState() ([]byte, error) {
 	}
 	st := schedulerState{
 		History: json.RawMessage(hist.Bytes()),
-		Arrived: sortedTimes(s.arrived),
 		Done:    s.done,
 	}
 
 	m := s.arrays
 	st.Arrays = multiArrayState{
 		Budgets:   make([]budgetState, len(m.budgets)),
-		FourG:     append([]int(nil), m.fourG...),
-		OneG:      append([]int(nil), m.oneG...),
+		FourG:     nodeRange(0, m.fourGNodes),
+		OneG:      nodeRange(m.fourGNodes, m.gpuNodes),
 		CPUAcc:    m.cpuAcc.CheckpointState(),
 		GPUAcc:    m.gpuAcc.CheckpointState(),
 		CPUQueues: m.cpuQueues.CheckpointState(),
@@ -189,19 +164,11 @@ func (s *Scheduler) CheckpointState() ([]byte, error) {
 		st.Alloc.Settled = append(st.Alloc.Settled, settledState{Job: id, Info: info})
 	}
 	sort.Slice(st.Alloc.Settled, func(i, j int) bool { return st.Alloc.Settled[i].Job < st.Alloc.Settled[j].Job })
-	//coda:ordered-ok entries are sorted below before serialization
-	for id, n := range a.steps {
-		st.Alloc.Steps = append(st.Alloc.Steps, stepsState{Job: id, Steps: n})
-	}
-	sort.Slice(st.Alloc.Steps, func(i, j int) bool { return st.Alloc.Steps[i].Job < st.Alloc.Steps[j].Job })
 
 	if s.elim != nil {
 		es := &eliminatorState{NextCheck: s.elim.nextCheck}
 		for i, id := range s.elim.throttled.ids {
-			iv := s.elim.throttled.ivs[i]
-			es.Throttled = append(es.Throttled, interventionState{
-				Job: id, CapGBs: iv.capGBs, CoreHalved: iv.coreHalved, OrigCores: iv.origCores,
-			})
+			es.Throttled = append(es.Throttled, interventionState{Job: id, OrigCores: s.elim.throttled.origCores[i]})
 		}
 		st.Elim = es
 	}
@@ -216,7 +183,7 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("coda: restore: %w", err)
 	}
-	if s.done != 0 || len(s.arrived) != 0 || len(s.arrays.running) != 0 {
+	if m := s.arrays; s.done != 0 || len(m.running) != 0 || m.cpuQueues.Len()+m.gpuQueues.Len() != 0 {
 		return fmt.Errorf("coda: restore into a non-fresh scheduler")
 	}
 	if (s.elim == nil) != (st.Elim == nil) {
@@ -233,9 +200,6 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 	s.log = log
 	s.alloc.log = log
 
-	for _, e := range st.Arrived {
-		s.arrived[e.Job] = e.At
-	}
 	s.done = st.Done
 
 	m := s.arrays
@@ -262,8 +226,10 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 		}
 		b.usedReserve, b.usedShared, b.borrowed = b.sums()
 	}
-	m.fourG = append([]int(nil), st.Arrays.FourG...)
-	m.oneG = append([]int(nil), st.Arrays.OneG...)
+	if err := checkSplit(st.Arrays.FourG, st.Arrays.OneG, m.gpuNodes); err != nil {
+		return fmt.Errorf("coda: %w", err)
+	}
+	m.fourGNodes = len(st.Arrays.FourG)
 	if err := m.cpuAcc.RestoreCheckpointState(st.Arrays.CPUAcc); err != nil {
 		return fmt.Errorf("coda: restore cpu accountant: %w", err)
 	}
@@ -302,23 +268,52 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 	for _, e := range st.Alloc.Settled {
 		a.settled[e.Job] = e.Info
 	}
-	for _, e := range st.Alloc.Steps {
-		a.steps[e.Job] = e.Steps
-	}
 
 	if st.Elim != nil {
 		// Restored in list order; the final audit rejects a list that is not
 		// strictly ascending by job.
 		for _, iv := range st.Elim.Throttled {
 			s.elim.throttled.ids = append(s.elim.throttled.ids, iv.Job)
-			s.elim.throttled.ivs = append(s.elim.throttled.ivs,
-				intervention{capGBs: iv.CapGBs, coreHalved: iv.CoreHalved, origCores: iv.OrigCores})
+			s.elim.throttled.origCores = append(s.elim.throttled.origCores, iv.OrigCores)
 		}
 		s.elim.nextCheck = st.Elim.NextCheck
 	}
 
 	if err := s.CheckInvariants(); err != nil {
 		return fmt.Errorf("coda: restored state fails invariants: %w", err)
+	}
+	return nil
+}
+
+// nodeRange lists the node IDs [lo, hi), nil when the range is empty.
+func nodeRange(lo, hi int) []int {
+	var ids []int
+	for nid := lo; nid < hi; nid++ {
+		ids = append(ids, nid)
+	}
+	return ids
+}
+
+// checkSplit verifies that checkpointed sub-array lists are the ID ranges
+// the constructor and Rebalance build, [0, len(fourG)) for the 4-GPU
+// sub-array and [len(fourG), gpuNodes) for the 1-GPU one: no overlap, no
+// gap, no other order.
+func checkSplit(fourG, oneG []int, gpuNodes int) error {
+	want := 0
+	for _, part := range [...][]int{fourG, oneG} {
+		for _, nid := range part {
+			if nid < 0 || nid >= gpuNodes {
+				return fmt.Errorf("sub-array node %d out of range [0,%d)", nid, gpuNodes)
+			}
+			if nid != want {
+				return fmt.Errorf("sub-arrays list node %d where node %d belongs; want 4-GPU nodes [0,%d) and 1-GPU nodes [%d,%d)",
+					nid, want, len(fourG), len(fourG), gpuNodes)
+			}
+			want++
+		}
+	}
+	if want != gpuNodes {
+		return fmt.Errorf("GPU node %d is in neither sub-array", want)
 	}
 	return nil
 }

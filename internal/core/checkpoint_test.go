@@ -3,13 +3,18 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/coda-repro/coda/internal/chaos"
+	"github.com/coda-repro/coda/internal/checkpoint"
 	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/sim"
+	"github.com/coda-repro/coda/internal/trace"
 )
 
 // midRunScheduler drives a service-mode simulator to a busy midpoint — jobs
@@ -82,10 +87,120 @@ func TestCheckpointRoundTripMidRun(t *testing.T) {
 	}
 }
 
+// TestCheckpointNamesNoDepartedJob runs CODA as a service under node
+// crashes, injected job failures with one retry each, and cancels of
+// queued, running and backing-off jobs, until every job has completed,
+// failed terminally or been cancelled. CODA then holds nothing about any
+// job: its checkpoint has no arrival or step records, and its running,
+// desired-core, budget-draw, fair-share charge, queue, tuning, settled and
+// throttle lists are all empty.
+func TestCheckpointNamesNoDepartedJob(t *testing.T) {
+	opts := testOptions()
+	opts.Service = true
+	opts.Seed = 9
+	opts.Faults = chaos.Plan{
+		Seed: 19, Horizon: 12 * time.Hour,
+		NodeCrashesPerDay: 10, CrashDowntime: 20 * time.Minute,
+		JobFailureProb: 0.3, MaxRetries: 1, RetryBackoff: 30 * time.Minute,
+	}
+	tc := trace.DefaultConfig()
+	tc.CPUJobs, tc.GPUJobs = 60, 20
+	tc.Duration = 12 * time.Hour
+	tc.HogFraction = 0.1
+	tc.Seed = 109
+	jobs, err := trace.Generate(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newCoda(t, DefaultConfig(), opts)
+	simulator, err := sim.New(opts, s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		if err := simulator.RunUntil(j.Arrival); err != nil {
+			t.Fatal(err)
+		}
+		if err := simulator.InjectArrival(j); err != nil {
+			t.Fatal(err)
+		}
+		if i%7 != 6 {
+			continue
+		}
+		// Cancel the lowest-ID queued, running and backing-off job.
+		for _, phase := range []string{sim.PhasePending, sim.PhaseRunning, sim.PhaseRetrying} {
+			for _, prev := range jobs[:i+1] {
+				if simulator.JobPhase(prev.ID) == phase {
+					if err := simulator.CancelJob(prev.ID); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+		}
+	}
+	end := simulator.Now()
+	for st := simulator.Stats(); st.Pending+st.Running+st.Retrying > 0; st = simulator.Stats() {
+		if end += time.Hour; end > 30*24*time.Hour {
+			t.Fatalf("%d pending, %d running, %d retrying jobs after 30 days", st.Pending, st.Running, st.Retrying)
+		}
+		if err := simulator.RunUntil(end); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := simulator.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := simulator.Stats(); st.Completed == 0 || st.Terminal == 0 || st.Cancelled == 0 || res.Throttles == 0 {
+		t.Fatalf("%d completed, %d terminal, %d cancelled jobs and %d throttles; the run must exercise all four",
+			st.Completed, st.Terminal, st.Cancelled, res.Throttles)
+	}
+
+	blob, err := s.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"Arrived"`, `"Steps"`} {
+		if bytes.Contains(blob, []byte(key)) {
+			t.Errorf("checkpoint carries %s records after every job left", key)
+		}
+	}
+	var st schedulerState
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	draws, queued := 0, 0
+	for _, b := range st.Arrays.Budgets {
+		draws += len(b.GPUDraws) + len(b.CPUDraws)
+	}
+	for _, q := range append(st.Arrays.CPUQueues, st.Arrays.GPUQueues...) {
+		queued += len(q.Jobs)
+	}
+	for _, left := range []struct {
+		what string
+		n    int
+	}{
+		{"running", len(st.Arrays.Running)},
+		{"desired-core", len(st.Arrays.Desired)},
+		{"budget draw", draws},
+		{"CPU charge", len(st.Arrays.CPUAcc.PerJob)},
+		{"GPU charge", len(st.Arrays.GPUAcc.PerJob)},
+		{"queued", queued},
+		{"tuning", len(st.Alloc.Tuning)},
+		{"settled", len(st.Alloc.Settled)},
+		{"throttled", len(st.Elim.Throttled)},
+	} {
+		if left.n > 0 {
+			t.Errorf("checkpoint keeps %d %s entries after every job left", left.n, left.what)
+		}
+	}
+}
+
 // TestRestoreCheckpointRejects pins the restore-time validation: corrupt
-// JSON, restoring into a scheduler that has already run, an eliminator
-// configuration mismatch, and a cluster-shape mismatch are all deterministic
-// errors instead of silent state corruption.
+// JSON, restoring into a scheduler that has already run or holds a queued
+// job, an eliminator configuration mismatch, and a cluster-shape mismatch
+// are all deterministic errors instead of silent state corruption.
 func TestRestoreCheckpointRejects(t *testing.T) {
 	cfg := DefaultConfig()
 	opts := testOptions()
@@ -101,6 +216,11 @@ func TestRestoreCheckpointRejects(t *testing.T) {
 	_, used := runCoda(t, cfg, opts, []*job.Job{cpuJob(1, 0, 2, 4, time.Minute)})
 	if err := used.RestoreCheckpoint(blob); err == nil {
 		t.Error("restore into a non-fresh scheduler succeeded, want error")
+	}
+	queued := newCoda(t, cfg, opts)
+	queued.arrays.EnqueueCPU(cpuJob(1, 0, 2, 4, time.Minute))
+	if err := queued.RestoreCheckpoint(blob); err == nil {
+		t.Error("restore into a scheduler with a queued job succeeded, want error")
 	}
 
 	noElim := cfg
@@ -121,8 +241,7 @@ func TestRestoreCheckpointRejects(t *testing.T) {
 // TestRestoreRejectsMalformedSplit crafts checkpoints whose sub-array
 // lists are not the ID ranges [0, n) and [n, nodes): restore must refuse
 // each with an error naming the misplaced or missing node, because
-// pickNodes tells a node's sub-array from its ID alone. The live split is
-// checked the same way by CheckInvariants.
+// pickNodes tells a node's sub-array from its ID alone.
 func TestRestoreRejectsMalformedSplit(t *testing.T) {
 	cfg := DefaultConfig()
 	opts := testOptions()
@@ -157,14 +276,29 @@ func TestRestoreRejectsMalformedSplit(t *testing.T) {
 			t.Errorf("%s split %v / %v: restore error %v, want one naming %q", tc.name, tc.fourG, tc.oneG, err, tc.node)
 		}
 	}
+}
 
-	fresh := newCoda(t, cfg, opts)
-	if err := fresh.RestoreCheckpoint(blob); err != nil {
-		t.Fatalf("RestoreCheckpoint: %v", err)
+// TestRestoreLegacySplit restores the CODA state of the simulator's legacy
+// checkpoint fixture, written when the sub-arrays were kept as node lists:
+// its lists [0] and [1] restore to one 4-GPU node.
+func TestRestoreLegacySplit(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "sim", "testdata", "coda-legacy.ckpt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	fresh.arrays.fourG = []int{1}
-	if err := fresh.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "node 1 ") {
-		t.Errorf("CheckInvariants with 4-GPU sub-array [1]: %v, want an error naming node 1", err)
+	if !bytes.Contains(data, []byte(`"FourG":[0],"OneG":[1]`)) {
+		t.Fatal("fixture no longer carries the split [0] / [1]")
+	}
+	var ck sim.Checkpoint
+	if err := checkpoint.Decode(data, &ck); err != nil {
+		t.Fatal(err)
+	}
+	s := newCoda(t, DefaultConfig(), ck.Options)
+	if err := s.RestoreCheckpoint(ck.Scheduler); err != nil {
+		t.Fatal(err)
+	}
+	if s.arrays.fourGNodes != 1 {
+		t.Errorf("split [0] / [1] restored to %d 4-GPU nodes, want 1", s.arrays.fourGNodes)
 	}
 }
 
@@ -184,17 +318,15 @@ func TestRestoreRejectsMalformedThrottles(t *testing.T) {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		t.Fatal(err)
 	}
-	capped := func(id job.ID, capGBs float64) interventionState {
-		return interventionState{Job: id, CapGBs: capGBs}
-	}
+	capped := func(id job.ID) interventionState { return interventionState{Job: id} }
 	for _, tc := range []struct {
 		name      string
 		throttled []interventionState
 		want      string // "" when restore must succeed
 	}{
-		{"sorted", []interventionState{capped(4, 10), capped(5, 20)}, ""},
-		{"unsorted", []interventionState{capped(5, 20), capped(4, 10)}, "throttled job 4 after job 5"},
-		{"repeated", []interventionState{capped(4, 10), capped(4, 20)}, "throttled job 4 after job 4"},
+		{"sorted", []interventionState{capped(4), capped(5)}, ""},
+		{"unsorted", []interventionState{capped(5), capped(4)}, "throttled job 4 after job 5"},
+		{"repeated", []interventionState{capped(4), capped(4)}, "throttled job 4 after job 4"},
 	} {
 		st.Elim.Throttled = tc.throttled
 		crafted, err := json.Marshal(st)
@@ -214,8 +346,8 @@ func TestRestoreRejectsMalformedThrottles(t *testing.T) {
 	if err := fresh.RestoreCheckpoint(blob); err != nil {
 		t.Fatalf("RestoreCheckpoint: %v", err)
 	}
-	fresh.elim.throttled.add(9, intervention{capGBs: 5})
-	fresh.elim.throttled.add(12, intervention{capGBs: 5})
+	fresh.elim.throttled.add(9, 0)
+	fresh.elim.throttled.add(12, 0)
 	if err := fresh.CheckInvariants(); err != nil {
 		t.Fatalf("CheckInvariants with a sorted throttle list: %v", err)
 	}

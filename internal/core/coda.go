@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"github.com/coda-repro/coda/internal/cluster"
 	"github.com/coda-repro/coda/internal/history"
@@ -52,12 +51,8 @@ type Scheduler struct {
 	arrays *MultiArray
 	alloc  *Allocator
 	elim   *Eliminator
-	// arrived records each job's arrival time until the job completes or
-	// is cancelled from its queue, so Submit can tell a requeue from a
-	// first arrival.
-	arrived map[job.ID]time.Duration
-	done    int
-	gpus    int // gpus per node, for rebalance
+	done   int
+	gpus   int // gpus per node, for rebalance
 }
 
 var _ sched.Scheduler = (*Scheduler)(nil)
@@ -82,14 +77,13 @@ func NewForCluster(cfg Config, cc cluster.Config) (*Scheduler, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coda: %w", err)
 	}
-	arrays.DisablePreemption = cfg.DisablePreemption
+	arrays.disablePreemption = cfg.DisablePreemption
 	log := history.NewLog()
 	s := &Scheduler{
-		cfg:     cfg,
-		log:     log,
-		arrays:  arrays,
-		arrived: make(map[job.ID]time.Duration),
-		gpus:    cc.GPUsPerNode,
+		cfg:    cfg,
+		log:    log,
+		arrays: arrays,
+		gpus:   cc.GPUsPerNode,
 	}
 	s.alloc = NewAllocator(cfg.Allocator, log, arrays.ResizeRunning)
 	if !cfg.DisableEliminator {
@@ -132,36 +126,28 @@ func (s *Scheduler) Allocator() *Allocator { return s.alloc }
 
 // Submit implements sched.Scheduler (Fig. 8 steps 1-3): training jobs get
 // an allocator-chosen core count and enter the GPU array; CPU jobs enter
-// the CPU array. Preempted CPU jobs re-enter at the array head.
+// the CPU array. A job submitted after its arrival time is a fault-killed
+// retry (sched.Scheduler's Submit contract), and it re-enters at its array
+// head (§V-C): the crash was not the job's fault, so it does not queue
+// behind later arrivals. A retried training job gets a fresh allocator
+// seed.
 func (s *Scheduler) Submit(j *job.Job) {
-	if _, seen := s.arrived[j.ID]; !seen {
-		s.arrived[j.ID] = s.env.Now()
-	} else if !j.IsGPU() {
-		// A requeued preempted (or fault-killed) CPU job: back to the head
-		// (§V-C).
+	retry := j.Arrival < s.env.Now()
+	switch {
+	case !j.IsGPU() && retry:
 		s.arrays.RequeueCPUFront(j)
-		s.drain()
-		return
-	} else {
-		// A fault-killed training job retrying: back to its array head with
-		// a fresh allocator seed — the crash was not the job's fault, so it
-		// does not queue behind later arrivals.
-		cores := s.alloc.InitialCores(j)
-		if s.cfg.DisableAdaptiveAllocation {
-			cores = j.Request.CPUCores
-		}
-		s.arrays.RequeueGPUFront(j, cores)
-		s.drain()
-		return
-	}
-	if j.IsGPU() {
-		cores := s.alloc.InitialCores(j)
-		if s.cfg.DisableAdaptiveAllocation {
-			cores = j.Request.CPUCores
-		}
-		s.arrays.EnqueueGPU(j, cores)
-	} else {
+	case !j.IsGPU():
 		s.arrays.EnqueueCPU(j)
+	default:
+		cores := s.alloc.InitialCores(j)
+		if s.cfg.DisableAdaptiveAllocation {
+			cores = j.Request.CPUCores
+		}
+		if retry {
+			s.arrays.RequeueGPUFront(j, cores)
+		} else {
+			s.arrays.EnqueueGPU(j, cores)
+		}
 	}
 	s.drain()
 }
@@ -177,7 +163,6 @@ func (s *Scheduler) OnJobCompleted(j *job.Job) {
 	if s.elim != nil {
 		s.elim.Forget(j.ID)
 	}
-	delete(s.arrived, j.ID)
 	s.alloc.OnCompleted(j, finalCores)
 
 	s.done++
@@ -187,13 +172,14 @@ func (s *Scheduler) OnJobCompleted(j *job.Job) {
 	s.drain()
 }
 
-// OnJobKilled implements sched.Scheduler: a fault killed the job and the
-// simulator already released its cluster resources. Every component drops
-// its per-job state — array budgets and fair-share charges, eliminator
-// interventions, allocator tuning sessions — but unlike a completion,
-// nothing is written to the history log: an aborted attempt must not teach
-// Nstart. The arrival record survives, so the retried job's Submit requeues
-// it at its array head.
+// OnJobKilled implements sched.Scheduler: a fault killed the job, or a
+// cancel stopped it, and the simulator already released its cluster
+// resources. Every component drops its per-job state — array budgets and
+// fair-share charges, eliminator interventions, allocator tuning sessions —
+// but unlike a completion, nothing is written to the history log: an
+// aborted attempt must not teach Nstart. Nothing about the job is kept; a
+// retry's Submit comes after its arrival time, which is how Submit
+// requeues it at its array head.
 func (s *Scheduler) OnJobKilled(j *job.Job) {
 	s.arrays.OnKilled(j)
 	if s.elim != nil {
@@ -204,16 +190,15 @@ func (s *Scheduler) OnJobKilled(j *job.Job) {
 }
 
 // OnJobCancelled implements sched.Canceller: an explicit control-plane
-// cancel removed a still-queued job. The queue entry, allocator seeds and
-// arrival record all go; nothing is written to the history log — the job
-// never ran, so there is nothing to teach Nstart.
+// cancel removed a still-queued job. The queue entry and allocator seeds
+// go; nothing is written to the history log — the job never ran, so there
+// is nothing to teach Nstart.
 func (s *Scheduler) OnJobCancelled(j *job.Job) {
 	s.arrays.RemoveQueued(j)
 	if s.elim != nil {
 		s.elim.Forget(j.ID)
 	}
 	s.alloc.Forget(j.ID)
-	delete(s.arrived, j.ID)
 	s.drain()
 }
 

@@ -243,7 +243,7 @@ func TestResizeRunningRefusalRollsBack(t *testing.T) {
 	}
 	m.running[g.ID] = &runInfo{j: g, alloc: job.Allocation{NodeIDs: []int{0, 1}, CPUCores: 4, GPUs: 4}}
 	b1 := m.budgets[1]
-	if !b1.chargeCPU(2, b1.reserveFree()+b1.sharedFree(), true) {
+	if !b1.chargeCPU(2, b1.reserveFree()+b1.sharedFree()) {
 		t.Fatal("cannot fill node 1's pools")
 	}
 	before := [2]draw{m.budgets[0].gpuDraws[g.ID], b1.gpuDraws[g.ID]}

@@ -458,8 +458,8 @@ func TestLargeJobPrefersFourGNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.arrays.fourG) != 1 || s.arrays.fourG[0] != 0 {
-		t.Fatalf("fourG nodes = %v, want [0]", s.arrays.fourG)
+	if s.arrays.fourGNodes != 1 {
+		t.Fatalf("4-GPU sub-array has %d nodes, want 1 (node 0)", s.arrays.fourGNodes)
 	}
 	res, err := simulator.Run()
 	if err != nil {

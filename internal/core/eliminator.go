@@ -45,8 +45,7 @@ type Eliminator struct {
 	env   sched.Env
 	alloc *Allocator
 	array *MultiArray
-	// throttled tracks active interventions per job: the cap applied, or
-	// coreHalved for the MBA-less fallback.
+	// throttled tracks active interventions per job.
 	throttled throttleSet
 	nextCheck time.Duration
 	// Per-pass scratch reused across node checks.
@@ -54,49 +53,44 @@ type Eliminator struct {
 	usages []membw.JobUsage
 }
 
-// intervention records how a CPU job was restrained.
-type intervention struct {
-	capGBs     float64
-	coreHalved bool
-	origCores  int
-}
-
 // throttleSet holds the active interventions sorted by job ID: job ids[i]
-// is restrained as ivs[i]. Lookups are binary searches, and ids is the
-// sorted list relax merges against a node meter's own.
+// runs under an MBA cap when origCores[i] is 0, and otherwise on half of
+// its origCores[i] cores (the MBA-less fallback). Lookups are binary
+// searches, and ids is the sorted list relax merges against a node meter's
+// own.
 type throttleSet struct {
-	ids []job.ID
-	ivs []intervention
+	ids       []job.ID
+	origCores []int
 }
 
-// get returns job id's intervention, if it has one.
-func (t *throttleSet) get(id job.ID) (intervention, bool) {
+// get returns job id's original cores, if it is restrained.
+func (t *throttleSet) get(id job.ID) (origCores int, ok bool) {
 	if i, ok := slices.BinarySearch(t.ids, id); ok {
-		return t.ivs[i], true
+		return t.origCores[i], true
 	}
-	return intervention{}, false
+	return 0, false
 }
 
 // add records an intervention on job id, which must hold none.
-func (t *throttleSet) add(id job.ID, iv intervention) {
+func (t *throttleSet) add(id job.ID, origCores int) {
 	i, _ := slices.BinarySearch(t.ids, id)
 	t.ids = slices.Insert(t.ids, i, id)
-	t.ivs = slices.Insert(t.ivs, i, iv)
+	t.origCores = slices.Insert(t.origCores, i, origCores)
 }
 
 // remove drops job id's intervention, if it has one.
 func (t *throttleSet) remove(id job.ID) {
 	if i, ok := slices.BinarySearch(t.ids, id); ok {
 		t.ids = slices.Delete(t.ids, i, i+1)
-		t.ivs = slices.Delete(t.ivs, i, i+1)
+		t.origCores = slices.Delete(t.origCores, i, i+1)
 	}
 }
 
 // check reports a set whose job IDs are not strictly ascending, which
 // covers a job listed twice, or whose two slices disagree in length.
 func (t *throttleSet) check() error {
-	if len(t.ids) != len(t.ivs) {
-		return fmt.Errorf("eliminator lists %d throttled jobs but %d interventions", len(t.ids), len(t.ivs))
+	if len(t.ids) != len(t.origCores) {
+		return fmt.Errorf("eliminator lists %d throttled jobs but %d interventions", len(t.ids), len(t.origCores))
 	}
 	for i := 1; i < len(t.ids); i++ {
 		if t.ids[i] <= t.ids[i-1] {
@@ -219,7 +213,7 @@ func (e *Eliminator) restrain(meter *membw.Meter) {
 			if err := e.env.ThrottleJob(u.ID, capGBs); err != nil {
 				continue
 			}
-			e.throttled.add(u.ID, intervention{capGBs: capGBs})
+			e.throttled.add(u.ID, 0)
 			return
 		}
 		// Fallback: halve the CPU job's cores, which roughly halves its
@@ -232,7 +226,7 @@ func (e *Eliminator) restrain(meter *membw.Meter) {
 		if err := e.array.ResizeRunning(u.ID, half); err != nil {
 			continue
 		}
-		e.throttled.add(u.ID, intervention{coreHalved: true, origCores: alloc.CPUCores})
+		e.throttled.add(u.ID, alloc.CPUCores)
 		return
 	}
 }
@@ -247,12 +241,12 @@ func (e *Eliminator) relax(meter *membw.Meter) {
 	}
 	e.usages = meter.AppendJobs(e.usages[:0])
 	for _, u := range e.usages {
-		iv, ok := e.throttled.get(u.ID)
+		origCores, ok := e.throttled.get(u.ID)
 		if !ok {
 			continue
 		}
-		if iv.coreHalved {
-			if err := e.array.ResizeRunning(u.ID, iv.origCores); err != nil {
+		if origCores > 0 {
+			if err := e.array.ResizeRunning(u.ID, origCores); err != nil {
 				continue
 			}
 		} else {

@@ -150,10 +150,12 @@ func randomPickState(t *testing.T, rng *rand.Rand, roundTrip bool) (*MultiArray,
 		b := m.budgets[nid]
 		for i := rng.Intn(4); i > 0; i-- {
 			cores := 1 + rng.Intn(cc.CoresPerNode/2)
+			// A third of the CPU jobs are charged only where the shared
+			// pool covers them, so they borrow no reserve cores.
 			if rng.Intn(2) == 0 {
 				b.chargeGPU(id, cores)
-			} else {
-				b.chargeCPU(id, cores, rng.Intn(3) > 0)
+			} else if borrow := rng.Intn(3) > 0; borrow || cores <= b.sharedFree() {
+				b.chargeCPU(id, cores)
 			}
 			id++
 		}
@@ -190,9 +192,10 @@ func randomPickState(t *testing.T, rng *rand.Rand, roundTrip bool) (*MultiArray,
 // sub-array first, the other as fallback (§V-C), and how many of the
 // nodes are its own.
 func preferenceOrder(m *MultiArray, j *job.Job) (order []int, ownLen int) {
-	own, other := m.oneG, m.fourG
+	fourG, oneG := nodeRange(0, m.fourGNodes), nodeRange(m.fourGNodes, m.gpuNodes)
+	own, other := oneG, fourG
 	if j.Request.GPUs >= LargeJobGPUs {
-		own, other = m.fourG, m.oneG
+		own, other = fourG, oneG
 	}
 	return slices.Concat(own, other), len(own)
 }
@@ -290,8 +293,8 @@ func TestPickNodesStopsEarly(t *testing.T) {
 	}
 	m := s.arrays
 	m.Bind(&clusterEnv{c: c})
-	if len(m.fourG) != 1500 {
-		t.Fatalf("4-GPU sub-array has %d nodes, the cases below assume 1500", len(m.fourG))
+	if m.fourGNodes != 1500 {
+		t.Fatalf("4-GPU sub-array has %d nodes, the cases below assume 1500", m.fourGNodes)
 	}
 	for i, nid := range []int{2000, 3000} {
 		if err := c.Allocate(job.ID(i+1), job.Allocation{NodeIDs: []int{nid}, CPUCores: 2, GPUs: 3}); err != nil {

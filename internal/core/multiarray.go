@@ -58,20 +58,19 @@ type MultiArray struct {
 	// gpuNodes is the count of GPU nodes: budgets[0:gpuNodes] have GPUs,
 	// the rest are CPU-only nodes (§VI-G heterogeneous clusters).
 	gpuNodes int
-	// fourG and oneG are the node IDs of the 4-GPU and 1-GPU sub-arrays,
-	// always the ID ranges [0, len(fourG)) and [len(fourG), gpuNodes):
+	// fourGNodes splits the GPU nodes into the 4-GPU sub-array, node IDs
+	// [0, fourGNodes), and the 1-GPU one, [fourGNodes, gpuNodes):
 	// pickNodes tells a node's sub-array by its ID alone.
-	fourG     []int
-	oneG      []int
-	cpuAcc    *fair.Accountant
-	gpuAcc    *fair.Accountant
-	cpuQueues sched.TenantQueues
-	gpuQueues sched.TenantQueues
+	fourGNodes int
+	cpuAcc     *fair.Accountant
+	gpuAcc     *fair.Accountant
+	cpuQueues  sched.TenantQueues
+	gpuQueues  sched.TenantQueues
 	// desired is the allocator-chosen core count for pending GPU jobs.
 	desired map[job.ID]int
 	running map[job.ID]*runInfo
-	// DisablePreemption stops reserve reclaims (ablation knob).
-	DisablePreemption bool
+	// disablePreemption stops reserve reclaims (Config.DisablePreemption).
+	disablePreemption bool
 	// startLog lists, in start order, the jobs the last Drain started:
 	// startGPUAt and startCPU append on the line that writes running, the
 	// only inserts into running besides restore.
@@ -123,16 +122,9 @@ func NewMultiArrayForCluster(cfg ArrayConfig, cc cluster.Config) (*MultiArray, e
 		}
 		m.budgets[i] = b
 	}
-	fourGCount := int(float64(cc.Nodes)*cfg.FourGNodeFraction + 0.5)
+	m.fourGNodes = int(float64(cc.Nodes)*cfg.FourGNodeFraction + 0.5)
 	if cc.GPUsPerNode < LargeJobGPUs {
-		fourGCount = 0 // nodes cannot host 4-GPU-per-node jobs anyway
-	}
-	for i := 0; i < cc.Nodes; i++ {
-		if i < fourGCount {
-			m.fourG = append(m.fourG, i)
-		} else {
-			m.oneG = append(m.oneG, i)
-		}
+		m.fourGNodes = 0 // nodes cannot host 4-GPU-per-node jobs anyway
 	}
 	sharedTotal := float64(cc.Nodes*(cc.CoresPerNode-cfg.ReserveCores) + cc.CPUOnlyNodes*cc.CoresPerNode)
 	if sharedTotal <= 0 {
@@ -309,7 +301,7 @@ func (m *MultiArray) tryGPUHead(q *sched.JobQueue) bool {
 
 // tryCPUHead starts the CPU job at q's head, reporting whether it did.
 func (m *MultiArray) tryCPUHead(q *sched.JobQueue) bool {
-	if !m.startCPU(q.At(0), true) {
+	if !m.startCPU(q.At(0)) {
 		return false
 	}
 	q.Remove(0)
@@ -354,7 +346,7 @@ func (m *MultiArray) startGPUAt(j *job.Job, cores int) bool {
 
 	nodes := m.pickNodes(large, j.Request.Nodes, gpus, cores, false)
 	if nodes == nil {
-		if m.DisablePreemption {
+		if m.disablePreemption {
 			return false
 		}
 		nodes = m.pickNodes(large, j.Request.Nodes, gpus, cores, true)
@@ -414,7 +406,6 @@ func (m *MultiArray) pickNodes(large bool, k, gpus, cores int, withPreempt bool)
 	c.NotePlacementQuery()
 	best := m.cands[:0]
 	feasible := 0
-	fourGLen := len(m.fourG)
 	c.ScanPlaceable(0, gpus, func(n *cluster.Node) bool {
 		nid := n.ID
 		if nid >= m.gpuNodes {
@@ -430,7 +421,7 @@ func (m *MultiArray) pickNodes(large bool, k, gpus, cores int, withPreempt bool)
 			return true
 		}
 		feasible++
-		cand := gpuCandidate{nid: nid, freeGPUs: n.FreeGPUs(), own: (nid < fourGLen) == large}
+		cand := gpuCandidate{nid: nid, freeGPUs: n.FreeGPUs(), own: (nid < m.fourGNodes) == large}
 		if len(best) == k {
 			if k == 0 || compareGPUCandidates(cand, best[k-1], gpus) >= 0 {
 				return true
@@ -525,7 +516,7 @@ func (m *MultiArray) reclaimNode(nid int, cores int) bool {
 // startCPU attempts to place and start a CPU job. Nodes are scanned from
 // the highest ID (the 1-GPU sub-array's tail) so the 4-GPU sub-array's
 // shared pools stay emptier, keeping large-job placements cheap.
-func (m *MultiArray) startCPU(j *job.Job, allowBorrow bool) bool {
+func (m *MultiArray) startCPU(j *job.Job) bool {
 	m.env.Cluster().NotePlacementQuery()
 	cores := j.Request.CPUCores
 	for nid := len(m.budgets) - 1; nid >= 0; nid-- {
@@ -534,10 +525,7 @@ func (m *MultiArray) startCPU(j *job.Job, allowBorrow bool) bool {
 			continue
 		}
 		b := m.budgets[nid]
-		if b.sharedFree() < cores && !(allowBorrow && b.sharedFree()+b.reserveFree() >= cores) {
-			continue
-		}
-		if !b.chargeCPU(j.ID, cores, allowBorrow) {
+		if !b.chargeCPU(j.ID, cores) {
 			continue
 		}
 		alloc := job.Allocation{NodeIDs: []int{nid}, CPUCores: cores}
@@ -591,26 +579,14 @@ func (m *MultiArray) Rebalance(stats history.Stats, gpusPerNode int) {
 	// ("The division of the corresponding array is also determined by the
 	// statistical information of the historical jobs", §V-C).
 	if gpusPerNode >= LargeJobGPUs && stats.LargeGPUShare > 0 {
-		fourGCount := int(float64(m.gpuNodes)*stats.LargeGPUShare + 0.5)
-		if fourGCount > m.gpuNodes {
-			fourGCount = m.gpuNodes
-		}
-		m.fourG = m.fourG[:0]
-		m.oneG = m.oneG[:0]
-		for i := 0; i < m.gpuNodes; i++ {
-			if i < fourGCount {
-				m.fourG = append(m.fourG, i)
-			} else {
-				m.oneG = append(m.oneG, i)
-			}
-		}
+		m.fourGNodes = min(int(float64(m.gpuNodes)*stats.LargeGPUShare+0.5), m.gpuNodes)
 	}
 }
 
-// CheckInvariants validates all node budgets and accountants, the
-// sub-array split, that each array's tenant queues are in strictly
-// ascending tenant order, and that no job sits in a queue while also
-// running — the double-booking a buggy requeue path would produce.
+// CheckInvariants validates all node budgets and accountants, that each
+// array's tenant queues are in strictly ascending tenant order, and that
+// no job sits in a queue while also running — the double-booking a buggy
+// requeue path would produce.
 func (m *MultiArray) CheckInvariants() error {
 	for nid, b := range m.budgets {
 		if err := b.checkInvariants(); err != nil {
@@ -623,9 +599,6 @@ func (m *MultiArray) CheckInvariants() error {
 	if err := m.gpuAcc.CheckInvariants(); err != nil {
 		return err
 	}
-	if err := checkSplit(m.fourG, m.oneG, m.gpuNodes); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
 	notRunning := func(j *job.Job) error {
 		if _, isRunning := m.running[j.ID]; isRunning {
 			return fmt.Errorf("job %d is running and queued simultaneously", j.ID)
@@ -636,30 +609,6 @@ func (m *MultiArray) CheckInvariants() error {
 		if err := queues.CheckInvariants(notRunning); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-	}
-	return nil
-}
-
-// checkSplit verifies that the sub-arrays are the ID ranges the
-// constructor and Rebalance build, [0, len(fourG)) for the 4-GPU sub-array
-// and [len(fourG), gpuNodes) for the 1-GPU one: no overlap, no gap, no
-// other order.
-func checkSplit(fourG, oneG []int, gpuNodes int) error {
-	want := 0
-	for _, part := range [...][]int{fourG, oneG} {
-		for _, nid := range part {
-			if nid < 0 || nid >= gpuNodes {
-				return fmt.Errorf("sub-array node %d out of range [0,%d)", nid, gpuNodes)
-			}
-			if nid != want {
-				return fmt.Errorf("sub-arrays list node %d where node %d belongs; want 4-GPU nodes [0,%d) and 1-GPU nodes [%d,%d)",
-					nid, want, len(fourG), len(fourG), gpuNodes)
-			}
-			want++
-		}
-	}
-	if want != gpuNodes {
-		return fmt.Errorf("GPU node %d is in neither sub-array", want)
 	}
 	return nil
 }

@@ -148,85 +148,74 @@ func AblationNstartSeeding(seed int64) (NstartAblationResult, error) {
 	opts := sim.DefaultOptions()
 	opts.Cluster.Nodes = 2
 	opts.Seed = seed
+	opts.Service = true
 
-	// Five sequential jobs from the same tenant, spaced far apart so each
-	// finishes before the next arrives.
-	makeJobs := func() []*job.Job {
-		jobs := make([]*job.Job, 5)
-		for i := range jobs {
-			jobs[i] = &job.Job{
-				ID: job.ID(i + 1), Kind: job.KindGPUTraining, Tenant: 1,
-				Category: model.Category, Model: model.Name,
-				Request: job.Request{CPUCores: 2, GPUs: 1, Nodes: 1},
-				Arrival: time.Duration(i) * 3 * time.Hour,
-				Work:    time.Hour,
-			}
+	alexnet := func(id job.ID, arrival time.Duration) *job.Job {
+		return &job.Job{
+			ID: id, Kind: job.KindGPUTraining, Tenant: 1,
+			Category: model.Category, Model: model.Name,
+			Request: job.Request{CPUCores: 2, GPUs: 1, Nodes: 1},
+			Arrival: arrival,
+			Work:    time.Hour,
 		}
-		return jobs
 	}
 
-	run := func(cfg core.Config) (float64, error) {
-		coda, err := core.New(cfg, opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
+	// steps runs jobs under a fresh CODA and sums the profiling-step counts
+	// of the jobs from ID first on. The allocator keeps a job's count only
+	// while the job runs, so the simulator runs in service mode and reads
+	// each count 30 min after the job's arrival: every job here holds 1 h
+	// of work and settles within minutes.
+	steps := func(o sim.Options, jobs []*job.Job, first job.ID) (sum, n int, err error) {
+		coda, err := core.New(core.DefaultConfig(), o.Cluster.Nodes, o.Cluster.CoresPerNode, o.Cluster.GPUsPerNode)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		simulator, err := sim.New(opts, coda, makeJobs())
+		simulator, err := sim.New(o, coda, jobs)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		if _, err := simulator.Run(); err != nil {
-			return 0, err
-		}
-		// Average the later jobs' step counts (job 1 has no history either
-		// way).
-		sum, n := 0, 0
-		for id := job.ID(2); id <= 5; id++ {
-			if steps, ok := coda.Allocator().ProfileSteps(id); ok {
-				sum += steps
+		for _, j := range jobs {
+			if err := simulator.RunUntil(j.Arrival + 30*time.Minute); err != nil {
+				return 0, 0, err
+			}
+			if k, ok := coda.Allocator().ProfileSteps(j.ID); ok && j.ID >= first {
+				sum += k
 				n++
 			}
 		}
-		if n == 0 {
-			return 0, nil
-		}
-		return float64(sum) / float64(n), nil
+		return sum, n, nil
 	}
 
-	seeded, err := run(core.DefaultConfig())
+	// Five sequential jobs from the same tenant, spaced far apart so each
+	// finishes before the next arrives. Average the later jobs' step
+	// counts (job 1 has no history either way).
+	jobs := make([]*job.Job, 5)
+	for i := range jobs {
+		jobs[i] = alexnet(job.ID(i+1), time.Duration(i)*3*time.Hour)
+	}
+	sum, n, err := steps(opts, jobs, 2)
 	if err != nil {
 		return NstartAblationResult{}, err
 	}
+	var res NstartAblationResult
+	if n > 0 {
+		res.SeededSteps = float64(sum) / float64(n)
+	}
 	// Fixed seeding: simulate "no history" by running each job in its own
 	// scheduler instance (fresh log every time).
-	fixedSum, fixedN := 0.0, 0
+	fixedSum, fixedN := 0, 0
 	for i := 0; i < 4; i++ {
-		coda, err := core.New(core.DefaultConfig(), opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
-		if err != nil {
-			return NstartAblationResult{}, err
-		}
-		j := &job.Job{
-			ID: 1, Kind: job.KindGPUTraining, Tenant: 1,
-			Category: model.Category, Model: model.Name,
-			Request: job.Request{CPUCores: 2, GPUs: 1, Nodes: 1},
-			Work:    time.Hour,
-		}
 		o := opts
 		o.Seed = seed + int64(i)
-		simulator, err := sim.New(o, coda, []*job.Job{j})
+		sum, n, err := steps(o, []*job.Job{alexnet(1, 0)}, 1)
 		if err != nil {
 			return NstartAblationResult{}, err
 		}
-		if _, err := simulator.Run(); err != nil {
-			return NstartAblationResult{}, err
-		}
-		if steps, ok := coda.Allocator().ProfileSteps(1); ok {
-			fixedSum += float64(steps)
-			fixedN++
-		}
+		fixedSum += sum
+		fixedN += n
 	}
-	res := NstartAblationResult{SeededSteps: seeded}
 	if fixedN > 0 {
-		res.FixedSteps = fixedSum / float64(fixedN)
+		res.FixedSteps = float64(fixedSum) / float64(fixedN)
 	}
 	return res, nil
 }

@@ -348,7 +348,10 @@ var table2Paper = map[string]struct{ steps, iters int }{
 
 // Table2 reproduces Table II: for each model, run a single 1N1G training
 // job under CODA on an idle cluster and report the profiling-step count
-// and the training iterations completed during profiling.
+// and the training iterations completed during profiling. The allocator
+// keeps a job's step count only while the job runs, so the run stops at
+// 1 h: the job holds 2 h of work and settles within MaxSteps profiling
+// steps.
 func Table2(seed int64) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, name := range perfmodel.Names() {
@@ -359,6 +362,7 @@ func Table2(seed int64) ([]Table2Row, error) {
 		opts := sim.DefaultOptions()
 		opts.Cluster.Nodes = 1
 		opts.Seed = seed
+		opts.MaxVirtualTime = time.Hour
 		coda, err := core.New(core.DefaultConfig(), opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
 		if err != nil {
 			return nil, err

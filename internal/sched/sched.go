@@ -49,16 +49,23 @@ type Scheduler interface {
 	Name() string
 	// Bind attaches the environment; called once before any other method.
 	Bind(env Env)
-	// Submit enqueues a newly arrived (or requeued preempted) job.
+	// Submit enqueues a job. The simulator submits a job for the first
+	// time exactly at its Arrival, and again only as a fault-killed
+	// retry, at least one positive backoff after the kill, so strictly
+	// after its Arrival: a scheduler tells the two apart by comparing
+	// Arrival with Env.Now. A job a scheduler preempts through
+	// Env.PreemptJob is never resubmitted; the scheduler requeues the
+	// returned clone itself.
 	Submit(j *job.Job)
 	// OnJobCompleted notifies that a job finished and its resources were
 	// already released.
 	OnJobCompleted(j *job.Job)
 	// OnJobKilled notifies that a running job was killed by a fault (node
-	// crash or injected failure) and its resources were already released.
-	// The scheduler must drop every bookkeeping entry for the job; if the
-	// job has retry budget left, the simulator re-Submits a fresh clone
-	// after its backoff expires.
+	// crash or injected failure), or stopped by a cancel, and its
+	// resources were already released. The scheduler must drop every
+	// bookkeeping entry for the job; if a killed job has retry budget
+	// left, the simulator re-Submits a fresh clone after its backoff
+	// expires.
 	OnJobKilled(j *job.Job)
 	// Tick runs periodic policy work (scheduling passes, profiling steps,
 	// contention checks). The simulator calls it after every arrival and

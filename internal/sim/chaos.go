@@ -144,7 +144,7 @@ func (s *Simulator) killJob(r *runningJob) {
 	s.retries[id]++
 	if s.retries[id] > s.opts.Faults.Retries() {
 		s.terminalJobs++
-		delete(s.startedOnce, id)
+		s.forget(id)
 		s.results.noteTerminal(id)
 		return
 	}

@@ -274,6 +274,67 @@ func TestChaosPropertyRandomPlans(t *testing.T) {
 	}
 }
 
+// TestLedgersHoldOnlyInFlightJobs runs CODA until no job is in flight,
+// once in batch mode under crashes, injected job failures and one retry
+// each, and once in service mode with the same failures, nodes that leave
+// and rejoin, and cancels of queued, running and backing-off jobs. Every
+// job completed, failed terminally or was cancelled, and each took its
+// retry count, failed-once mark and first-start mark with it, so the
+// checkpoint taken at the end carries none.
+func TestLedgersHoldOnlyInFlightJobs(t *testing.T) {
+	plan := chaos.Plan{
+		Seed: 18, Horizon: 12 * time.Hour,
+		NodeCrashesPerDay: 10, CrashDowntime: 20 * time.Minute,
+		JobFailureProb: 0.3, MaxRetries: 1,
+	}
+	newCODA := func(o Options) sched.Scheduler {
+		s, err := core.New(core.DefaultConfig(), o.Cluster.Nodes, o.Cluster.CoresPerNode, o.Cluster.GPUsPerNode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	opts := testOptions()
+	opts.Seed = 8
+	opts.Faults = plan
+	batch, err := New(opts, newCODA(opts), contractTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := batch.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := serviceOptions()
+	svc.Seed = 8
+	svc.Faults = chaos.Plan{Seed: 18, JobFailureProb: 0.3, MaxRetries: 1, RetryBackoff: 30 * time.Minute}
+	service := newService(t, svc, newCODA(svc))
+	serviceScript(t, service, contractTrace(t))
+
+	for _, run := range []struct {
+		name string
+		s    *Simulator
+	}{{"batch", batch}, {"service", service}} {
+		name, s := run.name, run.s
+		f := s.results.Faults
+		if f.JobFailures == 0 || f.Requeues == 0 || f.TerminalFailures == 0 {
+			t.Errorf("%s run: %d job failures, %d requeues, %d terminal failures; want all three",
+				name, f.JobFailures, f.Requeues, f.TerminalFailures)
+		}
+		ck, err := s.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(ck.Pending) + len(ck.Running) + len(ck.Retrying); n > 0 {
+			t.Fatalf("%s run ended with %d jobs in flight", name, n)
+		}
+		if len(ck.Retries) > 0 || len(ck.FailedOnce) > 0 || len(ck.StartedOnce) > 0 {
+			t.Errorf("%s run's final checkpoint keeps %d retry counts, %d failed-once marks and %d first-start marks, want none",
+				name, len(ck.Retries), len(ck.FailedOnce), len(ck.StartedOnce))
+		}
+	}
+}
+
 // TestChaosSameSeedBitIdentical is the metamorphic determinism test's first
 // half: the same sim seed, trace seed and fault plan must reproduce the
 // whole run bit for bit — fault counters, kills and requeues included.

@@ -107,11 +107,14 @@ func TestResumeLegacyFIFOCheckpoint(t *testing.T) {
 // virtual hour 10, with jobs of several tenants queued in both arrays and
 // charges in both fair-share ledgers. The build that wrote it still
 // serialized each accountant's share weights, each allocation's bandwidth
-// cap, each job's lost work, CODA's first-start times and eliminator
-// intervention count, and the history log's CPU-job counter.
+// cap, each job's lost work, CODA's first-start times, arrival times and
+// every tuned job's step count, each eliminator intervention's cap and
+// core-halving flag and the intervention count, and the history log's
+// CPU-job counter.
 func TestResumeLegacyCODACheckpoint(t *testing.T) {
 	resumeLegacy(t, "coda-legacy.ckpt", 10*time.Hour,
-		[]string{`"Weights":[]`, `"BandwidthCap":`, `"LostWork":`, `"Started":[`, `"Interventions":`, `cpuJobCount`},
+		[]string{`"Weights":[]`, `"BandwidthCap":`, `"LostWork":`, `"Started":[`, `"Arrived":[`, `"Steps":[`,
+			`"CapGBs":`, `"CoreHalved":`, `"Interventions":`, `cpuJobCount`},
 		"legacy-coda", newLegacyCODA)
 }
 

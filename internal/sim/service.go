@@ -134,7 +134,7 @@ func (s *Simulator) CancelJob(id job.ID) error {
 		s.advance(r)
 		s.stopJob(r)
 		s.cancelledJobs++
-		delete(s.startedOnce, id)
+		s.forget(id)
 		s.results.noteCancel(id)
 		s.scheduler.OnJobKilled(r.job)
 		return nil
@@ -147,7 +147,7 @@ func (s *Simulator) CancelJob(id job.ID) error {
 		delete(s.pending, id)
 		s.touchJob(id)
 		s.cancelledJobs++
-		delete(s.startedOnce, id)
+		s.forget(id)
 		s.results.noteCancel(id)
 		c.OnJobCancelled(j)
 		return nil
@@ -156,7 +156,7 @@ func (s *Simulator) CancelJob(id job.ID) error {
 		delete(s.retrying, id)
 		s.touchJob(id)
 		s.cancelledJobs++
-		delete(s.startedOnce, id)
+		s.forget(id)
 		s.results.noteCancel(id)
 		return nil
 	}

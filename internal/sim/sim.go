@@ -415,7 +415,8 @@ type Simulator struct {
 	slowFactors [][]float64
 	// retries counts fault kills per job; retrying holds killed jobs
 	// waiting out their backoff; failedOnce marks jobs whose injected
-	// failure already fired.
+	// failure already fired. Like startedOnce, retries and failedOnce
+	// hold only jobs still in flight.
 	retries    map[job.ID]int
 	retrying   map[job.ID]*job.Job
 	failedOnce map[job.ID]bool
@@ -860,9 +861,19 @@ func (s *Simulator) handleCompletion(id job.ID, version int64) {
 	}
 	s.stopJob(r)
 	s.completedJobs++
-	delete(s.startedOnce, id)
+	s.forget(id)
 	s.results.noteCompletion(r, s.now)
 	s.scheduler.OnJobCompleted(r.job)
+}
+
+// forget drops the per-job ledger entries of a job that has left the run
+// (completed, failed terminally or cancelled): its first-start mark, fault
+// kill count and failed-once mark. Nothing reads them once the job is
+// gone.
+func (s *Simulator) forget(id job.ID) {
+	delete(s.startedOnce, id)
+	delete(s.retries, id)
+	delete(s.failedOnce, id)
 }
 
 // stopJob releases a running job's resources and refreshes neighbours.
